@@ -20,7 +20,6 @@ from . import __version__
 from .aggregation import AggregationError, MatchPolicy, SegmentStore, StoreError
 from .config import ConfigError, PipelineConfig, config_hash, config_values, load_config
 from .dissemination import (
-    Delivery,
     FormatError,
     IntegrityError,
     SimNode,
@@ -46,7 +45,7 @@ from .road_analysis import (
 )
 from .synth import SynthSpec, generate_trace
 from .transforms import TransformError
-from .trace_model import TraceError, gravity_split, parse_trace, reorient, write_trace_csv
+from .trace_model import TraceError, parse_trace, reorient, write_trace_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -61,22 +60,22 @@ def _fail(code: int, message: str) -> int:
 
 def _analyze_road(trace, cfg: PipelineConfig, out: str) -> dict:
     reoriented = reorient(trace, tau=cfg.gravity_tau)
-    rt = reoriented.trace
-    _, linear = gravity_split(rt, tau=cfg.gravity_tau)
+    rt, linear = reoriented.trace, reoriented.linear
     plan = FramePlan(cfg.frame_window_len, cfg.frame_overlap, rt.nominal_rate)
-    matrix = feature_matrix(linear[:, 2], plan, cfg.feature_set, t0=float(rt.t[0]))
+    matrix = feature_matrix(linear[:, 2], plan, cfg.feature_set, t=rt.t)
     matrix.to_csv(os.path.join(out, "features.csv"))
 
     result = detect_anomalies(matrix, rt.fixes, k=cfg.detector_k,
                               feature_subset=cfg.detector_features)
     indicators = list(result.indicators)
     if rt.gyro is not None:
-        indicators += classify_maneuvers(rt, cfg.maneuver_omega_on, cfg.maneuver_omega_off)
+        indicators += classify_maneuvers(rt, linear, cfg.maneuver_omega_on,
+                                         cfg.maneuver_omega_off)
     indicators_to_geojson(indicators, os.path.join(out, "indicators.geojson"))
 
     reports, skipped = roughness_index(
-        rt, band=(cfg.roughness_band_min, cfg.roughness_band_max),
-        segment_length=cfg.roughness_segment_length, tau=cfg.gravity_tau)
+        rt, linear, band=(cfg.roughness_band_min, cfg.roughness_band_max),
+        segment_length=cfg.roughness_segment_length)
     with open(os.path.join(out, "roughness.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["s_start", "segment_length", "index_m_per_km", "mean_speed",
@@ -93,17 +92,15 @@ def _analyze_road(trace, cfg: PipelineConfig, out: str) -> dict:
 
 
 def _analyze_rail(trace, cfg: PipelineConfig, out: str) -> dict:
-    reoriented = reorient(trace, tau=cfg.gravity_tau)
-    rt = reoriented.trace
-    points, skipped = cant_from_roll(
+    rt = reorient(trace, tau=cfg.gravity_tau).trace
+    profile, skipped = cant_from_roll(
         rt, TrackConstants(),
-        wavelength_band=(cfg.rail_wavelength_min, cfg.rail_wavelength_max),
-        tau=cfg.gravity_tau)
-    geometry_to_csv(points, os.path.join(out, "geometry.csv"),
+        wavelength_band=(cfg.rail_wavelength_min, cfg.rail_wavelength_max))
+    geometry_to_csv(profile, os.path.join(out, "geometry.csv"),
                     twist_bases=cfg.rail_twist_bases)
-    indicators = classify_curves(points, threshold=cfg.rail_curvature_threshold)
+    indicators = classify_curves(profile, threshold=cfg.rail_curvature_threshold)
     indicators_to_geojson(indicators, os.path.join(out, "indicators.geojson"))
-    return {"indicators": len(indicators), "geometry_points": len(points),
+    return {"indicators": len(indicators), "geometry_points": len(profile),
             "spans_skipped": skipped}
 
 
@@ -287,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("simulate", help="run the beacon dissemination simulator")
     pm.add_argument("--scenario", required=True)
     pm.add_argument("--out", required=True)
-    pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--duration", type=float, default=60.0)
     pm.add_argument("--dt", type=float, default=1.0)
     pm.add_argument("--range", type=float, default=50.0)

@@ -26,7 +26,6 @@ def _strs(raw: str) -> tuple[str, ...]:
 @dataclass
 class PipelineConfig:
     context: str = "road"
-    seed: int = 0
     gravity_tau: float = 1.0
     frame_window_len: float = 3.0
     frame_overlap: float = 1.0 / 3.0
@@ -45,15 +44,12 @@ class PipelineConfig:
     rail_curvature_threshold: float = 1.0 / 5000.0
     rail_wavelength_min: float = 10.0
     rail_wavelength_max: float = 200.0
-    aggregate_radius: float = 15.0
-    aggregate_half_life: float = 30 * 86400.0
     source_text: str = ""
 
 
 # file key -> (attribute, parser, context restriction or None)
 _KEYS = {
     "context": ("context", str, None),
-    "seed": ("seed", int, None),
     "gravity.tau": ("gravity_tau", float, None),
     "frame.window_len": ("frame_window_len", float, None),
     "frame.overlap": ("frame_overlap", float, None),
@@ -69,8 +65,6 @@ _KEYS = {
     "rail.curvature_threshold": ("rail_curvature_threshold", float, "rail"),
     "rail.wavelength_min": ("rail_wavelength_min", float, "rail"),
     "rail.wavelength_max": ("rail_wavelength_max", float, "rail"),
-    "aggregate.radius": ("aggregate_radius", float, None),
-    "aggregate.half_life": ("aggregate_half_life", float, None),
 }
 
 

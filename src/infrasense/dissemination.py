@@ -10,11 +10,12 @@ printable characters, fitting the 32-octet SSID field.
 from __future__ import annotations
 
 import base64
+import binascii
 import math
 import struct
 from dataclasses import dataclass, field
 
-from .aggregation import great_circle
+from .aggregation import EARTH_RADIUS, great_circle
 from .reports import KINDS, Indicator
 
 PACKET_BYTES = 24
@@ -37,13 +38,7 @@ class IntegrityError(ValueError):
 
 def crc16_ccitt(data: bytes, init: int = 0xFFFF) -> int:
     """CRC-16/CCITT-FALSE (poly 0x1021)."""
-    crc = init
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
-            crc &= 0xFFFF
-    return crc
+    return binascii.crc_hqx(data, init)
 
 
 @dataclass(frozen=True)
@@ -138,8 +133,8 @@ class EncodeReport:
 def _local_offsets(origin_lat: float, origin_lon: float,
                    lat: float, lon: float) -> tuple[float, float]:
     """North/east meters of (lat, lon) from the origin, local tangent plane."""
-    north = math.radians(lat - origin_lat) * 6371000.0
-    east = math.radians(lon - origin_lon) * 6371000.0 * math.cos(math.radians(origin_lat))
+    north = math.radians(lat - origin_lat) * EARTH_RADIUS
+    east = math.radians(lon - origin_lon) * EARTH_RADIUS * math.cos(math.radians(origin_lat))
     return north, east
 
 

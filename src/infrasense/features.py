@@ -189,13 +189,21 @@ def extract_features(window, names=DEFAULT_FEATURES, window_index: int = 0,
 
 
 def feature_matrix(signal, plan: FramePlan, names=DEFAULT_FEATURES,
-                   t0: float = 0.0) -> FeatureMatrix:
-    """Frame a signal and extract one feature vector per window."""
+                   t=None) -> FeatureMatrix:
+    """Frame a signal and extract one feature vector per window.
+
+    Windows are stamped from the sample times `t` (``arange(n) / rate`` when
+    omitted): a window starts at its first sample and ends one sample
+    interval after its last, so sampling gaps shift the stamps with them.
+    """
     frames = frame_signal(signal, plan)
+    if t is None:
+        stamps = np.arange(len(signal) + 1) / plan.rate
+    else:
+        stamps = np.append(t, t[-1] + 1.0 / plan.rate)
     vecs = [
-        extract_features(w, names, window_index=i,
-                         t_start=t0 + start / plan.rate,
-                         t_end=t0 + (start + plan.size) / plan.rate)
+        extract_features(w, names, window_index=i, t_start=float(stamps[start]),
+                         t_end=float(stamps[start + plan.size]))
         for i, start, w in frames
     ]
     return FeatureMatrix(

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .reports import Indicator, clamp_severity
-from .trace_model import CapabilityError, Trace, gravity_split
+from .trace_model import CapabilityError, Trace, cumtrapz, positions_at, runs, sample_rate
 from .transforms import levels_for_band, swt, swt_band_reconstruct
 
 
@@ -33,16 +33,19 @@ class TrackConstants:
 
 
 @dataclass(frozen=True)
-class TrackGeometryPoint:
-    s: float  # m along track
-    cant_angle: float  # rad
-    cant_height: float  # mm
-    curvature: float  # 1/m
-    lat_acc: float = 0.0  # m/s^2
-    vert_acc: float = 0.0  # m/s^2
-    t: float = 0.0  # s
-    lat: float = float("nan")
-    lon: float = float("nan")
+class GeometryProfile:
+    """Track geometry as columns, one row per retained sample."""
+
+    s: np.ndarray  # m along track
+    cant_angle: np.ndarray  # rad
+    cant_height: np.ndarray  # mm
+    curvature: np.ndarray  # 1/m
+    t: np.ndarray  # s
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.s)
 
 
 def cant_angle(h_t: float, consts: TrackConstants = TrackConstants()) -> float:
@@ -55,8 +58,8 @@ def cant_angle(h_t: float, consts: TrackConstants = TrackConstants()) -> float:
 
 def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
                    wavelength_band: tuple[float, float] = (10.0, 200.0),
-                   min_speed: float = 3.0, tau: float = 1.0,
-                   ) -> tuple[list[TrackGeometryPoint], list[tuple[float, float, str]]]:
+                   min_speed: float = 3.0,
+                   ) -> tuple[GeometryProfile, list[tuple[float, float, str]]]:
     """Track geometry profile from a reoriented rail trace.
 
     Roll angle is the cumulative integral of the roll rate, band-limited by
@@ -68,122 +71,94 @@ def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
     speeds = trace.speed_at(trace.t)
     if not np.all(np.isfinite(speeds)):
         raise RailAnalysisError("track geometry needs GPS speed")
-    rate = 1.0 / float(np.median(np.diff(trace.t)))
-    _, linear = gravity_split(trace, tau=tau)
-    s_along = np.concatenate([[0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * np.diff(trace.t))])
+    rate = sample_rate(trace.t)
+    s_along = cumtrapz(speeds, trace.t)
 
     valid = speeds > min_speed
-    points: list[TrackGeometryPoint] = []
+    keep = np.zeros(len(trace), dtype=bool)
+    roll_band = np.zeros(len(trace))
     skipped: list[tuple[float, float, str]] = []
-    i = 0
-    n = len(trace)
-    while i < n:
-        if not valid[i]:
-            j = i
-            while j + 1 < n and not valid[j + 1]:
-                j += 1
-            skipped.append((float(trace.t[i]), float(trace.t[j]), "low_speed"))
-            i = j + 1
+    for i, j in runs(valid):
+        if not valid[i] or j - i < 16:
+            reason = "too_short" if valid[i] else "low_speed"
+            skipped.append((float(trace.t[i]), float(trace.t[j - 1]), reason))
             continue
-        j = i
-        while j + 1 < n and valid[j + 1]:
-            j += 1
-        idx = np.arange(i, j + 1)
-        i = j + 1
-        if len(idx) < 16:
-            skipped.append((float(trace.t[idx[0]]), float(trace.t[idx[-1]]), "too_short"))
-            continue
-
-        t_seg = trace.t[idx]
-        v_seg = speeds[idx]
-        v_mean = float(np.mean(v_seg))
-        roll = np.concatenate([[0.0], np.cumsum(
-            0.5 * (trace.gyro[idx[1:], 0] + trace.gyro[idx[:-1], 0]) * np.diff(t_seg))])
+        t_seg = trace.t[i:j]
+        v_mean = float(np.mean(speeds[i:j]))
+        roll = cumtrapz(trace.gyro[i:j, 0], t_seg)
         f_lo, f_hi = v_mean / wavelength_band[1], v_mean / wavelength_band[0]
-        max_level = max(1, int(math.floor(math.log2(len(idx)))) - 1)
+        max_level = max(1, int(math.floor(math.log2(j - i))) - 1)
         levels = levels_for_band(rate, max_level, f_lo, f_hi)
         if levels:
             dec = swt(roll, "db4", max(levels))
-            roll_band = swt_band_reconstruct(dec, [l for l in levels if l <= dec.levels])
+            roll_band[i:j] = swt_band_reconstruct(dec, [l for l in levels if l <= dec.levels])
         else:
-            roll_band = roll - np.mean(roll)
+            roll_band[i:j] = roll - np.mean(roll)
+        keep[i:j] = True
 
-        cant_h = consts.rail_center_width * np.sin(roll_band)
-        curvature = trace.gyro[idx, 2] / v_seg
-        lat_pos, lon_pos = trace.position_at(t_seg)
-        for m, k in enumerate(idx):
-            points.append(TrackGeometryPoint(
-                s=float(s_along[k]), cant_angle=float(roll_band[m]),
-                cant_height=float(cant_h[m]), curvature=float(curvature[m]),
-                lat_acc=float(linear[k, 1]), vert_acc=float(linear[k, 2]),
-                t=float(trace.t[k]), lat=float(lat_pos[m]), lon=float(lon_pos[m]),
-            ))
-    return points, skipped
+    cant = roll_band[keep]
+    lat, lon = positions_at(trace.fixes, trace.t[keep])
+    profile = GeometryProfile(
+        s=s_along[keep], cant_angle=cant, cant_height=consts.rail_center_width * np.sin(cant),
+        curvature=trace.gyro[keep, 2] / speeds[keep], t=trace.t[keep], lat=lat, lon=lon,
+    )
+    return profile, skipped
 
 
-def twist(points: list[TrackGeometryPoint], base: float) -> list[tuple[float, float]]:
-    """Cant gradient (mm/m) over the given base length, per point."""
+def twist(profile: GeometryProfile, base: float) -> np.ndarray:
+    """Cant gradient (mm/m) over the given base length.
+
+    One value per point with a full base ahead of it: these are the first
+    ``len(result)`` points of the profile.
+    """
     if base <= 0:
         raise ValueError("base must be positive")
-    if not points:
-        return []
-    s = np.array([p.s for p in points])
-    cant = np.array([p.cant_height for p in points])
+    s, cant = profile.s, profile.cant_height
+    if len(s) == 0:
+        return np.empty(0)
     if s[-1] - s[0] < base:
         raise RailAnalysisError(f"profile shorter than base {base} m")
-    out = []
-    for si, ci in zip(s, cant):
-        if si + base > s[-1]:
-            break
-        ahead = float(np.interp(si + base, s, cant))
-        out.append((float(si), (ahead - ci) / base))
-    return out
+    m = int(np.count_nonzero(s + base <= s[-1]))
+    return (np.interp(s[:m] + base, s, cant) - cant[:m]) / base
 
 
-def classify_curves(points: list[TrackGeometryPoint],
+def classify_curves(profile: GeometryProfile,
                     threshold: float = 1.0 / 5000.0) -> list[Indicator]:
     """Contiguous |curvature| > threshold runs, labeled by arc length:
     short (< 100 m), medium (100-500 m), long (> 500 m)."""
+    kappa = np.abs(profile.curvature)
+    hot = kappa > threshold
     out = []
-    n = len(points)
-    i = 0
-    while i < n:
-        if abs(points[i].curvature) <= threshold:
-            i += 1
+    for i, j in runs(hot):
+        if not hot[i]:
             continue
-        j = i
-        while j + 1 < n and abs(points[j + 1].curvature) > threshold:
-            j += 1
-        arc = points[j].s - points[i].s
-        mean_kappa = float(np.mean([abs(points[m].curvature) for m in range(i, j + 1)]))
-        radius = 1.0 / mean_kappa
+        arc = profile.s[j - 1] - profile.s[i]
+        mean_kappa = float(np.mean(kappa[i:j]))
         sub = "short" if arc < 100.0 else ("medium" if arc <= 500.0 else "long")
-        mid = points[(i + j) // 2]
+        mid = (i + j - 1) // 2
         out.append(Indicator(
-            kind="curvature", sub_kind=sub, lat=mid.lat, lon=mid.lon, t=mid.t,
+            kind="curvature", sub_kind=sub, lat=float(profile.lat[mid]),
+            lon=float(profile.lon[mid]), t=float(profile.t[mid]),
             severity=clamp_severity(1e5 * mean_kappa), confidence=1.0,
-            value=radius, unit="m",
+            value=1.0 / mean_kappa, unit="m",
         ))
-        i = j + 1
     return out
 
 
-def geometry_to_csv(points: list[TrackGeometryPoint], path,
+def geometry_to_csv(profile: GeometryProfile, path,
                     twist_bases: tuple[float, ...] = (3.0, 5.0)) -> None:
-    """Profile CSV: s, cant_mm, one twist column per base, curvature."""
-    twists = {}
+    """Profile CSV: s, cant_mm, one twist column per base, curvature.
+
+    Points without a full base ahead get an empty twist cell."""
+    columns = [profile.s.tolist(), profile.cant_height.tolist()]
     for base in twist_bases:
         try:
-            twists[base] = dict(twist(points, base))
+            values = twist(profile, base).tolist()
         except RailAnalysisError:
-            twists[base] = {}
+            values = []
+        columns.append(values + [""] * (len(profile) - len(values)))
+    columns.append(profile.curvature.tolist())
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["s", "cant_mm", *[f"twist{base:g}" for base in twist_bases], "curvature"])
-        for p in points:
-            row = [p.s, p.cant_height]
-            for base in twist_bases:
-                val = twists[base].get(p.s)
-                row.append("" if val is None else val)
-            row.append(p.curvature)
-            w.writerow(row)
+        w.writerows(zip(*columns))

@@ -1,8 +1,7 @@
-"""Maintenance indicator records and their GeoJSON / CSV exports."""
+"""Maintenance indicator records and their GeoJSON export and import."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -75,11 +74,3 @@ def indicators_from_geojson(path) -> list[Indicator]:
         ))
     return out
 
-
-def indicators_to_csv(indicators, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "sub_kind", "lat", "lon", "t", "severity", "confidence", "value", "unit"])
-        for ind in indicators:
-            w.writerow([ind.kind, ind.sub_kind, ind.lat, ind.lon, ind.t,
-                        ind.severity, ind.confidence, ind.value, ind.unit])

@@ -16,7 +16,7 @@ from scipy.signal import detrend
 
 from .features import FeatureMatrix
 from .reports import Indicator, clamp_severity
-from .trace_model import CapabilityError, Trace, gravity_split
+from .trace_model import CapabilityError, Trace, cumtrapz, positions_at, runs, sample_rate
 from .transforms import levels_for_band, swt, swt_band_reconstruct
 
 DEFAULT_DETECTOR_FEATURES = ("peak2peak", "kurt", "rms")
@@ -45,15 +45,6 @@ def robust_z(column: np.ndarray) -> tuple[np.ndarray, bool]:
     return (column - med) / (1.4826 * mad), False
 
 
-def _interp_position(fixes, t: float) -> tuple[float, float]:
-    if not fixes:
-        return float("nan"), float("nan")
-    ft = np.array([f.t for f in fixes])
-    lat = float(np.interp(t, ft, np.array([f.lat for f in fixes])))
-    lon = float(np.interp(t, ft, np.array([f.lon for f in fixes])))
-    return lat, lon
-
-
 def detect_anomalies(matrix: FeatureMatrix, fixes, k: float = 3.0,
                      feature_subset=DEFAULT_DETECTOR_FEATURES) -> AnomalyResult:
     """Unsupervised point-anomaly detection on a feature matrix.
@@ -77,27 +68,19 @@ def detect_anomalies(matrix: FeatureMatrix, fixes, k: float = 3.0,
     score = np.mean(zs, axis=0)
     hot = score > k
 
+    peaks = [i + int(np.argmax(score[i:j])) for i, j in runs(hot) if hot[i]]
+    t_mid = 0.5 * (matrix.t_start[peaks] + matrix.t_end[peaks])
+    lats, lons = positions_at(fixes, t_mid)
     indicators = []
-    i = 0
-    while i < len(hot):
-        if not hot[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(hot) and hot[j + 1]:
-            j += 1
-        peak = i + int(np.argmax(score[i:j + 1]))
-        t_mid = 0.5 * (matrix.t_start[peak] + matrix.t_end[peak])
-        lat, lon = _interp_position(fixes, float(t_mid))
+    for peak, t, lat, lon in zip(peaks, t_mid.tolist(), lats.tolist(), lons.tolist()):
         s = float(score[peak])
         indicators.append(Indicator(
             kind="anomaly", sub_kind="point",
-            lat=lat, lon=lon, t=float(t_mid),
+            lat=lat, lon=lon, t=t,
             severity=clamp_severity(16.0 * s),
             confidence=min(1.0, s / (2.0 * k)),
             value=s, unit="score",
         ))
-        i = j + 1
     return AnomalyResult(indicators=indicators, degenerate=degenerate)
 
 
@@ -115,9 +98,13 @@ def _lobes(omega: np.ndarray, dead: float) -> list[int]:
     return signs
 
 
-def classify_maneuvers(trace: Trace, omega_on: float = 0.06, omega_off: float = 0.03,
-                       min_duration: float = 0.3, min_gap: float = 0.5) -> list[Indicator]:
+def classify_maneuvers(trace: Trace, linear: np.ndarray, omega_on: float = 0.06,
+                       omega_off: float = 0.03, min_duration: float = 0.3,
+                       min_gap: float = 0.5) -> list[Indicator]:
     """Detect yaw-rate events with hysteresis and classify them.
+
+    `linear` is the trace's (n, 3) linear acceleration in the vehicle frame
+    (see ``ReorientResult.linear``); its y column gives the lateral peak.
 
     An event opens when |yaw rate| exceeds `omega_on` and closes once it
     stays below `omega_off` for `min_gap` seconds (so multi-lobe maneuvers
@@ -130,7 +117,6 @@ def classify_maneuvers(trace: Trace, omega_on: float = 0.06, omega_off: float = 
         raise CapabilityError("maneuver classification needs a gyroscope")
     wz = trace.gyro[:, 2]
     t = trace.t
-    _, linear = gravity_split(trace)
 
     events = []
     active = False
@@ -176,7 +162,7 @@ def classify_maneuvers(trace: Trace, omega_on: float = 0.06, omega_off: float = 
             sub = "other"
 
         t_mid = 0.5 * (seg_t[0] + seg_t[-1])
-        lat, lon = trace.position_at(t_mid)
+        lat, lon = positions_at(trace.fixes, t_mid)
         out.append(Indicator(
             kind="maneuver", sub_kind=sub, lat=float(lat[0]), lon=float(lon[0]),
             t=float(t_mid), severity=clamp_severity(deg), confidence=1.0,
@@ -194,31 +180,26 @@ class RoughnessReport:
     s_start: float = 0.0  # m along the ride
 
 
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
-    return out
-
-
-def roughness_index(trace: Trace, band: tuple[float, float] = (0.5, 50.0),
-                    segment_length: float = 100.0, tau: float = 1.0,
+def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] = (0.5, 50.0),
+                    segment_length: float = 100.0,
                     min_speed: float = 2.0) -> tuple[list[RoughnessReport], list[tuple[int, str]]]:
     """IRI-style roughness per travelled-distance segment.
 
-    Per segment: SWT levels whose frequency band maps into the wavelength
-    band (lambda = v/f) reconstruct the band-limited vertical acceleration,
-    which is double-integrated (linear detrend after each pass); the index
-    is the rectified elevation increment sum per length, in m/km.
+    `linear` is the trace's (n, 3) linear acceleration in the vehicle frame
+    (see ``ReorientResult.linear``). Per segment: SWT levels whose frequency
+    band maps into the wavelength band (lambda = v/f) reconstruct the
+    band-limited vertical acceleration, which is double-integrated (linear
+    detrend after each pass); the index is the rectified elevation increment
+    sum per length, in m/km.
     """
     if segment_length <= 0:
         raise ValueError("segment_length must be positive")
     speeds = trace.speed_at(trace.t)
     if not np.all(np.isfinite(speeds)):
         raise RoadAnalysisError("roughness needs GPS speed")
-    rate = 1.0 / float(np.median(np.diff(trace.t)))
-    _, linear = gravity_split(trace, tau=tau)
+    rate = sample_rate(trace.t)
     az = linear[:, 2]
-    s = _cumtrapz(speeds, trace.t)
+    s = cumtrapz(speeds, trace.t)
 
     reports = []
     skipped = []
@@ -244,8 +225,8 @@ def roughness_index(trace: Trace, band: tuple[float, float] = (0.5, 50.0),
         dec = swt(az[idx], "db4", max(levels))
         a_band = swt_band_reconstruct(dec, [l for l in levels if l <= dec.levels])
         t_seg = trace.t[idx]
-        vel = detrend(_cumtrapz(a_band, t_seg), type="linear")
-        elev = detrend(_cumtrapz(vel, t_seg), type="linear")
+        vel = detrend(cumtrapz(a_band, t_seg), type="linear")
+        elev = detrend(cumtrapz(vel, t_seg), type="linear")
         length = float(s[idx[-1]] - s[idx[0]])
         index = float(np.sum(np.abs(np.diff(elev))) / length) * 1000.0
         reports.append(RoughnessReport(

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .aggregation import EARTH_RADIUS
 from .road_analysis import QuarterCar, simulate_quarter_car
 from .trace_model import GRAVITY, GeoFix, Trace
 
 PROFILE_SPACING = 0.05  # m
-METERS_PER_DEG_LAT = math.pi / 180.0 * 6371000.0
+METERS_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,13 +38,6 @@ class EmptyTraceError(TraceError):
 
 class CapabilityError(TraceError):
     """Requested operation needs a sensor the trace does not carry."""
-
-
-@dataclass(frozen=True)
-class InertialSample:
-    t: float
-    accel: np.ndarray  # (3,) m/s^2, device frame, gravity included
-    gyro: np.ndarray | None = None  # (3,) rad/s
 
 
 @dataclass(frozen=True)
@@ -107,11 +100,6 @@ class Trace:
     def span(self) -> float:
         return float(self.t[-1] - self.t[0])
 
-    def samples(self):
-        for i in range(len(self.t)):
-            g = self.gyro[i] if self.gyro is not None else None
-            yield InertialSample(float(self.t[i]), self.accel[i], g)
-
     def speed_at(self, t) -> np.ndarray:
         """Interpolated GPS speed at the given times; NaN without fixes."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -121,16 +109,40 @@ class Trace:
         fv = np.array([f.speed for f in self.fixes])
         return np.interp(t, ft, fv)
 
-    def position_at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated (lat, lon) at the given times; NaN without fixes."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not self.fixes:
-            nan = np.full(t.shape, np.nan)
-            return nan, nan.copy()
-        ft = np.array([f.t for f in self.fixes])
-        lat = np.interp(t, ft, np.array([f.lat for f in self.fixes]))
-        lon = np.interp(t, ft, np.array([f.lon for f in self.fixes]))
-        return lat, lon
+
+def positions_at(fixes, t) -> tuple[np.ndarray, np.ndarray]:
+    """(lat, lon) of a fix list, interpolated at the given times; NaN without fixes."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not fixes:
+        nan = np.full(t.shape, np.nan)
+        return nan, nan.copy()
+    ft = np.array([f.t for f in fixes])
+    lat = np.interp(t, ft, np.array([f.lat for f in fixes]))
+    lon = np.interp(t, ft, np.array([f.lon for f in fixes]))
+    return lat, lon
+
+
+def sample_rate(t) -> float:
+    """Measured sample rate: one over the median sample interval, in Hz."""
+    return 1.0 / float(np.median(np.diff(t)))
+
+
+def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoidal integral of y over x, starting at 0."""
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    return out
+
+
+def runs(mask) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal run of equal values in a boolean array,
+    in order; `stop` is exclusive and the run's value is ``mask[start]``."""
+    mask = np.asarray(mask, dtype=bool)
+    if len(mask) == 0:
+        return []
+    cuts = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
+    edges = [0, *cuts, len(mask)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _finite(*vals) -> bool:
@@ -182,9 +194,7 @@ def _rows_to_trace(rows, meta: str) -> tuple[Trace, ParseReport]:
     gyros = [r[2] for r in kept]
     gyro = np.array(gyros) if all(g is not None for g in gyros) else None
     fixes = [r[3] for r in kept if r[3] is not None]
-    rate = 1.0 / float(np.median(np.diff(t)))
-
-    trace = Trace(t=t, accel=accel, gyro=gyro, fixes=fixes, nominal_rate=rate, meta=meta)
+    trace = Trace(t=t, accel=accel, gyro=gyro, fixes=fixes, nominal_rate=sample_rate(t), meta=meta)
     return trace, ParseReport(rows_read=len(kept) + dropped, rows_dropped=dropped, reorders=reorders)
 
 
@@ -256,8 +266,7 @@ def resample(trace: Trace, rate: float) -> Trace:
         raise EmptyTraceError("trace span too short for the requested rate")
 
     t_new = trace.t[0] + np.arange(n_out) / rate
-    old_rate = 1.0 / float(np.median(np.diff(trace.t)))
-    ratio = old_rate / rate
+    ratio = sample_rate(trace.t) / rate
 
     def prep(sig):
         if ratio >= 2.0:
@@ -369,16 +378,20 @@ def _rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class ReorientResult:
     trace: Trace
     rotation: np.ndarray  # (3,3), applied as v_vehicle = R @ v_device
+    linear: np.ndarray  # (n, 3) m/s^2, vehicle-frame acceleration minus gravity
     forward_resolved: bool  # False: vertical-only reorientation
 
 
 def reorient(trace: Trace, tau: float = 1.0, speed_threshold: float = 3.0) -> ReorientResult:
-    """Rotate a trace into the vehicle frame.
+    """Rotate a trace into the vehicle frame and split off gravity.
 
-    The time-averaged gravity estimate is mapped onto (0, 0, -g); the mean
-    horizontal linear-acceleration direction during forward motion
-    (speed > `speed_threshold` m/s) is mapped onto +x. Without motion epochs
-    only the vertical alignment is applied and `forward_resolved` is False.
+    This is the one gravity split of an analysis: the result carries the
+    split's linear acceleration rotated into the vehicle frame, which every
+    road analysis takes as input. The time-averaged gravity estimate is
+    mapped onto (0, 0, -g); the mean horizontal linear-acceleration direction
+    during forward motion (speed > `speed_threshold` m/s) is mapped onto +x.
+    Without motion epochs only the vertical alignment is applied and
+    `forward_resolved` is False.
     """
     if trace.span < 2.0:
         raise TraceError("reorientation needs at least 2 s of data")
@@ -408,4 +421,5 @@ def reorient(trace: Trace, tau: float = 1.0, speed_threshold: float = 3.0) -> Re
         t=trace.t.copy(), accel=accel, gyro=gyro, fixes=list(trace.fixes),
         nominal_rate=trace.nominal_rate, meta=trace.meta,
     )
-    return ReorientResult(trace=out, rotation=rotation, forward_resolved=forward)
+    return ReorientResult(trace=out, rotation=rotation, linear=(rotation @ linear.T).T,
+                          forward_resolved=forward)

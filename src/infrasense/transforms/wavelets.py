@@ -48,18 +48,6 @@ class WaveletDecomposition:
     def levels(self) -> int:
         return len(self.details)
 
-    def to_csv(self, path) -> None:
-        import csv
-
-        bands = {f"d{j + 1}": d for j, d in enumerate(self.details)}
-        bands[f"a{self.levels}"] = self.approx
-        width = max(len(v) for v in bands.values())
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(list(bands))
-            for i in range(width):
-                w.writerow([bands[k][i] if i < len(bands[k]) else "" for k in bands])
-
 
 def _even(x: np.ndarray) -> np.ndarray:
     if len(x) % 2:
@@ -68,11 +56,11 @@ def _even(x: np.ndarray) -> np.ndarray:
 
 
 def dwt_level(signal, wavelet: str = "haar") -> tuple[np.ndarray, np.ndarray]:
-    """One decimated analysis level: circular filter then downsample by 2."""
+    """One decimated analysis level: circular filter then downsample by 2.
+
+    The filter wraps around periodically, also on signals shorter than it."""
     h, g = filter_pair(wavelet)
     x = _even(np.asarray(signal, dtype=float))
-    if len(x) < len(h):
-        raise TransformError("signal shorter than the filter")
     low = np.zeros(len(x))
     high = np.zeros(len(x))
     for n in range(len(h)):

@@ -46,6 +46,7 @@ from infrasense.synth import (
     generate_trace,
     pothole_positions,
 )
+from infrasense.trace_model import gravity_split
 from infrasense.transforms import emd, iswt, swt, wavedec, waverec
 
 METERS_PER_DEG = math.pi / 180.0 * 6371000.0
@@ -181,7 +182,8 @@ def test_06_roughness_homogeneity():
     def run(amp, seed):
         spec = SynthSpec(duration=65.0, speed=10.0, seed=seed,
                          sinusoids=(Sinusoid(amplitude_m=amp, wavelength_m=4.0),))
-        reports, _ = roughness_index(generate_trace(spec))
+        trace = generate_trace(spec)
+        reports, _ = roughness_index(trace, gravity_split(trace)[1])
         return reports
 
     a = run(0.004, seed=6)

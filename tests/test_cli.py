@@ -34,6 +34,8 @@ class TestConfig:
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("context = road\nspeed.limit = 30\n")
+        with pytest.raises(ConfigError, match="unknown key 'aggregate.radius'"):
+            parse_config_text("aggregate.radius = 5\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -156,6 +158,21 @@ class TestAnalyzeCommand:
         for lat, s_true in zip(lats, (100.0, 300.0, 480.0)):
             # within 10 m of truth or within one 3 s window (15 m half-span)
             assert abs((lat - 51.0) * METERS_PER_DEG - s_true) <= 15.0 + 1e-6
+
+    def test_potholes_placed_after_sampling_gap(self, pothole_trace, tmp_path):
+        # 3 s of samples cut out at 200-230 m, before the potholes at 300 and 480 m
+        lines = pothole_trace.read_text().splitlines()
+        kept = [line for line in lines[1:] if not 20.0 <= float(line.split(",")[0]) < 23.0]
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join([lines[0], *kept]) + "\n")
+        out = tmp_path / "report"
+        assert main(["analyze", str(gapped), "--out", str(out)]) == EXIT_OK
+        geo = json.loads((out / "indicators.geojson").read_text())
+        found = [(f["geometry"]["coordinates"][1] - 51.0) * METERS_PER_DEG
+                 for f in geo["features"] if f["properties"]["kind"] == "anomaly"]
+        speed, window_len = 10.0, 3.0
+        for s_true in (100.25, 300.25, 480.25):  # pothole centres
+            assert min(abs(s - s_true) for s in found) <= speed * window_len / 2
 
     def test_missing_trace(self, tmp_path, capsys):
         code = main(["analyze", str(tmp_path / "absent.csv"), "--out",

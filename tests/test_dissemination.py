@@ -38,7 +38,23 @@ def random_packet(rng):
     )
 
 
+def crc16_bitwise(data: bytes, init: int = 0xFFFF) -> int:
+    """Bit-by-bit CRC-16/CCITT-FALSE (poly 0x1021), the oracle for crc16_ccitt."""
+    crc = init
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
+            crc &= 0xFFFF
+    return crc
+
+
 class TestCrc16:
+    @given(data=st.binary(max_size=64), init=st.integers(0, 0xFFFF))
+    @settings(max_examples=300)
+    def test_matches_bitwise_oracle(self, data, init):
+        assert crc16_ccitt(data, init) == crc16_bitwise(data, init)
+
     def test_check_value(self):
         # standard CRC-16/CCITT-FALSE check: "123456789" -> 0x29B1
         assert crc16_ccitt(b"123456789") == 0x29B1

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import make_trace, straight_fixes
 from infrasense.rail_analysis import (
+    GeometryProfile,
     RailAnalysisError,
     TrackConstants,
-    TrackGeometryPoint,
     cant_angle,
     cant_from_roll,
     classify_curves,
@@ -77,7 +77,7 @@ class TestCantFromRoll:
         roll = rng.normal(scale=0.002, size=n)  # sensor-noise-level roll rate
         points, skipped = cant_from_roll(rail_trace(roll_rate=roll))
         assert skipped == []
-        cant = np.array([p.cant_height for p in points])
+        cant = points.cant_height
         assert abs(np.mean(cant)) < 2.0  # mm
         assert np.max(np.abs(cant)) < 20.0
 
@@ -90,7 +90,7 @@ class TestCantFromRoll:
         phi = amp * np.sin(2 * np.pi * speed * t / wavelength)
         roll_rate = np.gradient(phi, t)
         points, _ = cant_from_roll(rail_trace(duration, rate, speed, roll_rate=roll_rate))
-        got = np.array([p.cant_angle for p in points])
+        got = points.cant_angle
         core = slice(len(got) // 4, -len(got) // 4)  # skip filter edges
         assert np.corrcoef(got[core], phi[: len(got)][core])[0, 1] > 0.95
         assert np.max(np.abs(got[core])) == pytest.approx(amp, rel=0.25)
@@ -99,7 +99,7 @@ class TestCantFromRoll:
         n = 12001
         yaw = np.full(n, 0.06)  # rad/s at 30 m/s -> kappa = 0.002
         points, _ = cant_from_roll(rail_trace(yaw_rate=yaw))
-        kappa = np.array([p.curvature for p in points])
+        kappa = points.curvature
         assert np.allclose(kappa, 0.002, atol=1e-12)
 
     def test_low_speed_span_skipped(self):
@@ -116,37 +116,42 @@ class TestCantFromRoll:
                       nominal_rate=rate)
         points, skipped = cant_from_roll(trace)
         assert any(reason == "low_speed" for _, _, reason in skipped)
-        covered = {round(p.t) for p in points}
+        covered = {round(t) for t in points.t}
         assert 50 not in covered
 
     def test_s_monotone(self):
         points, _ = cant_from_roll(rail_trace(duration=60.0))
-        s = [p.s for p in points]
+        s = points.s
         assert all(b > a for a, b in zip(s, s[1:]))
 
 
-def profile(s_vals, cant_vals):
-    return [TrackGeometryPoint(s=s, cant_angle=0.0, cant_height=c, curvature=0.0)
-            for s, c in zip(s_vals, cant_vals)]
+def profile(s_vals, cant_vals, kappa_vals=None):
+    s = np.asarray(s_vals, dtype=float)
+    n = len(s)
+    kappa = np.zeros(n) if kappa_vals is None else np.asarray(kappa_vals, dtype=float)
+    return GeometryProfile(s=s, cant_angle=np.zeros(n),
+                           cant_height=np.asarray(cant_vals, dtype=float),
+                           curvature=kappa, t=np.zeros(n), lat=np.full(n, np.nan),
+                           lon=np.full(n, np.nan))
 
 
 class TestTwist:
     def test_constant_cant_zero_twist(self):
         pts = profile(np.arange(0.0, 50.0, 0.5), np.full(100, 80.0))
         for base in (3.0, 5.0):
-            assert all(v == pytest.approx(0.0, abs=1e-12) for _, v in twist(pts, base))
+            assert all(v == pytest.approx(0.0, abs=1e-12) for v in twist(pts, base))
 
     def test_linear_ramp_constant_gradient(self):
         s = np.arange(0.0, 100.0, 0.25)
         pts = profile(s, 2.0 * s)  # 2 mm per m
         for base in (3.0, 5.0):
-            vals = [v for _, v in twist(pts, base)]
+            vals = list(twist(pts, base))
             assert vals == pytest.approx([2.0] * len(vals), abs=1e-9)
 
     def test_step_localized(self):
         s = np.arange(0.0, 60.0, 0.5)
         cant = np.where(s < 30.0, 0.0, 30.0)
-        vals = dict(twist(profile(s, cant), 3.0))
+        vals = dict(zip(s, twist(profile(s, cant), 3.0)))
         assert vals[10.0] == 0.0
         assert vals[50.0] == 0.0
         assert vals[28.0] == pytest.approx(10.0)  # 30 mm over 3 m base
@@ -154,7 +159,7 @@ class TestTwist:
     def test_window_end_excluded(self):
         s = np.arange(0.0, 10.5, 0.5)
         out = twist(profile(s, s), 3.0)
-        assert out[-1][0] == pytest.approx(7.0)
+        assert s[len(out) - 1] == pytest.approx(7.0)
 
     def test_short_profile_error(self):
         with pytest.raises(RailAnalysisError):
@@ -167,14 +172,14 @@ class TestTwist:
 
 def kappa_profile(pairs, ds=1.0):
     """pairs: list of (length_m, curvature) runs."""
-    pts = []
+    s_vals, kappas = [], []
     s = 0.0
     for length, kappa in pairs:
         for _ in range(int(length / ds)):
-            pts.append(TrackGeometryPoint(s=s, cant_angle=0.0, cant_height=0.0,
-                                          curvature=kappa))
+            s_vals.append(s)
+            kappas.append(kappa)
             s += ds
-    return pts
+    return profile(s_vals, np.zeros(len(s_vals)), kappas)
 
 
 class TestClassifyCurves:

@@ -18,7 +18,17 @@ from infrasense.road_analysis import (
     simulate_quarter_car,
 )
 from infrasense.synth import PROFILE_SPACING, Pothole, Sinusoid, SynthSpec, generate_trace
-from infrasense.trace_model import CapabilityError
+from infrasense.trace_model import CapabilityError, gravity_split
+
+
+def maneuvers(trace):
+    """classify_maneuvers on an aligned trace, fed its own linear acceleration."""
+    return classify_maneuvers(trace, gravity_split(trace)[1])
+
+
+def roughness(trace, **kwargs):
+    """roughness_index on an aligned trace, fed its own linear acceleration."""
+    return roughness_index(trace, gravity_split(trace)[1], **kwargs)
 
 
 class TestRobustZ:
@@ -123,24 +133,24 @@ def gyro_trace(wz, rate=100.0, lat_accel=None):
 class TestClassifyManeuvers:
     def test_needs_gyro(self):
         with pytest.raises(CapabilityError):
-            classify_maneuvers(make_trace())
+            maneuvers(make_trace())
 
     def test_quiet_trace_no_events(self):
         n = 2001
-        out = classify_maneuvers(gyro_trace(np.zeros(n)))
+        out = maneuvers(gyro_trace(np.zeros(n)))
         assert out == []
 
     def test_turn(self):
         t = np.arange(0, 20, 0.01)
         wz = np.where((t >= 5) & (t < 10), 0.3, 0.0)  # 1.5 rad ~ 86 deg
-        out = classify_maneuvers(gyro_trace(wz))
+        out = maneuvers(gyro_trace(wz))
         assert [i.sub_kind for i in out] == ["turn"]
         assert out[0].value == pytest.approx(1.5, abs=0.02)
 
     def test_u_turn(self):
         t = np.arange(0, 20, 0.01)
         wz = np.where((t >= 5) & (t < 12), 0.5, 0.0)  # 3.5 rad ~ 200 deg
-        out = classify_maneuvers(gyro_trace(wz))
+        out = maneuvers(gyro_trace(wz))
         assert [i.sub_kind for i in out] == ["u_turn"]
 
     def test_lane_change_two_lobes_one_event(self):
@@ -148,7 +158,7 @@ class TestClassifyManeuvers:
         wz = np.zeros_like(t)
         seg = (t >= 5) & (t < 9)
         wz[seg] = 0.3 * np.sin(2 * np.pi * (t[seg] - 5) / 4.0)  # one full period
-        out = classify_maneuvers(gyro_trace(wz))
+        out = maneuvers(gyro_trace(wz))
         assert [i.sub_kind for i in out] == ["lane_change"]
 
     def test_swerve_needs_lateral_acceleration(self):
@@ -157,7 +167,7 @@ class TestClassifyManeuvers:
         seg = (t >= 5) & (t < 9)
         wz[seg] = 0.3 * np.sin(2 * np.pi * (t[seg] - 5) / 4.0)
         lat = np.where(seg, 3.0 * np.sin(2 * np.pi * (t - 5) / 4.0), 0.0)
-        out = classify_maneuvers(gyro_trace(wz, lat_accel=lat))
+        out = maneuvers(gyro_trace(wz, lat_accel=lat))
         assert [i.sub_kind for i in out] == ["swerve"]
 
     def test_curvy_segment(self):
@@ -165,18 +175,18 @@ class TestClassifyManeuvers:
         wz = np.zeros_like(t)
         seg = (t >= 5) & (t < 21)
         wz[seg] = 0.2 * np.sin(2 * np.pi * (t[seg] - 5) / 4.0)  # 4 periods
-        out = classify_maneuvers(gyro_trace(wz))
+        out = maneuvers(gyro_trace(wz))
         assert [i.sub_kind for i in out] == ["curvy_segment"]
 
     def test_sub_threshold_rotation_ignored(self):
         t = np.arange(0, 20, 0.01)
         wz = np.full_like(t, 0.02)  # below omega_on
-        assert classify_maneuvers(gyro_trace(wz)) == []
+        assert maneuvers(gyro_trace(wz)) == []
 
     def test_event_position_and_severity(self):
         t = np.arange(0, 20, 0.01)
         wz = np.where((t >= 8) & (t < 13), 0.3, 0.0)
-        out = classify_maneuvers(gyro_trace(wz))
+        out = maneuvers(gyro_trace(wz))
         assert out[0].t == pytest.approx(10.5, abs=0.5)
         assert out[0].severity == pytest.approx(86, abs=3)
 
@@ -190,34 +200,34 @@ def synth_trace(amp=0.005, wavelength=4.0, duration=65.0, speed=10.0, seed=0):
 class TestRoughnessIndex:
     def test_flat_road_near_zero(self):
         trace = generate_trace(SynthSpec(duration=65.0))
-        reports, skipped = roughness_index(trace)
+        reports, skipped = roughness(trace)
         assert len(reports) >= 5
         assert all(r.index < 1e-6 for r in reports)
 
     def test_amplitude_doubling_doubles_index(self):
-        a = roughness_index(synth_trace(amp=0.004))[0]
-        b = roughness_index(synth_trace(amp=0.008))[0]
+        a = roughness(synth_trace(amp=0.004))[0]
+        b = roughness(synth_trace(amp=0.008))[0]
         assert len(a) == len(b) >= 5
         for ra, rb in zip(a, b):
             assert rb.index == pytest.approx(2.0 * ra.index, rel=0.05)
 
     def test_segments_of_identical_road_agree(self):
-        reports, _ = roughness_index(synth_trace())
+        reports, _ = roughness(synth_trace())
         vals = [r.index for r in reports[1:-1]]  # skip edge transients
         assert max(vals) - min(vals) < 0.15 * np.mean(vals)
 
     def test_segment_positions(self):
-        reports, _ = roughness_index(synth_trace())
+        reports, _ = roughness(synth_trace())
         assert [r.s_start for r in reports] == [100.0 * i for i in range(len(reports))]
 
     def test_needs_speed(self):
         trace = make_trace(with_fixes=False)
         with pytest.raises(RoadAnalysisError):
-            roughness_index(trace)
+            roughness(trace)
 
     def test_bad_segment_length(self):
         with pytest.raises(ValueError):
-            roughness_index(make_trace(), segment_length=0.0)
+            roughness(make_trace(), segment_length=0.0)
 
 
 class TestQuarterCar:

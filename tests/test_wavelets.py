@@ -72,6 +72,12 @@ class TestWavedec:
         rec = waverec(wavedec(x, wav, levels))
         assert np.linalg.norm(rec - x) <= 1e-9 * max(1.0, np.linalg.norm(x))
 
+    def test_db4_levels_below_filter_length(self):
+        # level 5 of 32 samples filters a 2-sample approximation with 4 taps
+        x = np.random.default_rng(3).normal(size=32)
+        rec = waverec(wavedec(x, "db4", 5))
+        assert np.linalg.norm(rec - x) <= 1e-9 * np.linalg.norm(x)
+
 
 class TestSwt:
     def test_completeness(self, rng):
