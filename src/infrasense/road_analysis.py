@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import detrend
 
 from .features import FeatureMatrix
 from .reports import Indicator, clamp_severity
@@ -180,6 +179,13 @@ class RoughnessReport:
     s_start: float = 0.0  # m along the ride
 
 
+def detrend_linear(x: np.ndarray) -> np.ndarray:
+    """x minus its least-squares line against the sample index (needs len >= 2)."""
+    k = np.arange(len(x)) - 0.5 * (len(x) - 1)  # centred, so k is orthogonal to the offset
+    centred = x - np.mean(x)
+    return centred - (k @ centred) / (k @ k) * k
+
+
 def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] = (0.5, 50.0),
                     segment_length: float = 100.0,
                     min_speed: float = 2.0) -> tuple[list[RoughnessReport], list[tuple[int, str]]]:
@@ -225,8 +231,8 @@ def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] 
         dec = swt(az[idx], "db4", max(levels))
         a_band = swt_band_reconstruct(dec, [l for l in levels if l <= dec.levels])
         t_seg = trace.t[idx]
-        vel = detrend(cumtrapz(a_band, t_seg), type="linear")
-        elev = detrend(cumtrapz(vel, t_seg), type="linear")
+        vel = detrend_linear(cumtrapz(a_band, t_seg))
+        elev = detrend_linear(cumtrapz(vel, t_seg))
         length = float(s[idx[-1]] - s[idx[0]])
         index = float(np.sum(np.abs(np.diff(elev))) / length) * 1000.0
         reports.append(RoughnessReport(

@@ -234,8 +234,19 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Write a Trace back out in the canonical CSV schema."""
-    fix_by_t = {f.t: f for f in trace.fixes}
+    """Write a Trace back out in the canonical CSV schema.
+
+    The schema carries a fix on a sample row, so each fix goes on the row of
+    its nearest sample time (ties to the earlier row), which moves it by at
+    most half a sample interval. When two fixes land on one row, the later
+    one in ``trace.fixes`` is written and the other is lost.
+    """
+    fix_by_row = {}
+    if trace.fixes:
+        ft = np.array([f.t for f in trace.fixes])
+        right = np.clip(np.searchsorted(trace.t, ft), 1, len(trace.t) - 1)
+        rows = np.where(ft - trace.t[right - 1] <= trace.t[right] - ft, right - 1, right)
+        fix_by_row = dict(zip(rows.tolist(), trace.fixes))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
@@ -245,7 +256,7 @@ def write_trace_csv(trace: Trace, path) -> None:
                 row += [repr(float(v)) for v in trace.gyro[i]]
             else:
                 row += ["", "", ""]
-            fix = fix_by_t.get(float(t))
+            fix = fix_by_row.get(i)
             if fix is not None:
                 row += [repr(fix.lat), repr(fix.lon), repr(fix.speed), repr(fix.accuracy)]
             else:

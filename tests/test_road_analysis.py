@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import detrend
 
 from conftest import make_trace
 from infrasense.features import FramePlan, feature_matrix
@@ -12,6 +13,7 @@ from infrasense.road_analysis import (
     StepInstabilityError,
     classify_maneuvers,
     detect_anomalies,
+    detrend_linear,
     quarter_car_states,
     robust_z,
     roughness_index,
@@ -228,6 +230,19 @@ class TestRoughnessIndex:
     def test_bad_segment_length(self):
         with pytest.raises(ValueError):
             roughness(make_trace(), segment_length=0.0)
+
+
+class TestDetrendLinear:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5000), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-6, 1e3), offset=st.floats(-1e6, 1e6),
+           slope=st.floats(-1e3, 1e3))
+    def test_matches_scipy(self, n, seed, scale, offset, slope):
+        # a random walk on a line, like the integrated band-limited signals
+        walk = scale * np.cumsum(np.random.default_rng(seed).normal(size=n))
+        x = offset + slope * np.arange(n) + walk
+        err = np.max(np.abs(detrend_linear(x) - detrend(x, type="linear")))
+        assert err <= 1e-12 * np.max(np.abs(x))
 
 
 class TestQuarterCar:

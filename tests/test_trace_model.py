@@ -95,6 +95,30 @@ class TestParseTrace:
         assert back.gyro is not None
         assert len(back.fixes) == len(trace.fixes)
 
+    @given(n=st.integers(2, 300), rate=st.sampled_from([20.0, 50.0, 100.0]),
+           data=st.data())
+    def test_csv_writer_roundtrip_off_grid_fixes(self, tmp_path_factory, n, rate, data):
+        t = np.arange(n) / rate
+        rows = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        # every fix sits off the grid, by 1 % to 49 % of a sample interval
+        offsets = data.draw(st.lists(
+            st.tuples(st.floats(0.01, 0.49), st.sampled_from([-1.0, 1.0])),
+            min_size=len(rows), max_size=len(rows)))
+        geo = st.tuples(st.floats(-90, 90), st.floats(-180, 180),
+                        st.floats(0, 60), st.floats(0.1, 100))
+        fixes = [GeoFix(t[i] + sign * frac / rate, *data.draw(geo))
+                 for i, (frac, sign) in zip(rows, offsets)]
+        trace = Trace(t=t, accel=np.zeros((n, 3)), gyro=None, fixes=fixes, nominal_rate=rate)
+        out = tmp_path_factory.mktemp("roundtrip") / "out.csv"
+        write_trace_csv(trace, out)
+        back, _ = parse_trace(out)
+        assert len(back.fixes) == len(fixes)
+        for i, sent, got in zip(rows, fixes, back.fixes):
+            assert got.t == t[i]
+            assert abs(got.t - sent.t) <= 0.5 / rate
+            assert (got.lat, got.lon, got.speed, got.accuracy) == \
+                (sent.lat, sent.lon, sent.speed, sent.accuracy)
+
 
 class TestResample:
     def test_midpoint_interpolation(self):
