@@ -45,7 +45,7 @@ from .road_analysis import (
 )
 from .synth import SynthSpec, generate_trace
 from .transforms import TransformError
-from .trace_model import TraceError, parse_trace, reorient, write_trace_csv
+from .trace_model import TraceError, parse_trace, reorient, sampling_gaps, write_trace_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -130,7 +130,9 @@ def cmd_analyze(args) -> int:
             "trace": str(args.trace),
             "parse_report": {"rows_read": report.rows_read,
                              "rows_dropped": report.rows_dropped,
-                             "reorders": report.reorders},
+                             "reorders": report.reorders,
+                             "drops": report.drops},
+            "gaps": sampling_gaps(trace.t),
             "counts": counts,
         }
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:

@@ -11,6 +11,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class FeatureError(Exception):
@@ -144,13 +145,6 @@ class FeatureMatrix:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.names.index(name)]
 
-    def rows(self):
-        for i in range(self.n_windows):
-            yield FeatureVector(
-                tuple(self.values[i]), self.names, int(self.window_index[i]),
-                float(self.t_start[i]), float(self.t_end[i]), bool(self.degenerate[i]),
-            )
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -188,31 +182,68 @@ def extract_features(window, names=DEFAULT_FEATURES, window_index: int = 0,
                          degenerate=(_sd(x) == 0.0))
 
 
+def _window_features(w: np.ndarray) -> dict[str, np.ndarray]:
+    """Every feature of every row of `w`, with `extract_features`'s arithmetic.
+
+    Rows are reduced along their own axis, the way the one-window functions
+    reduce a window; only the energy's sum runs in another order.
+    """
+    mean = np.mean(w, axis=1)
+    dev = w - mean[:, None]
+    var = np.mean(np.square(dev), axis=1)
+    sd = np.sqrt(var)
+    rms = np.sqrt(np.mean(np.square(w), axis=1))
+    flat = sd == 0.0
+    # standardized deviations, left at 0 in a zero-dispersion window
+    z = np.divide(dev, sd[:, None], out=np.zeros_like(dev), where=~flat[:, None])
+    med = np.median(w, axis=1)
+    peak = np.max(np.abs(w), axis=1)
+    return {
+        "mean": mean,
+        "mad": np.median(np.abs(w - med[:, None]), axis=1),
+        "rms": rms,
+        "var": var,
+        "sd": sd,
+        "energy": np.sqrt(np.sum(np.square(w), axis=1)),
+        "skew": np.mean(z ** 3, axis=1),
+        "kurt": np.mean(z ** 4, axis=1),
+        "peak2peak": np.max(w, axis=1) - np.min(w, axis=1),
+        "peak2rms": np.divide(peak, rms, out=np.zeros_like(rms), where=rms != 0.0),
+        "degenerate": flat,
+    }
+
+
 def feature_matrix(signal, plan: FramePlan, names=DEFAULT_FEATURES,
                    t=None) -> FeatureMatrix:
     """Frame a signal and extract one feature vector per window.
 
-    Windows are stamped from the sample times `t` (``arange(n) / rate`` when
-    omitted): a window starts at its first sample and ends one sample
-    interval after its last, so sampling gaps shift the stamps with them.
+    All windows are evaluated at once on a strided view of the signal; row i
+    equals ``extract_features`` on window i of ``frame_signal``. Windows are
+    stamped from the sample times `t` (``arange(n) / rate`` when omitted): a
+    window starts at its first sample and ends one sample interval after its
+    last, so sampling gaps shift the stamps with them.
     """
-    frames = frame_signal(signal, plan)
+    x = np.asarray(signal, dtype=float)
+    m, hop = plan.size, plan.hop
+    if len(x) < m:
+        raise FeatureError(f"signal length {len(x)} shorter than window {m}")
+    unknown = [n for n in names if n not in FEATURES]
+    if unknown:
+        raise FeatureError(f"unknown features: {unknown}")
+    windows = sliding_window_view(x, m)[::hop]
+    starts = np.arange(len(windows)) * hop
     if t is None:
-        stamps = np.arange(len(signal) + 1) / plan.rate
+        stamps = np.arange(len(x) + 1) / plan.rate
     else:
         stamps = np.append(t, t[-1] + 1.0 / plan.rate)
-    vecs = [
-        extract_features(w, names, window_index=i, t_start=float(stamps[start]),
-                         t_end=float(stamps[start + plan.size]))
-        for i, start, w in frames
-    ]
+    feats = _window_features(windows)
     return FeatureMatrix(
         names=tuple(names),
-        values=np.array([v.values for v in vecs]),
-        window_index=np.array([v.window_index for v in vecs]),
-        t_start=np.array([v.t_start for v in vecs]),
-        t_end=np.array([v.t_end for v in vecs]),
-        degenerate=np.array([v.degenerate for v in vecs]),
+        values=np.column_stack([feats[n] for n in names]),
+        window_index=np.arange(len(windows)),
+        t_start=stamps[starts],
+        t_end=stamps[starts + m],
+        degenerate=feats["degenerate"],
     )
 
 

@@ -12,9 +12,10 @@ the gravity vector points along -z.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,6 +63,7 @@ class ParseReport:
     rows_read: int
     rows_dropped: int
     reorders: int
+    drops: dict  # rows dropped per reason: "required_nonfinite", "invalid_fix"
 
 
 @dataclass
@@ -127,6 +129,14 @@ def sample_rate(t) -> float:
     return 1.0 / float(np.median(np.diff(t)))
 
 
+def sampling_gaps(t) -> dict:
+    """Sample intervals longer than 1.5 times the median one: how many, and
+    their summed length in seconds."""
+    dt = np.diff(t)
+    long = dt[dt > 1.5 * np.median(dt)]
+    return {"count": len(long), "total_s": float(np.sum(long))}
+
+
 def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cumulative trapezoidal integral of y over x, starting at 0."""
     out = np.zeros_like(y)
@@ -145,57 +155,65 @@ def runs(mask) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _finite(*vals) -> bool:
-    return all(v is not None and math.isfinite(v) for v in vals)
-
-
-def _maybe_float(raw) -> float | None:
-    if raw is None:
-        return None
-    raw = raw.strip() if isinstance(raw, str) else raw
+def _cell_value(raw) -> float:
+    """One cell as a float: NaN when it is absent, empty or unparsable."""
     if raw == "" or raw is None:
-        return None
+        return math.nan
     try:
-        return float(raw)
-    except (TypeError, ValueError):
-        return None
+        return float(raw.strip() if isinstance(raw, str) else raw)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON int past 1.8e308
+        return math.nan
 
 
-def _rows_to_trace(rows, meta: str) -> tuple[Trace, ParseReport]:
-    kept = []
-    dropped = 0
-    for row in rows:
-        t = _maybe_float(row.get("t"))
-        acc = [_maybe_float(row.get(k)) for k in ("ax", "ay", "az")]
-        if not _finite(t, *acc):
-            dropped += 1
-            continue
-        gyr = [_maybe_float(row.get(k)) for k in ("gx", "gy", "gz")]
-        gyr = gyr if _finite(*gyr) else None
-        fix = None
-        geo = [_maybe_float(row.get(k)) for k in ("lat", "lon", "speed", "acc")]
-        if _finite(*geo):
-            try:
-                fix = GeoFix(t, geo[0], geo[1], geo[2], geo[3])
-            except ValueError:
-                dropped += 1
-                continue
-        kept.append((t, acc, gyr, fix))
+def _column(cells, n: int) -> np.ndarray:
+    """One column of cells as floats, NaN where a cell is absent, empty or
+    unparsable.
 
+    `float` strips the whitespace a number is padded with, so its values
+    equal `_cell_value`'s; a column with any cell it rejects is converted
+    again cell by cell.
+    """
+    try:
+        return np.fromiter(map(float, cells), float, n)
+    except (TypeError, ValueError, OverflowError):
+        return np.fromiter(map(_cell_value, cells), float, n)
+
+
+def _columns_to_trace(cols: dict, n: int, meta: str) -> tuple[Trace, ParseReport]:
+    """Apply the row rules to the raw cells of `n` rows, one column at a time.
+
+    `cols` maps each schema column present in the input to its n cells.
+    A row is dropped when a required value is non-finite, or when all four
+    geo values are finite but fail `GeoFix` validation. A kept row carries a
+    fix only when all four geo values are finite; the trace has a gyro only
+    when every kept row has all three gyro values.
+    """
+    nan = np.full(n, math.nan)
+    v = {k: _column(cols[k], n) if k in cols else nan for k in CSV_COLUMNS}
+    t = v["t"]
+    accel = np.column_stack([v["ax"], v["ay"], v["az"]])
+    gyro = np.column_stack([v["gx"], v["gy"], v["gz"]])
+    geo = np.column_stack([t, v["lat"], v["lon"], v["speed"], v["acc"]])
+    lat, lon, speed, acc = geo[:, 1:].T
+
+    required = np.isfinite(t) & np.isfinite(accel).all(axis=1)
+    has_fix = np.isfinite(geo[:, 1:]).all(axis=1)
+    valid_fix = (np.abs(lat) <= 90) & (np.abs(lon) <= 180) & (speed >= 0) & (acc > 0)
+    invalid_fix = required & has_fix & ~valid_fix
+    kept = np.flatnonzero(required & ~invalid_fix)
     if len(kept) < 2:
         raise EmptyTraceError(f"only {len(kept)} usable samples (need >= 2)")
 
-    ts = [r[0] for r in kept]
-    reorders = sum(1 for a, b in zip(ts, ts[1:]) if b < a)
-    kept.sort(key=lambda r: r[0])
-
-    t = np.array([r[0] for r in kept])
-    accel = np.array([r[1] for r in kept])
-    gyros = [r[2] for r in kept]
-    gyro = np.array(gyros) if all(g is not None for g in gyros) else None
-    fixes = [r[3] for r in kept if r[3] is not None]
-    trace = Trace(t=t, accel=accel, gyro=gyro, fixes=fixes, nominal_rate=sample_rate(t), meta=meta)
-    return trace, ParseReport(rows_read=len(kept) + dropped, rows_dropped=dropped, reorders=reorders)
+    reorders = int(np.count_nonzero(np.diff(t[kept]) < 0))
+    kept = kept[np.argsort(t[kept], kind="stable")]
+    gyro = gyro[kept] if np.isfinite(gyro[kept]).all() else None
+    fixes = [GeoFix(*row) for row in geo[kept[has_fix[kept]]].tolist()]
+    trace = Trace(t=t[kept], accel=accel[kept], gyro=gyro, fixes=fixes,
+                  nominal_rate=sample_rate(t[kept]), meta=meta)
+    drops = {"required_nonfinite": n - int(np.count_nonzero(required)),
+             "invalid_fix": int(np.count_nonzero(invalid_fix))}
+    return trace, ParseReport(rows_read=n, rows_dropped=n - len(kept), reorders=reorders,
+                              drops=drops)
 
 
 def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
@@ -203,17 +221,27 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
 
     CSV needs the header ``t,ax,ay,az,gx,gy,gz,lat,lon,speed,acc``; JSONL is
     one object per line with the same keys. Gyro and geo cells may be empty
-    per row. Rows with non-finite required values are dropped and counted.
+    per row. An empty or unparsable cell counts as missing. Rows with
+    non-finite required values or an invalid fix are dropped and counted by
+    reason in the report. CSV rows are read as `csv.DictReader` reads them:
+    blank lines are skipped, short rows padded with missing cells and the
+    cells past the header ignored.
     """
     path = str(path)
     if format == "csv":
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, [])
             missing = [c for c in _REQUIRED if c not in header]
             if missing:
                 raise SchemaError(f"missing required columns: {missing}")
-            rows = list(reader)
+            rows = [row for row in reader if row]
+        # a header name repeated: the last of its columns counts, as in DictReader
+        index = {name: i for i, name in enumerate(header)}
+        # transposed, short rows padded with None; a column no row reaches is all None
+        cells = list(itertools.zip_longest(*rows))
+        cols = {k: cells[j] if j < len(cells) else [None] * len(rows)
+                for k, j in index.items() if k in CSV_COLUMNS}
     elif format == "jsonl":
         rows = []
         with open(path) as fh:
@@ -228,9 +256,10 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
                 if not all(k in obj for k in _REQUIRED):
                     raise SchemaError(f"line {lineno}: missing required keys")
                 rows.append(obj)
+        cols = {k: [obj.get(k) for obj in rows] for k in CSV_COLUMNS}
     else:
         raise ValueError(f"unknown format {format!r}")
-    return _rows_to_trace(rows, meta=path)
+    return _columns_to_trace(cols, len(rows), meta=path)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -301,48 +330,44 @@ def resample(trace: Trace, rate: float) -> Trace:
     return Trace(t=t_new, accel=accel, gyro=gyro, fixes=list(trace.fixes), nominal_rate=rate, meta=trace.meta)
 
 
-@dataclass(frozen=True)
-class GravityState:
-    """Running low-pass gravity estimate g with smoothing factor alpha."""
-
-    g: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-
-
-def alpha_from_timeconstant(tau: float, dt: float) -> float:
-    """Smoothing factor tau/(tau+dt) of the first-order low-pass."""
-    if tau <= 0 or dt <= 0:
-        raise ValueError("tau and dt must be positive")
-    return tau / (tau + dt)
-
-
-def update_gravity(state: GravityState, accel) -> tuple[GravityState, np.ndarray]:
-    """One low-pass step: g' = a*g + (1-a)*accel, linear = accel - g'."""
-    a = np.asarray(accel, dtype=float)
-    g_new = state.alpha * state.g + (1.0 - state.alpha) * a
-    return replace(state, g=g_new), a - g_new
+# A scan block ends after this many steps, or sooner where its running
+# product of alphas would fall below exp(-_SCAN_DEPTH): that keeps the
+# product far above underflow (a fixed 256-step block underflows to NaN at
+# dt = 20 s with tau = 1 s) and the rescaled inputs far below overflow.
+_SCAN_BLOCK = 1024
+_SCAN_DEPTH = 300.0
 
 
 def gravity_split(trace: Trace, tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Run the gravity low-pass over a whole trace.
 
-    Returns (gravity, linear), both (n, 3). Initialized at the first accel
-    sample; alpha follows the per-step dt.
+    Returns (gravity, linear), both (n, 3). The low-pass is
+    g_i = a_i * g_(i-1) + (1 - a_i) * accel_i, initialized at the first
+    accel sample, with a_i = tau / (tau + dt_i) following each step's dt
+    (clamped to 1e-9 s). The recurrence is solved as a blocked prefix scan
+    (Blelloch 1990): within a block, g_k = P_k * (g_start + cumsum((1-a)x/P)_k)
+    with P the cumulative product of a, and the last g carries into the
+    next block.
     """
-    n = len(trace)
-    gravity = np.empty((n, 3))
-    gravity[0] = trace.accel[0]
-    dts = np.diff(trace.t)
-    for i in range(1, n):
-        dt = max(float(dts[i - 1]), 1e-9)
-        a = alpha_from_timeconstant(tau, dt)
-        gravity[i] = a * gravity[i - 1] + (1.0 - a) * trace.accel[i]
-    return gravity, trace.accel - gravity
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    accel = trace.accel
+    alpha = tau / (tau + np.maximum(np.diff(trace.t), 1e-9))
+    inputs = (1.0 - alpha)[:, None] * accel[1:]
+    depth = -np.cumsum(np.log(alpha))  # -log of the product of alpha from step 0
+    gravity = np.empty_like(accel)
+    gravity[0] = g = accel[0]
+    start, steps = 0, len(alpha)
+    while start < steps:
+        base = depth[start - 1] if start else 0.0
+        stop = min(start + _SCAN_BLOCK, int(np.searchsorted(depth, base + _SCAN_DEPTH, "right")))
+        stop = max(stop, start + 1)
+        prod = np.cumprod(alpha[start:stop])[:, None]
+        block = prod * (g + np.cumsum(inputs[start:stop] / prod, axis=0))
+        gravity[start + 1:stop + 1] = block
+        g = block[-1]
+        start = stop
+    return gravity, accel - gravity
 
 
 def integrate_gyro(trace: Trace, axis: str, t0: float, t1: float) -> float:

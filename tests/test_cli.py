@@ -174,6 +174,34 @@ class TestAnalyzeCommand:
         for s_true in (100.25, 300.25, 480.25):  # pothole centres
             assert min(abs(s - s_true) for s in found) <= speed * window_len / 2
 
+    def test_manifest_parse_report_and_gaps(self, pothole_trace, tmp_path):
+        out = tmp_path / "report"
+        assert main(["analyze", str(pothole_trace), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {"tool", "version", "config_hash", "config", "trace",
+                                 "parse_report", "gaps", "counts"}
+        rows = len(pothole_trace.read_text().splitlines()) - 1
+        assert manifest["parse_report"] == {
+            "rows_read": rows, "rows_dropped": 0, "reorders": 0,
+            "drops": {"required_nonfinite": 0, "invalid_fix": 0}}
+        assert manifest["gaps"] == {"count": 0, "total_s": 0.0}
+
+    def test_manifest_counts_cut_and_junk_row(self, pothole_trace, tmp_path):
+        # 3 s of samples cut out at 20-23 s, and one row whose time is junk
+        lines = pothole_trace.read_text().splitlines()
+        kept = [line for line in lines[1:] if not 20.0 <= float(line.split(",")[0]) < 23.0]
+        junk = "junk" + kept[500][kept[500].index(","):]
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join([lines[0], *kept[:500], junk, *kept[500:]]) + "\n")
+        out = tmp_path / "report"
+        assert main(["analyze", str(gapped), "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parse_report"] == {
+            "rows_read": len(kept) + 1, "rows_dropped": 1, "reorders": 0,
+            "drops": {"required_nonfinite": 1, "invalid_fix": 0}}
+        assert manifest["gaps"]["count"] == 1
+        assert manifest["gaps"]["total_s"] == pytest.approx(3.01)
+
     def test_missing_trace(self, tmp_path, capsys):
         code = main(["analyze", str(tmp_path / "absent.csv"), "--out",
                      str(tmp_path / "o")])

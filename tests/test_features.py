@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from infrasense.features import (
     DEFAULT_FEATURES,
@@ -180,6 +180,45 @@ class TestFeatureMatrix:
         block = np.sin(np.arange(300) * 0.1)
         m = feature_matrix(np.tile(block, 3), FramePlan(3.0, 0.0, 100.0))
         assert np.max(np.abs(m.values - m.values[0])) < 1e-12
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_extract_features_per_window(self, data):
+        rate = data.draw(st.sampled_from([1.0, 10.0, 100.0]))
+        size = data.draw(st.integers(2, 40))
+        plan = FramePlan(size / rate, data.draw(st.floats(0.0, 0.9)), rate)
+        # runs of noise around a level, or of one constant (zero-dispersion windows)
+        runs = data.draw(st.lists(st.tuples(st.integers(1, 120), st.booleans(),
+                                            st.floats(-50, 50), st.floats(1e-3, 100)),
+                                  min_size=1, max_size=6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = np.concatenate([np.full(k, level) if flat else level + rng.normal(scale=s, size=k)
+                            for k, flat, level, s in runs])
+        assume(len(x) >= plan.size)
+        names = tuple(data.draw(st.permutations(DEFAULT_FEATURES))[:data.draw(st.integers(1, 10))])
+        t = None
+        if data.draw(st.booleans()):  # sample times with a gap
+            t = np.arange(len(x)) / rate
+            t[data.draw(st.integers(0, len(x) - 1)):] += data.draw(st.floats(0.0, 10.0))
+        stamps = (np.arange(len(x) + 1) / rate if t is None
+                  else np.append(t, t[-1] + 1.0 / rate))
+
+        got = feature_matrix(x, plan, names, t=t)
+        frames = frame_signal(x, plan)
+        assert got.n_windows == len(frames) and got.names == names
+        for i, start, w in frames:
+            want = extract_features(w, names)
+            assert got.window_index[i] == i
+            assert (got.t_start[i], got.t_end[i]) == (stamps[start], stamps[start + plan.size])
+            assert bool(got.degenerate[i]) == want.degenerate
+            for name, g, v in zip(names, got.values[i], want.values):
+                assert abs(g - v) <= 1e-9 * abs(v) + 1e-12, name
+                if want.degenerate and name in ("skew", "kurt"):
+                    assert g == 0.0
+
+    def test_short_signal_error(self):
+        with pytest.raises(FeatureError):
+            feature_matrix(np.zeros(299), FramePlan(3.0, 0.0, 100.0))
 
     def test_csv_export(self, tmp_path):
         m = feature_matrix(np.arange(600.0), FramePlan(3.0, 0.0, 100.0))

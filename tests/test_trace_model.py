@@ -1,33 +1,105 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from infrasense.trace_model import (
+    CSV_COLUMNS,
     CapabilityError,
     EmptyTraceError,
     GeoFix,
-    GravityState,
     SchemaError,
     Trace,
-    alpha_from_timeconstant,
     gravity_split,
     integrate_gyro,
     parse_trace,
     reorient,
     resample,
-    update_gravity,
+    sampling_gaps,
     write_trace_csv,
 )
 
 from conftest import make_trace
+from oracles import gravity_split_loop, parse_trace_rows
 
 
 def write_csv(tmp_path, rows, header="t,ax,ay,az,gx,gy,gz,lat,lon,speed,acc"):
     path = tmp_path / "trace.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
+
+
+REQUIRED = ("t", "ax", "ay", "az")
+GROUPS = (REQUIRED, ("gx", "gy", "gz"), ("lat", "lon", "speed", "acc"))
+
+
+def draw_dirty_groups(data) -> dict:
+    """Per column, whether it mixes junk in: the required, gyro and geo
+    columns are each all clean (numbers only) or all dirty."""
+    dirty = {}
+    for group in GROUPS:
+        dirty.update(dict.fromkeys(group, data.draw(st.booleans())))
+    return dirty
+
+
+PRESENT = st.sampled_from([True] * 7 + [False])  # an optional column or key
+JUNK = st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "1e999", "junk", "1..2", "--1"])
+# str.strip removes \x1c, float() does not
+_PAD = st.sampled_from(["", "", " ", "\t ", "\x1c"])
+
+
+def _cells(values):
+    """Two kinds of column: numbers as written or padded with whitespace,
+    and the same numbers mixed with junk cells."""
+    number = st.tuples(_PAD, values.map(repr), _PAD).map("".join)
+    return number, st.one_of(*[number] * 6, JUNK)
+
+
+# t takes few values, so rows repeat and fall out of order; the geo ranges
+# straddle GeoFix's limits, so some fixes are invalid
+CELLS = {
+    "t": _cells(st.integers(0, 12).map(lambda k: k * 0.01)),
+    **{c: _cells(st.one_of(st.floats(-20, 20), st.integers(-20, 20)))
+       for c in ("ax", "ay", "az", "gx", "gy", "gz")},
+    "lat": _cells(st.floats(-100, 100)),
+    "lon": _cells(st.floats(-190, 190)),
+    "speed": _cells(st.floats(-2, 60)),
+    "acc": _cells(st.floats(-1, 20)),
+}
+JSON_NUMBER = st.one_of(st.floats(-100, 100), st.integers(0, 12).map(lambda k: k * 0.01),
+                        st.integers(-100, 100))
+JSON_VALUES = st.one_of(
+    JSON_NUMBER, JSON_NUMBER, st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.tuples(_PAD, st.floats(-100, 100).map(repr), _PAD).map("".join), JUNK,
+    st.none(), st.booleans(), st.just([1.0]),
+)
+
+
+def _parse_outcome(parse, path, fmt):
+    try:
+        return parse(path, fmt)
+    except Exception as e:  # both parsers must fail alike
+        return type(e).__name__, str(e)
+
+
+def assert_same_parse(path, fmt):
+    """parse_trace equals the row parser bit for bit, or fails the same way."""
+    got = _parse_outcome(parse_trace, path, fmt)
+    want = _parse_outcome(parse_trace_rows, path, fmt)
+    if isinstance(want[0], str) or isinstance(got[0], str):
+        assert got == want
+        return
+    (trace, report), (want_trace, want_report) = got, want
+    for name in ("t", "accel", "gyro"):
+        a, b = getattr(trace, name), getattr(want_trace, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert [repr(f) for f in trace.fixes] == [repr(f) for f in want_trace.fixes]
+    assert report == want_report
+    assert (trace.nominal_rate, trace.meta) == (want_trace.nominal_rate, want_trace.meta)
 
 
 class TestParseTrace:
@@ -119,6 +191,72 @@ class TestParseTrace:
             assert (got.lat, got.lon, got.speed, got.accuracy) == \
                 (sent.lat, sent.lon, sent.speed, sent.accuracy)
 
+    def test_invalid_fix_row_dropped_and_counted(self, tmp_path):
+        path = write_csv(tmp_path, [
+            "0,0,0,-9.81,,,,51.0,7.0,10.0,5.0",
+            "0.01,0,0,-9.81,,,,95.0,7.0,10.0,5.0",
+            "0.02,0,0,-9.81,,,,51.0,7.0,10.0,",
+            "junk,0,0,-9.81,,,,,,,",
+            "0.03,0,0,-9.81,,,,51.0,7.0,10.0,5.0",
+        ])
+        trace, report = parse_trace(path)
+        assert list(trace.t) == [0.0, 0.02, 0.03]
+        assert [f.t for f in trace.fixes] == [0.0, 0.03]
+        assert report.rows_read == 5 and report.rows_dropped == 2
+        assert report.drops == {"required_nonfinite": 1, "invalid_fix": 1}
+
+    def test_jsonl_int_beyond_float_range_is_missing(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        rows = [{"t": 0.0, "ax": 0, "ay": 0, "az": -9.81},
+                {"t": 0.01, "ax": 10 ** 400, "ay": 0, "az": -9.81},
+                {"t": 0.02, "ax": 0, "ay": 0, "az": -9.81, "gx": 10 ** 400},
+                {"t": 0.03, "ax": 0, "ay": 0, "az": -9.81}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        trace, report = parse_trace(path, "jsonl")
+        assert list(trace.t) == [0.0, 0.02, 0.03]
+        assert trace.gyro is None
+        assert report.drops == {"required_nonfinite": 1, "invalid_fix": 0}
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_csv_matches_row_parser(self, tmp_path_factory, data):
+        header = [c for c in CSV_COLUMNS if c in REQUIRED or data.draw(PRESENT)]
+        if data.draw(st.booleans()):  # a column outside the schema, or a repeated name
+            extra = data.draw(st.sampled_from(["note", *header]))
+            header.insert(data.draw(st.integers(0, len(header))), extra)
+        dirty = draw_dirty_groups(data)
+        cells = {c: CELLS[c][dirty[c]] for c in header if c in CELLS}
+        lines = [",".join(header)]
+        for _ in range(data.draw(st.integers(0, 25))):
+            if data.draw(st.integers(0, 9)) == 0:
+                lines.append("")  # blank line
+                continue
+            row = [data.draw(cells.get(c, JUNK)) for c in header]
+            size = data.draw(st.sampled_from([len(row)] * 10 + [1, len(row) - 1, len(row) + 2]))
+            row = (row + ["7"] * 2)[:size]  # a short row, or a long one with extra cells
+            lines.append(",".join(row))
+        path = tmp_path_factory.mktemp("parse") / "trace.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_parse(path, "csv")
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_jsonl_matches_row_parser(self, tmp_path_factory, data):
+        dirty = draw_dirty_groups(data)
+        values = {c: JSON_VALUES if dirty[c] else JSON_NUMBER for c in CSV_COLUMNS}
+        partial = data.draw(st.booleans())  # rows may leave out optional keys
+        lines = []
+        for _ in range(data.draw(st.integers(0, 25))):
+            if data.draw(st.integers(0, 9)) == 0:
+                lines.append("  ")  # blank line
+                continue
+            keys = [c for c in CSV_COLUMNS
+                    if c in REQUIRED or not partial or data.draw(PRESENT)]
+            lines.append(json.dumps({k: data.draw(values[k]) for k in keys}))
+        path = tmp_path_factory.mktemp("parse") / "trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_parse(path, "jsonl")
+
 
 class TestResample:
     def test_midpoint_interpolation(self):
@@ -154,59 +292,97 @@ class TestResample:
             resample(trace, 100.0)
 
 
+def low_pass(g0, inputs, tau, dt):
+    """gravity_split on a trace that starts at g0 and then reads `inputs`,
+    one step of dt apart."""
+    accel = np.vstack([g0, inputs])
+    t = np.arange(len(accel)) * dt
+    return gravity_split(Trace(t=t, accel=accel, gyro=None, fixes=[], nominal_rate=1.0), tau)
+
+
+def tau_for(alpha, dt=1.0):
+    """Time constant whose smoothing factor tau / (tau + dt) is alpha."""
+    return alpha * dt / (1.0 - alpha)
+
+
 class TestGravityFilter:
     def test_geometric_convergence(self):
         # closed form: g_z after n steps of constant input a is a*(1 - alpha^n)
-        state = GravityState(g=np.zeros(3), alpha=0.9)
         a = np.array([0.0, 0.0, 9.81])
+        gravity, linear = low_pass(np.zeros(3), np.tile(a, (50, 1)), tau_for(0.9), 1.0)
         for n in range(1, 51):
-            state, linear = update_gravity(state, a)
-            assert state.g[2] == pytest.approx(9.81 * (1 - 0.9 ** n), rel=1e-12)
-        assert abs(linear[2]) < 9.81 * 0.9 ** 50 * 1.01
+            assert gravity[n, 2] == pytest.approx(9.81 * (1 - 0.9 ** n), rel=1e-12)
+        assert abs(linear[50, 2]) < 9.81 * 0.9 ** 50 * 1.01
 
     def test_fixed_point(self):
         g = np.array([0.1, -0.2, 9.8])
-        state = GravityState(g=g.copy(), alpha=0.5)
-        state, linear = update_gravity(state, g)
+        _, linear = low_pass(g, g[None, :], tau_for(0.5), 1.0)
         assert np.allclose(linear, 0.0)
 
     def test_alpha_near_one_freezes_estimate(self):
-        state = GravityState(g=np.array([0.0, 0.0, 5.0]), alpha=1 - 1e-12)
-        state, _ = update_gravity(state, np.array([100.0, 100.0, 100.0]))
-        assert state.g[2] == pytest.approx(5.0, abs=1e-9)
+        # tau / (tau + 1e-9) = 1 - 1e-12: a zero step takes the 1e-9 s clamp
+        gravity, _ = low_pass(np.array([0.0, 0.0, 5.0]), np.array([[100.0, 100.0, 100.0]]),
+                              1000.0, 0.0)
+        assert gravity[1, 2] == pytest.approx(5.0, abs=1e-9)
 
     def test_decomposition_lossless(self, rng):
-        state = GravityState(g=rng.normal(size=3), alpha=0.95)
-        for _ in range(20):
-            a = rng.normal(size=3)
-            state, linear = update_gravity(state, a)
-            assert np.allclose(linear + state.g, a, atol=1e-12)
+        inputs = rng.normal(size=(20, 3))
+        gravity, linear = low_pass(rng.normal(size=3), inputs, tau_for(0.95), 1.0)
+        assert np.allclose(linear[1:] + gravity[1:], inputs, atol=1e-12)
 
     @given(alpha=st.floats(0.01, 0.99), n=st.integers(1, 40))
     def test_contraction_property(self, alpha, n):
         a = np.array([1.0, -2.0, 9.0])
         g0 = np.array([0.5, 0.5, 0.5])
-        state = GravityState(g=g0.copy(), alpha=alpha)
-        for _ in range(n):
-            state, _ = update_gravity(state, a)
+        gravity, _ = low_pass(g0, np.tile(a, (n, 1)), tau_for(alpha), 1.0)
         expected = alpha ** n * np.linalg.norm(g0 - a)
-        assert np.linalg.norm(state.g - a) == pytest.approx(expected, rel=1e-9)
+        assert np.linalg.norm(gravity[n] - a) == pytest.approx(expected, rel=1e-9)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_scan_matches_step_loop(self, data):
+        # steps from 0 (the 1e-9 s clamp) to 1000 s, in runs of one rate each:
+        # rate changes, gaps, and runs long enough to cross scan blocks
+        dt = st.one_of(st.just(0.0), st.floats(1e-6, 0.05), st.floats(0.05, 5.0),
+                       st.floats(5.0, 1000.0))
+        pieces = data.draw(st.lists(st.tuples(st.integers(1, 1500), dt), min_size=1, max_size=6))
+        t = np.concatenate([[0.0], np.cumsum(np.concatenate([np.full(k, d) for k, d in pieces]))])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scale = data.draw(st.floats(0.01, 20.0))
+        accel = rng.normal(scale=scale, size=(len(t), 3)) + 9.81 * rng.normal(size=3)
+        trace = Trace(t=t, accel=accel, gyro=None, fixes=[], nominal_rate=100.0)
+        tau = data.draw(st.floats(0.05, 20.0))
+        gravity, linear = gravity_split(trace, tau)
+        want_gravity, want_linear = gravity_split_loop(trace, tau)
+        assert np.isfinite(gravity).all() and np.isfinite(linear).all()
+        bound = 1e-12 * np.max(np.abs(accel))
+        assert np.max(np.abs(gravity - want_gravity)) <= bound
+        assert np.max(np.abs(linear - want_linear)) <= bound
 
 
 class TestAlphaFromTimeconstant:
+    """The per-step smoothing factor tau / (tau + dt) of the gravity low-pass."""
+
+    def one_step(self, tau, dt):
+        # from g = 1 towards 0: the first step lands on alpha itself
+        gravity, _ = low_pass(np.ones(3), np.zeros((1, 3)), tau, dt)
+        return gravity[1, 0]
+
     def test_direct_value(self):
-        assert alpha_from_timeconstant(1.0, 0.01) == pytest.approx(1.0 / 1.01, rel=1e-12)
+        assert self.one_step(1.0, 0.01) == pytest.approx(1.0 / 1.01, rel=1e-12)
 
     def test_small_dt_limit(self):
-        assert alpha_from_timeconstant(1.0, 1e-9) == pytest.approx(1.0, abs=1e-8)
+        alpha = self.one_step(1.0, 0.0)
+        assert alpha == pytest.approx(1.0, abs=1e-8)
+        assert alpha < 1.0  # the zero step is clamped to 1e-9 s
 
     def test_symmetry_case(self):
-        assert alpha_from_timeconstant(0.5, 0.5) == 0.5
+        assert self.one_step(0.5, 0.5) == 0.5
 
-    @pytest.mark.parametrize("tau,dt", [(0, 1), (1, 0), (-1, 1), (1, -1)])
+    @pytest.mark.parametrize("tau,dt", [(0, 1), (-1, 1)])
     def test_domain_errors(self, tau, dt):
         with pytest.raises(ValueError):
-            alpha_from_timeconstant(tau, dt)
+            self.one_step(tau, dt)
 
 
 class TestIntegrateGyro:
@@ -294,6 +470,15 @@ class TestReorient:
         # the surge axis (device +y) must land on vehicle +x
         mapped = res.rotation @ np.array([0.0, 1.0, 0.0])
         assert mapped[0] == pytest.approx(1.0, abs=1e-2)
+
+
+def test_sampling_gaps():
+    t = np.concatenate([np.arange(100) * 0.01, 1.99 + np.arange(50) * 0.01,
+                        2.5 + np.arange(10) * 0.01])
+    gaps = sampling_gaps(t)
+    assert gaps["count"] == 2
+    assert gaps["total_s"] == pytest.approx((1.99 - 0.99) + (2.5 - 2.48))
+    assert sampling_gaps(np.arange(10) * 0.01) == {"count": 0, "total_s": 0.0}
 
 
 def test_gravity_split_initializes_at_first_sample(rng):
