@@ -218,7 +218,7 @@ def feature_matrix(signal, plan: FramePlan, names=DEFAULT_FEATURES,
     """Frame a signal and extract one feature vector per window.
 
     All windows are evaluated at once on a strided view of the signal; row i
-    equals ``extract_features`` on window i of ``frame_signal``. Windows are
+    matches ``extract_features`` on window i of ``frame_signal``. Windows are
     stamped from the sample times `t` (``arange(n) / rate`` when omitted): a
     window starts at its first sample and ends one sample interval after its
     last, so sampling gaps shift the stamps with them.
