@@ -239,7 +239,7 @@ def feature_matrix(signal, plan: FramePlan, names=DEFAULT_FEATURES,
     feats = _window_features(windows)
     return FeatureMatrix(
         names=tuple(names),
-        values=np.column_stack([feats[n] for n in names]),
+        values=np.reshape([feats[n] for n in names], (len(names), len(windows))).T,
         window_index=np.arange(len(windows)),
         t_start=stamps[starts],
         t_end=stamps[starts + m],

@@ -216,6 +216,11 @@ class TestFeatureMatrix:
                 if want.degenerate and name in ("skew", "kurt"):
                     assert g == 0.0
 
+    def test_no_feature_names(self):
+        m = feature_matrix(np.arange(600.0), FramePlan(3.0, 0.0, 100.0), ())
+        assert m.values.shape == (2, 0)
+        assert list(m.t_start) == [0.0, 3.0]
+
     def test_short_signal_error(self):
         with pytest.raises(FeatureError):
             feature_matrix(np.zeros(299), FramePlan(3.0, 0.0, 100.0))
