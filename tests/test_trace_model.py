@@ -46,7 +46,7 @@ def draw_dirty_groups(data) -> dict:
 
 PRESENT = st.sampled_from([True] * 7 + [False])  # an optional column or key
 JUNK = st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "1e999", "junk", "1..2", "--1"])
-# str.strip removes \x1c, float() does not
+# str.strip removes \x1c but float() rejects it, so its column is read cell by cell
 _PAD = st.sampled_from(["", "", " ", "\t ", "\x1c"])
 
 
