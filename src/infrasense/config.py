@@ -8,7 +8,10 @@ context (road vs rail).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+
+from .features import DEFAULT_FEATURES
+from .road_analysis import DEFAULT_DETECTOR_FEATURES
 
 
 class ConfigError(Exception):
@@ -29,12 +32,9 @@ class PipelineConfig:
     gravity_tau: float = 1.0
     frame_window_len: float = 3.0
     frame_overlap: float = 1.0 / 3.0
-    feature_set: tuple[str, ...] = (
-        "mean", "mad", "rms", "var", "sd", "energy", "skew", "kurt",
-        "peak2peak", "peak2rms",
-    )
+    feature_set: tuple[str, ...] = DEFAULT_FEATURES
     detector_k: float = 3.0
-    detector_features: tuple[str, ...] = ("peak2peak", "kurt", "rms")
+    detector_features: tuple[str, ...] = DEFAULT_DETECTOR_FEATURES
     maneuver_omega_on: float = 0.06
     maneuver_omega_off: float = 0.03
     roughness_band_min: float = 0.5

@@ -43,69 +43,8 @@ class FramePlan:
         return max(1, int(round(self.size * (1.0 - self.overlap))))
 
 
-def _mean(x):
-    return float(np.mean(x))
-
-
-def _mad(x):
-    return float(np.median(np.abs(x - np.median(x))))
-
-
-def _rms(x):
-    return float(np.sqrt(np.mean(np.square(x))))
-
-
-def _var(x):
-    return float(np.mean(np.square(x - np.mean(x))))
-
-
-def _sd(x):
-    return float(np.sqrt(_var(x)))
-
-
-def _energy(x):
-    return float(np.linalg.norm(x))
-
-
-def _skew(x):
-    sd = _sd(x)
-    if sd == 0.0:
-        return 0.0
-    return float(np.mean(((x - np.mean(x)) / sd) ** 3))
-
-
-def _kurt(x):
-    sd = _sd(x)
-    if sd == 0.0:
-        return 0.0
-    return float(np.mean(((x - np.mean(x)) / sd) ** 4))
-
-
-def _peak2peak(x):
-    return float(np.max(x) - np.min(x))
-
-
-def _peak2rms(x):
-    rms = _rms(x)
-    if rms == 0.0:
-        return 0.0
-    return float(np.max(np.abs(x)) / rms)
-
-
-FEATURES = {
-    "mean": _mean,
-    "mad": _mad,
-    "rms": _rms,
-    "var": _var,
-    "sd": _sd,
-    "energy": _energy,
-    "skew": _skew,
-    "kurt": _kurt,
-    "peak2peak": _peak2peak,
-    "peak2rms": _peak2rms,
-}
-
-DEFAULT_FEATURES = tuple(FEATURES)
+DEFAULT_FEATURES = ("mean", "mad", "rms", "var", "sd", "energy", "skew", "kurt",
+                    "peak2peak", "peak2rms")
 
 
 @dataclass(frozen=True)
@@ -154,18 +93,10 @@ class FeatureMatrix:
                             *self.values[i]])
 
 
-def frame_signal(signal, plan: FramePlan) -> list[tuple[int, int, np.ndarray]]:
-    """Split a signal into overlapping windows.
-
-    Returns (window_index, start_sample, slice) triples. Trailing samples
-    that cannot fill a window are dropped.
-    """
-    x = np.asarray(signal, dtype=float)
-    m, hop = plan.size, plan.hop
-    if len(x) < m:
-        raise FeatureError(f"signal length {len(x)} shorter than window {m}")
-    count = (len(x) - m) // hop + 1
-    return [(i, i * hop, x[i * hop:i * hop + m]) for i in range(count)]
+def _check_names(names) -> None:
+    unknown = [n for n in names if n not in DEFAULT_FEATURES]
+    if unknown:
+        raise FeatureError(f"unknown features: {unknown}")
 
 
 def extract_features(window, names=DEFAULT_FEATURES, window_index: int = 0,
@@ -174,19 +105,17 @@ def extract_features(window, names=DEFAULT_FEATURES, window_index: int = 0,
     x = np.asarray(window, dtype=float)
     if len(x) < 2:
         raise FeatureError("window needs at least 2 samples")
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise FeatureError(f"unknown features: {unknown}")
-    values = tuple(FEATURES[n](x) for n in names)
-    return FeatureVector(values, tuple(names), window_index, t_start, t_end,
-                         degenerate=(_sd(x) == 0.0))
+    _check_names(names)
+    feats = _window_features(x[None, :])
+    return FeatureVector(tuple(float(feats[n][0]) for n in names), tuple(names),
+                         window_index, t_start, t_end, degenerate=bool(feats["degenerate"][0]))
 
 
 def _window_features(w: np.ndarray) -> dict[str, np.ndarray]:
-    """Every feature of every row of `w`, with `extract_features`'s arithmetic.
+    """Every feature of every row of `w`, each row reduced along its own axis.
 
-    Rows are reduced along their own axis, the way the one-window functions
-    reduce a window; only the energy's sum runs in another order.
+    A zero-dispersion row has skew and kurtosis 0 and is flagged in
+    ``"degenerate"``; a zero-RMS row has a peak-to-RMS of 0.
     """
     mean = np.mean(w, axis=1)
     dev = w - mean[:, None]
@@ -217,19 +146,18 @@ def feature_matrix(signal, plan: FramePlan, names=DEFAULT_FEATURES,
                    t=None) -> FeatureMatrix:
     """Frame a signal and extract one feature vector per window.
 
-    All windows are evaluated at once on a strided view of the signal; row i
-    matches ``extract_features`` on window i of ``frame_signal``. Windows are
-    stamped from the sample times `t` (``arange(n) / rate`` when omitted): a
-    window starts at its first sample and ends one sample interval after its
-    last, so sampling gaps shift the stamps with them.
+    Window i covers samples ``[i * plan.hop, i * plan.hop + plan.size)``;
+    trailing samples that cannot fill a window are dropped. All windows are
+    evaluated at once on a strided view of the signal. Windows are stamped
+    from the sample times `t` (``arange(n) / rate`` when omitted): a window
+    starts at its first sample and ends one sample interval after its last,
+    so sampling gaps shift the stamps with them.
     """
     x = np.asarray(signal, dtype=float)
     m, hop = plan.size, plan.hop
     if len(x) < m:
         raise FeatureError(f"signal length {len(x)} shorter than window {m}")
-    unknown = [n for n in names if n not in FEATURES]
-    if unknown:
-        raise FeatureError(f"unknown features: {unknown}")
+    _check_names(names)
     windows = sliding_window_view(x, m)[::hop]
     starts = np.arange(len(windows)) * hop
     if t is None:
@@ -245,27 +173,3 @@ def feature_matrix(signal, plan: FramePlan, names=DEFAULT_FEATURES,
         t_end=stamps[starts + m],
         degenerate=feats["degenerate"],
     )
-
-
-def normalize_features(matrix: FeatureMatrix) -> tuple[FeatureMatrix, tuple[str, ...]]:
-    """Min-max scale each column to [0, 1].
-
-    Constant columns map to 0 and are returned as the flagged name tuple.
-    """
-    if matrix.n_windows < 2:
-        raise FeatureError("normalization needs at least 2 rows")
-    lo = matrix.values.min(axis=0)
-    hi = matrix.values.max(axis=0)
-    span = hi - lo
-    constant = span == 0.0
-    safe = np.where(constant, 1.0, span)
-    scaled = (matrix.values - lo) / safe
-    scaled[:, constant] = 0.0
-    out = FeatureMatrix(
-        names=matrix.names, values=scaled,
-        window_index=matrix.window_index.copy(),
-        t_start=matrix.t_start.copy(), t_end=matrix.t_end.copy(),
-        degenerate=matrix.degenerate.copy(),
-    )
-    flagged = tuple(n for n, c in zip(matrix.names, constant) if c)
-    return out, flagged

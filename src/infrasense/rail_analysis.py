@@ -15,7 +15,7 @@ import numpy as np
 
 from .reports import Indicator, clamp_severity
 from .trace_model import CapabilityError, Trace, cumtrapz, positions_at, runs, sample_rate
-from .transforms import levels_for_band, swt, swt_band_reconstruct
+from .transforms import swt_bandpass
 
 
 class RailAnalysisError(Exception):
@@ -63,8 +63,9 @@ def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
     """Track geometry profile from a reoriented rail trace.
 
     Roll angle is the cumulative integral of the roll rate, band-limited by
-    the SWT levels retaining the given track wavelengths (lambda = v/f).
-    Spans with speed <= `min_speed` are excluded and returned with reasons.
+    the SWT levels retaining the given track wavelengths (lambda = v/f); a
+    span too short for any such level keeps its roll minus its mean. Spans
+    with speed <= `min_speed` are excluded and returned with reasons.
     """
     if trace.gyro is None:
         raise CapabilityError("track geometry needs a gyroscope")
@@ -86,14 +87,8 @@ def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
         t_seg = trace.t[i:j]
         v_mean = float(np.mean(speeds[i:j]))
         roll = cumtrapz(trace.gyro[i:j, 0], t_seg)
-        f_lo, f_hi = v_mean / wavelength_band[1], v_mean / wavelength_band[0]
-        max_level = max(1, int(math.floor(math.log2(j - i))) - 1)
-        levels = levels_for_band(rate, max_level, f_lo, f_hi)
-        if levels:
-            dec = swt(roll, "db4", max(levels))
-            roll_band[i:j] = swt_band_reconstruct(dec, [l for l in levels if l <= dec.levels])
-        else:
-            roll_band[i:j] = roll - np.mean(roll)
+        band = swt_bandpass(roll, rate, v_mean / wavelength_band[1], v_mean / wavelength_band[0])
+        roll_band[i:j] = roll - np.mean(roll) if band is None else band
         keep[i:j] = True
 
     cant = roll_band[keep]

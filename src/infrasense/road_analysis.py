@@ -16,7 +16,7 @@ import numpy as np
 from .features import FeatureMatrix
 from .reports import Indicator, clamp_severity
 from .trace_model import CapabilityError, Trace, cumtrapz, positions_at, runs, sample_rate
-from .transforms import levels_for_band, swt, swt_band_reconstruct
+from .transforms import swt_bandpass
 
 DEFAULT_DETECTOR_FEATURES = ("peak2peak", "kurt", "rms")
 
@@ -223,13 +223,10 @@ def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] 
             continue
         # frequency band of the requested wavelength band at this speed
         f_lo, f_hi = v_mean / band[1], v_mean / band[0]
-        max_level = max(1, int(math.floor(math.log2(len(idx)))) - 1)
-        levels = levels_for_band(rate, max_level, f_lo, f_hi)
-        if not levels:
+        a_band = swt_bandpass(az[idx], rate, f_lo, f_hi)
+        if a_band is None:
             skipped.append((seg, "band_unresolvable"))
             continue
-        dec = swt(az[idx], "db4", max(levels))
-        a_band = swt_band_reconstruct(dec, [l for l in levels if l <= dec.levels])
         t_seg = trace.t[idx]
         vel = detrend_linear(cumtrapz(a_band, t_seg))
         elev = detrend_linear(cumtrapz(vel, t_seg))

@@ -1,9 +1,9 @@
-"""Trace data model: parsing, resampling, and inertial preprocessing.
+"""Trace data model: parsing, writing, and inertial preprocessing.
 
 A :class:`Trace` bundles the inertial samples and GPS fixes of one ride.
-Preprocessing covers gravity separation with a first-order low-pass,
-gyro integration, and reorientation of the device frame into a
-vehicle-aligned frame (z up against gravity, x forward).
+Preprocessing covers gravity separation with a first-order low-pass and
+reorientation of the device frame into a vehicle-aligned frame (z up
+against gravity, x forward).
 
 Frame convention: an aligned, stationary device reads accel = (0, 0, -9.81);
 the gravity vector points along -z.
@@ -125,8 +125,15 @@ def positions_at(fixes, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_rate(t) -> float:
-    """Measured sample rate: one over the median sample interval, in Hz."""
-    return 1.0 / float(np.median(np.diff(t)))
+    """Measured sample rate: one over the median sample interval, in Hz.
+
+    Raises TraceError when that interval is 0, i.e. when most samples share
+    their timestamp with a neighbour.
+    """
+    dt = float(np.median(np.diff(t)))
+    if dt == 0.0:
+        raise TraceError("median sample interval is 0: most samples repeat a timestamp")
+    return 1.0 / dt
 
 
 def sampling_gaps(t) -> dict:
@@ -293,43 +300,6 @@ def write_trace_csv(trace: Trace, path) -> None:
             w.writerow(row)
 
 
-def resample(trace: Trace, rate: float) -> Trace:
-    """Resample onto a uniform grid at `rate` Hz by linear interpolation.
-
-    Downsampling by a ratio >= 2 applies a moving-average pre-filter of
-    width equal to the rounded decimation factor.
-    """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    n_out = int(np.floor(trace.span * rate + 1e-9)) + 1
-    if n_out < 2:
-        raise EmptyTraceError("trace span too short for the requested rate")
-
-    t_new = trace.t[0] + np.arange(n_out) / rate
-    ratio = sample_rate(trace.t) / rate
-
-    def prep(sig):
-        if ratio >= 2.0:
-            width = int(round(ratio))
-            kernel = np.ones(width) / width
-            pad = width // 2
-            ext = np.concatenate([np.repeat(sig[:1], pad, 0), sig, np.repeat(sig[-1:], pad, 0)])
-            sm = np.stack(
-                [np.convolve(ext[:, c], kernel, mode="same")[pad:pad + len(sig)] for c in range(sig.shape[1])],
-                axis=1,
-            )
-            return sm
-        return sig
-
-    def interp_cols(sig):
-        sig = prep(sig)
-        return np.stack([np.interp(t_new, trace.t, sig[:, c]) for c in range(sig.shape[1])], axis=1)
-
-    accel = interp_cols(trace.accel)
-    gyro = interp_cols(trace.gyro) if trace.gyro is not None else None
-    return Trace(t=t_new, accel=accel, gyro=gyro, fixes=list(trace.fixes), nominal_rate=rate, meta=trace.meta)
-
-
 # A scan block ends after this many steps, or sooner where its running
 # product of alphas would fall below exp(-_SCAN_DEPTH): that keeps the
 # product far above underflow (a fixed 256-step block underflows to NaN at
@@ -368,23 +338,6 @@ def gravity_split(trace: Trace, tau: float = 1.0) -> tuple[np.ndarray, np.ndarra
         g = block[-1]
         start = stop
     return gravity, accel - gravity
-
-
-def integrate_gyro(trace: Trace, axis: str, t0: float, t1: float) -> float:
-    """Trapezoidal integral of one gyro axis over [t0, t1], in radians."""
-    if trace.gyro is None:
-        raise CapabilityError("trace has no gyroscope data")
-    ax = {"x": 0, "y": 1, "z": 2}[axis]
-    if t1 < t0:
-        raise ValueError("t1 must be >= t0")
-    if t0 == t1:
-        return 0.0
-    t0 = max(t0, float(trace.t[0]))
-    t1 = min(t1, float(trace.t[-1]))
-    inner = (trace.t > t0) & (trace.t < t1)
-    ts = np.concatenate([[t0], trace.t[inner], [t1]])
-    w = np.interp(ts, trace.t, trace.gyro[:, ax])
-    return float(np.trapezoid(w, ts))
 
 
 def _rotation_between(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from .wavelets import (
     levels_for_band,
     swt,
     swt_band_reconstruct,
+    swt_bandpass,
     swt_level_band,
     wavedec,
     waverec,
@@ -28,7 +29,7 @@ _EMD_NAMES = ("ImfSet", "emd", "hht_spectrum")
 __all__ = [
     "Spectrogram", "TransformError", "stft",
     "WAVELETS", "WaveletDecomposition", "dwt_level", "idwt_level",
-    "wavedec", "waverec", "swt", "iswt", "swt_band_reconstruct",
+    "wavedec", "waverec", "swt", "iswt", "swt_band_reconstruct", "swt_bandpass",
     "swt_level_band", "levels_for_band",
     *_EMD_NAMES,
 ]

@@ -196,3 +196,17 @@ def levels_for_band(rate: float, max_level: int, f_lo: float, f_hi: float) -> li
         if hi > f_lo and lo < f_hi:
             out.append(j)
     return out
+
+
+def swt_bandpass(x, rate: float, f_lo: float, f_hi: float) -> np.ndarray | None:
+    """Band-pass `x` to [f_lo, f_hi] Hz by db4 SWT re-synthesis.
+
+    Keeps the detail levels whose nominal band meets [f_lo, f_hi], at most
+    ``floor(log2(len(x))) - 1`` levels deep (at least 1); None when no level
+    meets the band.
+    """
+    max_level = max(1, int(math.floor(math.log2(len(x)))) - 1)
+    levels = levels_for_band(rate, max_level, f_lo, f_hi)
+    if not levels:
+        return None
+    return swt_band_reconstruct(swt(x, "db4", max(levels)), levels)

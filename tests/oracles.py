@@ -116,3 +116,70 @@ def gravity_split_loop(trace, tau: float = 1.0):
         a = tau / (tau + dt)
         gravity[i] = a * gravity[i - 1] + (1.0 - a) * trace.accel[i]
     return gravity, trace.accel - gravity
+
+
+# `feature_matrix` one window at a time: FEATURES[name](window) is one
+# feature of a 1-D window, as a float.
+
+
+def _mean(x):
+    return float(np.mean(x))
+
+
+def _mad(x):
+    return float(np.median(np.abs(x - np.median(x))))
+
+
+def _rms(x):
+    return float(np.sqrt(np.mean(np.square(x))))
+
+
+def _var(x):
+    return float(np.mean(np.square(x - np.mean(x))))
+
+
+def _sd(x):
+    return float(np.sqrt(_var(x)))
+
+
+def _energy(x):
+    return float(np.linalg.norm(x))
+
+
+def _skew(x):
+    sd = _sd(x)
+    if sd == 0.0:
+        return 0.0
+    return float(np.mean(((x - np.mean(x)) / sd) ** 3))
+
+
+def _kurt(x):
+    sd = _sd(x)
+    if sd == 0.0:
+        return 0.0
+    return float(np.mean(((x - np.mean(x)) / sd) ** 4))
+
+
+def _peak2peak(x):
+    return float(np.max(x) - np.min(x))
+
+
+def _peak2rms(x):
+    rms = _rms(x)
+    if rms == 0.0:
+        return 0.0
+    return float(np.max(np.abs(x)) / rms)
+
+
+FEATURES = {
+    "mean": _mean,
+    "mad": _mad,
+    "rms": _rms,
+    "var": _var,
+    "sd": _sd,
+    "energy": _energy,
+    "skew": _skew,
+    "kurt": _kurt,
+    "peak2peak": _peak2peak,
+    "peak2rms": _peak2rms,
+}

@@ -208,6 +208,14 @@ class TestAnalyzeCommand:
         assert code == EXIT_INPUT
         assert "trace" in json.loads(capsys.readouterr().err.strip())["error"]
 
+    def test_repeated_timestamps_are_input_error(self, tmp_path, capsys):
+        # three of the four rows share t = 0, so the median sample interval is 0
+        trace = tmp_path / "stuck.csv"
+        trace.write_text("t,ax,ay,az\n" + "0,0,0,-9.81\n" * 3 + "0.01,0,0,-9.81\n")
+        code = main(["analyze", str(trace), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INPUT
+        assert "sample interval is 0" in json.loads(capsys.readouterr().err.strip())["error"]
+
     def test_unknown_config_key(self, pothole_trace, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("bogus.key = 1\n")

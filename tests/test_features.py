@@ -6,14 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from infrasense.features import (
     DEFAULT_FEATURES,
-    FEATURES,
     FeatureError,
     FramePlan,
     extract_features,
     feature_matrix,
-    frame_signal,
-    normalize_features,
 )
+
+from oracles import FEATURES, _sd
 
 
 def naive_features(window):
@@ -58,24 +57,29 @@ class TestFramePlan:
 
 
 class TestFrameSignal:
+    """How `feature_matrix` frames a signal into windows."""
+
     def test_ten_second_signal_four_windows(self):
-        frames = frame_signal(np.zeros(1000), FramePlan(3.0, 1 / 3, 100.0))
-        assert len(frames) == 4
-        assert [start for _, start, _ in frames] == [0, 200, 400, 600]
+        m = feature_matrix(np.zeros(1000), FramePlan(3.0, 1 / 3, 100.0))
+        assert m.n_windows == 4
+        assert list(m.t_start) == [0.0, 2.0, 4.0, 6.0]  # samples 0, 200, 400, 600
 
     def test_disjoint_tiling(self):
-        frames = frame_signal(np.arange(600), FramePlan(3.0, 0.0, 100.0))
-        assert len(frames) == 2
-        assert np.array_equal(frames[1][2], np.arange(300, 600))
+        m = feature_matrix(np.arange(600.0), FramePlan(3.0, 0.0, 100.0), ("mean",))
+        assert m.n_windows == 2
+        assert list(m.t_start) == [0.0, 3.0] and list(m.t_end) == [3.0, 6.0]
+        assert m.column("mean")[1] == np.mean(np.arange(300, 600))
 
     def test_single_window_boundary(self):
-        frames = frame_signal(np.arange(300), FramePlan(3.0, 0.5, 100.0))
-        assert len(frames) == 1
-        assert np.array_equal(frames[0][2], np.arange(300))
+        m = feature_matrix(np.arange(300.0), FramePlan(3.0, 0.5, 100.0), ("mean",))
+        assert m.n_windows == 1
+        assert (m.t_start[0], m.t_end[0]) == (0.0, 3.0)
+        assert m.column("mean")[0] == np.mean(np.arange(300))
 
     def test_short_signal_error(self):
-        with pytest.raises(FeatureError):
-            frame_signal(np.zeros(299), FramePlan(3.0, 0.0, 100.0))
+        for n in (0, 1, 299):  # empty, one sample, one sample short of a window
+            with pytest.raises(FeatureError):
+                feature_matrix(np.zeros(n), FramePlan(3.0, 0.0, 100.0))
 
     @given(n=st.integers(10, 2000), m=st.integers(2, 200), overlap=st.floats(0.0, 0.9))
     @settings(max_examples=50)
@@ -83,8 +87,8 @@ class TestFrameSignal:
         plan = FramePlan(window_len=m, overlap=overlap, rate=1.0)
         if n < plan.size:
             return
-        frames = frame_signal(np.zeros(n), plan)
-        assert len(frames) == (n - plan.size) // plan.hop + 1
+        got = feature_matrix(np.zeros(n), plan, ())
+        assert got.n_windows == (n - plan.size) // plan.hop + 1
 
 
 class TestExtractFeatures:
@@ -204,16 +208,19 @@ class TestFeatureMatrix:
                   else np.append(t, t[-1] + 1.0 / rate))
 
         got = feature_matrix(x, plan, names, t=t)
-        frames = frame_signal(x, plan)
-        assert got.n_windows == len(frames) and got.names == names
-        for i, start, w in frames:
-            want = extract_features(w, names)
+        count = (len(x) - plan.size) // plan.hop + 1
+        assert got.n_windows == count and got.names == names
+        for i in range(count):
+            start = i * plan.hop
+            w = x[start:start + plan.size]
+            degenerate = _sd(w) == 0.0
             assert got.window_index[i] == i
             assert (got.t_start[i], got.t_end[i]) == (stamps[start], stamps[start + plan.size])
-            assert bool(got.degenerate[i]) == want.degenerate
-            for name, g, v in zip(names, got.values[i], want.values):
+            assert bool(got.degenerate[i]) == degenerate
+            for name, g in zip(names, got.values[i]):
+                v = FEATURES[name](w)
                 assert abs(g - v) <= 1e-9 * abs(v) + 1e-12, name
-                if want.degenerate and name in ("skew", "kurt"):
+                if degenerate and name in ("skew", "kurt"):
                     assert g == 0.0
 
     def test_no_feature_names(self):
@@ -231,29 +238,3 @@ class TestFeatureMatrix:
         m.to_csv(out)
         header = out.read_text().splitlines()[0]
         assert header == "window_index,t_start,t_end," + ",".join(DEFAULT_FEATURES)
-
-
-class TestNormalizeFeatures:
-    def test_affine_mapping(self):
-        m = feature_matrix(np.concatenate([np.full(2, 2.0), np.full(2, 4.0), np.full(2, 6.0)]),
-                           FramePlan(2.0, 0.0, 1.0), ("mean",))
-        norm, flagged = normalize_features(m)
-        assert np.allclose(norm.column("mean"), [0.0, 0.5, 1.0])
-        assert flagged == ()
-
-    def test_constant_column_flagged(self):
-        m = feature_matrix(np.full(9, 5.0), FramePlan(3.0, 0.0, 1.0))
-        norm, flagged = normalize_features(m)
-        assert np.all(norm.column("mean") == 0.0)
-        assert "mean" in flagged
-
-    def test_argmax_preserved(self, rng):
-        m = feature_matrix(rng.normal(size=1200), FramePlan(2.0, 0.5, 100.0))
-        norm, _ = normalize_features(m)
-        for j in range(len(m.names)):
-            assert int(np.argmax(norm.values[:, j])) == int(np.argmax(m.values[:, j]))
-
-    def test_single_row_error(self):
-        m = feature_matrix(np.arange(300.0), FramePlan(3.0, 0.0, 100.0))
-        with pytest.raises(FeatureError):
-            normalize_features(m)

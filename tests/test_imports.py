@@ -1,16 +1,20 @@
-"""What importing the package loads: EMD (and so scipy) only on first use."""
+"""What importing the package loads: EMD (and so scipy) only on first use;
+and which functions the benchmark's tracer finds to wrap."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import infrasense
 import infrasense.transforms as transforms
 
 SRC = str(Path(infrasense.__file__).resolve().parents[1])
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -61,3 +65,24 @@ class TestImportGraph:
         loaded = set(proc.stdout.split())
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
         assert {f"infrasense.{m}" for m in layers} <= loaded
+
+
+class TestBenchmarkTracer:
+    def test_install_and_uninstall(self, monkeypatch):
+        """Every function the benchmark times per layer exists under its name,
+        and `swt_bandpass` calls `swt` through the binding the tracer wraps."""
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+        spec.loader.exec_module(tracing)
+        from infrasense.transforms import wavelets
+
+        swt = wavelets.swt
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            wavelets.swt_bandpass(np.zeros(64), 100.0, 1.0, 10.0)
+        finally:
+            tracer.uninstall()
+        assert tracer.spans["transforms.swt"].calls == 1
+        assert wavelets.swt is swt

@@ -14,7 +14,8 @@ from infrasense.rail_analysis import (
     geometry_to_csv,
     twist,
 )
-from infrasense.trace_model import CapabilityError, GeoFix, Trace
+from infrasense.trace_model import CapabilityError, GeoFix, Trace, cumtrapz
+from infrasense.transforms import swt_bandpass
 
 
 class TestCantAngle:
@@ -118,6 +119,16 @@ class TestCantFromRoll:
         assert any(reason == "low_speed" for _, _, reason in skipped)
         covered = {round(t) for t in points.t}
         assert 50 not in covered
+
+    def test_span_too_short_for_band_keeps_centred_roll(self, rng):
+        # 40 samples at 100 Hz reach no SWT level of the 0.15-3 Hz band that
+        # 10-200 m wavelengths make at 30 m/s
+        trace = rail_trace(duration=0.39, roll_rate=rng.normal(scale=0.01, size=40))
+        roll = cumtrapz(trace.gyro[:, 0], trace.t)
+        assert swt_bandpass(roll, 100.0, 30.0 / 200.0, 30.0 / 10.0) is None
+        points, skipped = cant_from_roll(trace)
+        assert skipped == []
+        assert np.array_equal(points.cant_angle, roll - np.mean(roll))
 
     def test_s_monotone(self):
         points, _ = cant_from_roll(rail_trace(duration=60.0))

@@ -7,16 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from infrasense.trace_model import (
     CSV_COLUMNS,
-    CapabilityError,
     EmptyTraceError,
     GeoFix,
     SchemaError,
     Trace,
     gravity_split,
-    integrate_gyro,
     parse_trace,
     reorient,
-    resample,
     sampling_gaps,
     write_trace_csv,
 )
@@ -258,40 +255,6 @@ class TestParseTrace:
         assert_same_parse(path, "jsonl")
 
 
-class TestResample:
-    def test_midpoint_interpolation(self):
-        trace = Trace(t=np.array([0.0, 0.02]), accel=np.array([[0.0, 0, 0], [2.0, 0, 0]]),
-                      gyro=None, fixes=[], nominal_rate=50.0)
-        out = resample(trace, 100.0)
-        assert np.allclose(out.t, [0.0, 0.01, 0.02])
-        assert np.allclose(out.accel[:, 0], [0.0, 1.0, 2.0])
-
-    def test_identity_at_same_rate(self, rng):
-        n = 500
-        trace = make_trace(duration=(n - 1) / 100.0, rate=100.0,
-                           accel_z=rng.normal(size=n))
-        out = resample(trace, 100.0)
-        assert len(out) == len(trace)
-        assert np.max(np.abs(out.accel - trace.accel)) < 1e-12
-
-    def test_downsampling_preserves_rms(self):
-        t = np.arange(0, 4, 0.01)
-        sine = np.sin(2 * np.pi * 5 * t)
-        trace = make_trace(duration=t[-1], rate=100.0, accel_z=sine)
-        out = resample(trace, 50.0)
-
-        def rms(x):  # direct summation oracle
-            return math.sqrt(sum(v * v for v in x) / len(x))
-
-        assert rms(out.accel[:, 2] + 9.81) == pytest.approx(rms(sine), rel=0.02)
-
-    def test_too_short_span(self):
-        trace = Trace(t=np.array([0.0, 0.001]), accel=np.zeros((2, 3)),
-                      gyro=None, fixes=[], nominal_rate=1000.0)
-        with pytest.raises(EmptyTraceError):
-            resample(trace, 100.0)
-
-
 def low_pass(g0, inputs, tau, dt):
     """gravity_split on a trace that starts at g0 and then reads `inputs`,
     one step of dt apart."""
@@ -383,41 +346,6 @@ class TestAlphaFromTimeconstant:
     def test_domain_errors(self, tau, dt):
         with pytest.raises(ValueError):
             self.one_step(tau, dt)
-
-
-class TestIntegrateGyro:
-    def test_constant_rate(self):
-        n = 1001
-        gyro = np.zeros((n, 3))
-        gyro[:, 2] = 0.1
-        trace = make_trace(duration=10.0, rate=100.0, gyro=gyro)
-        assert integrate_gyro(trace, "z", 0.0, 10.0) == pytest.approx(1.0, rel=1e-9)
-
-    def test_sine_analytic(self):
-        rate = 1000.0
-        n = int(math.pi * rate) + 1
-        t = np.arange(n) / rate
-        gyro = np.zeros((n, 3))
-        gyro[:, 2] = np.sin(t)
-        trace = make_trace(duration=t[-1], rate=rate, gyro=gyro)
-        assert integrate_gyro(trace, "z", 0.0, math.pi) == pytest.approx(2.0, abs=1e-4)
-
-    def test_empty_interval(self):
-        trace = make_trace(duration=2.0, gyro=np.ones((201, 3)))
-        assert integrate_gyro(trace, "x", 1.0, 1.0) == 0.0
-
-    def test_additive_over_adjacent_intervals(self, rng):
-        n = 501
-        gyro = rng.normal(size=(n, 3))
-        trace = make_trace(duration=5.0, rate=100.0, gyro=gyro)
-        whole = integrate_gyro(trace, "y", 0.3, 4.7)
-        parts = integrate_gyro(trace, "y", 0.3, 2.123) + integrate_gyro(trace, "y", 2.123, 4.7)
-        assert whole == pytest.approx(parts, abs=1e-12)
-
-    def test_no_gyro_is_capability_error(self):
-        trace = make_trace(duration=2.0)
-        with pytest.raises(CapabilityError):
-            integrate_gyro(trace, "z", 0.0, 1.0)
 
 
 def rotation_x(deg):

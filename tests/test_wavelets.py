@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from infrasense.transforms import (
     levels_for_band,
     swt,
     swt_band_reconstruct,
+    swt_bandpass,
     swt_level_band,
     wavedec,
     waverec,
@@ -126,3 +129,24 @@ class TestSwt:
         dec = swt(np.zeros(32), "haar", 2)
         with pytest.raises(TransformError):
             swt_band_reconstruct(dec, [3])
+
+
+class TestSwtBandpass:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 600),
+           rate=st.sampled_from([50.0, 100.0, 200.0]),
+           f_lo=st.floats(0.0, 120.0), width=st.floats(0.0, 120.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_level_selection(self, seed, n, rate, f_lo, width):
+        x = np.random.default_rng(seed).normal(size=n)
+        f_hi = f_lo + width
+        levels = levels_for_band(rate, max(1, int(math.floor(math.log2(n))) - 1), f_lo, f_hi)
+        got = swt_bandpass(x, rate, f_lo, f_hi)
+        if not levels:
+            assert got is None
+        else:
+            want = swt_band_reconstruct(swt(x, "db4", max(levels)), levels)
+            assert got.tobytes() == want.tobytes()
+
+    def test_no_level_in_band(self):
+        # 20 samples reach level 3 at most, whose band starts at 6.25 Hz
+        assert swt_bandpass(np.ones(20), 100.0, 0.05, 1.0) is None
