@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import __version__
 from .aggregation import AggregationError, MatchPolicy, SegmentStore, StoreError
@@ -155,8 +157,6 @@ def cmd_synth(args) -> int:
     try:
         spec = SynthSpec.from_json(args.spec)
         if args.seed is not None:
-            from dataclasses import replace
-
             spec = replace(spec, seed=args.seed)
     except (OSError, TypeError, ValueError, json.JSONDecodeError) as e:
         return _fail(EXIT_INPUT, f"spec: {e}")
@@ -169,6 +169,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    if not (args.radius > 0 and args.half_life > 0):
+        return _fail(EXIT_USAGE, "--radius and --half-life must be positive")
     policy = MatchPolicy(radius=args.radius, half_life=args.half_life)
     try:
         if os.path.exists(args.store):
@@ -211,6 +213,10 @@ def _load_scenario(path) -> list[SimNode]:
 
 
 def cmd_simulate(args) -> int:
+    if not (args.dt > 0 and args.range > 0):
+        return _fail(EXIT_USAGE, "--dt and --range must be positive")
+    if not 0 <= args.duration < math.inf:
+        return _fail(EXIT_USAGE, "--duration must be finite and non-negative")
     try:
         nodes = _load_scenario(args.scenario)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import base64
 import binascii
+import bisect
 import math
 import struct
 from dataclasses import dataclass, field
 
 from .aggregation import EARTH_RADIUS, great_circle
-from .reports import KINDS, Indicator
+from .reports import KINDS
 
 PACKET_BYTES = 24
 SSID_CHARS = 32
@@ -190,8 +191,6 @@ class SimNode:
             return self.waypoints[0][1], self.waypoints[0][2]
         if t >= ts[-1]:
             return self.waypoints[-1][1], self.waypoints[-1][2]
-        import bisect
-
         i = bisect.bisect_right(ts, t)
         t0, la0, lo0 = self.waypoints[i - 1]
         t1, la1, lo1 = self.waypoints[i]

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import hilbert
 
 from .stft import Spectrogram, TransformError
 
@@ -39,10 +37,8 @@ class ImfSet:
 def _extrema(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of interior local maxima and minima (plateaus collapse)."""
     d = np.sign(np.diff(x))
-    # carry the previous non-zero slope through flats
-    for i in range(1, len(d)):
-        if d[i] == 0:
-            d[i] = d[i - 1]
+    # carry the previous non-zero slope through flats (forward fill)
+    d = d[np.maximum.accumulate(np.where(d != 0, np.arange(len(d)), 0))]
     turn = np.diff(d)
     maxima = np.where(turn < 0)[0] + 1
     minima = np.where(turn > 0)[0] + 1
@@ -55,6 +51,8 @@ def _envelope(idx: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     With two or more extrema the two nearest are mirrored beyond each edge;
     a single extremum falls back to endpoint knots.
     """
+    from scipy.interpolate import CubicSpline  # here, so importing the CLI loads no scipy
+
     n = len(x)
     if len(idx) >= 2:
         left_x = -idx[:2][::-1]
@@ -123,6 +121,8 @@ def hht_spectrum(imfs: ImfSet, rate: float, n_freq: int = 64,
     time-frequency grid, accumulated over all IMFs."""
     if len(imfs) < 1:
         raise TransformError("need at least one IMF")
+    from scipy.signal import hilbert  # here, so importing the CLI loads no scipy
+
     n = len(imfs.residue)
     grid = np.zeros((n_time, n_freq))
     t = np.arange(n - 1) / rate

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TransformError(Exception):
@@ -43,11 +44,8 @@ def stft(signal, rate: float, window_len: int, hop: int,
         raise TransformError(f"unknown taper {taper!r}")
     w = _TAPERS[taper](window_len)
 
-    n_frames = (len(x) - window_len) // hop + 1
-    mags = np.empty((n_frames, window_len // 2 + 1))
-    for i in range(n_frames):
-        frame = x[i * hop:i * hop + window_len] * w
-        mags[i] = np.abs(np.fft.rfft(frame))
+    mags = np.abs(np.fft.rfft(sliding_window_view(x, window_len)[::hop] * w, axis=1))
+    n_frames = len(mags)
     frame_times = (np.arange(n_frames) * hop + (window_len - 1) / 2.0) / rate
     bin_freqs = np.fft.rfftfreq(window_len, d=1.0 / rate)
     return Spectrogram(mags, frame_times, bin_freqs)

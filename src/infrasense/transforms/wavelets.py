@@ -29,8 +29,7 @@ def filter_pair(wavelet: str) -> tuple[np.ndarray, np.ndarray]:
     if wavelet not in WAVELETS:
         raise TransformError(f"unsupported wavelet {wavelet!r}")
     h = WAVELETS[wavelet]
-    g = np.array([(-1) ** n * h[len(h) - 1 - n] for n in range(len(h))])
-    return h, g
+    return h, h[::-1] * (-1.0) ** np.arange(len(h))
 
 
 @dataclass
@@ -49,6 +48,24 @@ class WaveletDecomposition:
         return len(self.details)
 
 
+def _add_taps(out: np.ndarray, x: np.ndarray, filt: np.ndarray, step: int) -> np.ndarray:
+    """Add ``filt[k] * x[(i + k*step) mod n]`` into ``out[i]``, tap by tap.
+
+    The one periodic filter kernel of both transforms: the decimated level is
+    step 1 (Shensa's a-trous identity), SWT level j is step 2^(j-1), and
+    synthesis runs the taps backwards with a negative step. Each tap reads a
+    slice of one wrap-padded copy of `x`, which may be shorter than the filter.
+    """
+    n = len(x)
+    reach = (len(filt) - 1) * step
+    lo = min(reach, 0)
+    padded = np.take(x, np.arange(lo, n + max(reach, 0)), mode="wrap") if n else x
+    for k, c in enumerate(filt):
+        start = k * step - lo
+        out += c * padded[start:start + n]
+    return out
+
+
 def _even(x: np.ndarray) -> np.ndarray:
     if len(x) % 2:
         return np.concatenate([x, x[-1:]])
@@ -61,12 +78,8 @@ def dwt_level(signal, wavelet: str = "haar") -> tuple[np.ndarray, np.ndarray]:
     The filter wraps around periodically, also on signals shorter than it."""
     h, g = filter_pair(wavelet)
     x = _even(np.asarray(signal, dtype=float))
-    low = np.zeros(len(x))
-    high = np.zeros(len(x))
-    for n in range(len(h)):
-        rolled = np.roll(x, -n)
-        low += h[n] * rolled
-        high += g[n] * rolled
+    low = _add_taps(np.zeros(len(x)), x, h, 1)
+    high = _add_taps(np.zeros(len(x)), x, g, 1)
     return low[::2], high[::2]
 
 
@@ -80,10 +93,8 @@ def idwt_level(approx, detail, wavelet: str, out_len: int) -> np.ndarray:
     up_d = np.zeros(n)
     up_a[::2] = a
     up_d[::2] = d
-    x = np.zeros(n)
-    for m in range(len(h)):
-        x += h[m] * np.roll(up_a, m) + g[m] * np.roll(up_d, m)
-    return x[:out_len]
+    x = _add_taps(np.zeros(n), up_a, h, -1)
+    return _add_taps(x, up_d, g, -1)[:out_len]
 
 
 def wavedec(signal, wavelet: str = "haar", levels: int = 1) -> WaveletDecomposition:
@@ -114,11 +125,6 @@ def waverec(dec: WaveletDecomposition) -> np.ndarray:
     return a
 
 
-def _upsampled_positions(filt: np.ndarray, level: int) -> list[tuple[int, float]]:
-    step = 2 ** (level - 1)
-    return [(n * step, float(c)) for n, c in enumerate(filt)]
-
-
 def swt(signal, wavelet: str = "haar", levels: int = 1) -> WaveletDecomposition:
     """Stationary (undecimated, a-trous) decomposition.
 
@@ -136,14 +142,9 @@ def swt(signal, wavelet: str = "haar", levels: int = 1) -> WaveletDecomposition:
     details = []
     a = x
     for j in range(1, levels + 1):
-        low = np.zeros(len(a))
-        high = np.zeros(len(a))
-        for shift, c in _upsampled_positions(h, j):
-            low += c * np.roll(a, -shift)
-        for shift, c in _upsampled_positions(g, j):
-            high += c * np.roll(a, -shift)
-        details.append(high)
-        a = low
+        step = 2 ** (j - 1)
+        details.append(_add_taps(np.zeros(len(a)), a, g, step))
+        a = _add_taps(np.zeros(len(a)), a, h, step)
     return WaveletDecomposition(details=details, approx=a, wavelet=wavelet,
                                 scheme="stationary", original_length=orig)
 
@@ -169,12 +170,8 @@ def swt_band_reconstruct(dec: WaveletDecomposition, levels=None,
     a = dec.approx if include_approx else np.zeros_like(dec.approx)
     for j in range(dec.levels, 0, -1):
         d = dec.details[j - 1] if j in levels else np.zeros_like(dec.details[j - 1])
-        rec = np.zeros(len(a))
-        for shift, c in _upsampled_positions(h, j):
-            rec += c * np.roll(a, shift)
-        for shift, c in _upsampled_positions(g, j):
-            rec += c * np.roll(d, shift)
-        a = 0.5 * rec
+        step = -(2 ** (j - 1))
+        a = 0.5 * _add_taps(_add_taps(np.zeros(len(a)), a, h, step), d, g, step)
     return a[:dec.original_length]
 
 

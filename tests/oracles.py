@@ -18,6 +18,8 @@ from infrasense.trace_model import (
     Trace,
     sample_rate,
 )
+from infrasense.transforms import TransformError, WaveletDecomposition
+from infrasense.transforms.wavelets import _even, filter_pair
 
 REQUIRED = ("t", "ax", "ay", "az")
 
@@ -183,3 +185,101 @@ FEATURES = {
     "peak2peak": _peak2peak,
     "peak2rms": _peak2rms,
 }
+
+
+# The wavelet transforms with one `np.roll` copy of the signal per filter tap.
+
+
+def dwt_level_roll(signal, wavelet: str = "haar") -> tuple[np.ndarray, np.ndarray]:
+    h, g = filter_pair(wavelet)
+    x = _even(np.asarray(signal, dtype=float))
+    low = np.zeros(len(x))
+    high = np.zeros(len(x))
+    for n in range(len(h)):
+        rolled = np.roll(x, -n)
+        low += h[n] * rolled
+        high += g[n] * rolled
+    return low[::2], high[::2]
+
+
+def idwt_level_roll(approx, detail, wavelet: str, out_len: int) -> np.ndarray:
+    h, g = filter_pair(wavelet)
+    a = np.asarray(approx, dtype=float)
+    d = np.asarray(detail, dtype=float)
+    n = 2 * len(a)
+    up_a = np.zeros(n)
+    up_d = np.zeros(n)
+    up_a[::2] = a
+    up_d[::2] = d
+    x = np.zeros(n)
+    for m in range(len(h)):
+        x += h[m] * np.roll(up_a, m) + g[m] * np.roll(up_d, m)
+    return x[:out_len]
+
+
+def waverec_roll(dec: WaveletDecomposition) -> np.ndarray:
+    a = dec.approx
+    for d, n in zip(reversed(dec.details), reversed(dec.input_lengths)):
+        a = idwt_level_roll(a, d, dec.wavelet, out_len=n)
+    return a
+
+
+def _upsampled_positions(filt: np.ndarray, level: int) -> list[tuple[int, float]]:
+    step = 2 ** (level - 1)
+    return [(n * step, float(c)) for n, c in enumerate(filt)]
+
+
+def swt_roll(signal, wavelet: str = "haar", levels: int = 1) -> WaveletDecomposition:
+    x = np.asarray(signal, dtype=float)
+    orig = len(x)
+    block = 2 ** levels
+    if orig % block:
+        x = np.concatenate([x, np.zeros(block - orig % block)])
+    if levels > int(math.floor(math.log2(len(x)))):
+        raise TransformError(f"{levels} levels too deep for padded length {len(x)}")
+    h, g = filter_pair(wavelet)
+    details = []
+    a = x
+    for j in range(1, levels + 1):
+        low = np.zeros(len(a))
+        high = np.zeros(len(a))
+        for shift, c in _upsampled_positions(h, j):
+            low += c * np.roll(a, -shift)
+        for shift, c in _upsampled_positions(g, j):
+            high += c * np.roll(a, -shift)
+        details.append(high)
+        a = low
+    return WaveletDecomposition(details=details, approx=a, wavelet=wavelet,
+                                scheme="stationary", original_length=orig)
+
+
+def swt_band_reconstruct_roll(dec: WaveletDecomposition, levels=None,
+                              include_approx: bool = False) -> np.ndarray:
+    if levels is None:
+        levels = set(range(1, dec.levels + 1))
+        include_approx = True
+    levels = set(levels)
+    h, g = filter_pair(dec.wavelet)
+    a = dec.approx if include_approx else np.zeros_like(dec.approx)
+    for j in range(dec.levels, 0, -1):
+        d = dec.details[j - 1] if j in levels else np.zeros_like(dec.details[j - 1])
+        rec = np.zeros(len(a))
+        for shift, c in _upsampled_positions(h, j):
+            rec += c * np.roll(a, shift)
+        for shift, c in _upsampled_positions(g, j):
+            rec += c * np.roll(d, shift)
+        a = 0.5 * rec
+    return a[:dec.original_length]
+
+
+def extrema_loop(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """EMD's interior maxima and minima, carrying the slope through flats
+    one sample at a time."""
+    d = np.sign(np.diff(x))
+    for i in range(1, len(d)):
+        if d[i] == 0:
+            d[i] = d[i - 1]
+    turn = np.diff(d)
+    maxima = np.where(turn < 0)[0] + 1
+    minima = np.where(turn > 0)[0] + 1
+    return maxima, minima

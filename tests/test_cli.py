@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from infrasense.cli import EXIT_INPUT, EXIT_OK, main
+from infrasense.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from infrasense.config import (
     ConfigError,
     PipelineConfig,
@@ -290,6 +290,19 @@ class TestAggregateCommand:
         assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", [["--radius", "0"], ["--radius", "-5"],
+                                      ["--radius", "nan"], ["--half-life", "-1"],
+                                      ["--half-life", "0"]])
+    def test_non_positive_policy_is_usage_error(self, tmp_path, capsys, flag):
+        geo = tmp_path / "empty.geojson"
+        geo.write_text('{"type": "FeatureCollection", "features": []}')
+        store, snap = tmp_path / "store.jsonl", tmp_path / "snap.geojson"
+        assert main(["aggregate", str(geo), "--store", str(store),
+                     "--out", str(snap), *flag]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_USAGE
+        assert not store.exists() and not snap.exists()
+
 
 def scenario_line(node_id, lat, lon, phase=0.0, packets=()):
     return json.dumps({"id": node_id, "waypoints": [[0.0, lat, lon]],
@@ -320,6 +333,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(scenario),
                      "--out", str(out)]) == EXIT_OK
         assert out.read_text().splitlines() == ["t,src,dst,checksum"]
+
+    @pytest.mark.parametrize("flag", [["--dt", "0"], ["--dt", "-1"], ["--range", "0"],
+                                      ["--range", "-3"], ["--duration", "-1"],
+                                      ["--duration", "inf"]])
+    def test_bad_step_range_or_duration_is_usage_error(self, tmp_path, capsys, flag):
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text(scenario_line("a", 51.0, 7.0) + "\n"
+                            + scenario_line("b", 51.0002, 7.0) + "\n")
+        out = tmp_path / "log.csv"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(out), *flag]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_USAGE
+        assert not out.exists()
 
     def test_bad_scenario(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.jsonl"

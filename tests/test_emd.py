@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import extrema_loop
 
 from infrasense.transforms import ImfSet, TransformError, emd, hht_spectrum
+from infrasense.transforms.emd import _extrema
 
 
 def dominant_frequency(x, rate):
@@ -12,6 +15,15 @@ def dominant_frequency(x, rate):
 def interior_extrema_count(x):
     d = np.sign(np.diff(x))
     return int(np.sum(np.abs(np.diff(d)) > 0))
+
+
+class TestExtrema:
+    @given(st.lists(st.integers(-2, 2), max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_on_plateaus(self, values):
+        x = np.array(values, dtype=float)
+        for got, want in zip(_extrema(x), extrema_loop(x)):
+            assert np.array_equal(got, want)
 
 
 class TestEmd:

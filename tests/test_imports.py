@@ -1,4 +1,5 @@
-"""What importing the package loads: EMD (and so scipy) only on first use;
+"""What importing the package loads: the EMD names are plain functions and
+a class, while scipy loads only when EMD or the Hilbert spectrum first runs;
 and which functions the benchmark's tracer finds to wrap."""
 
 import importlib.util

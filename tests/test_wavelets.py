@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import dwt_level_roll, swt_band_reconstruct_roll, swt_roll, waverec_roll
 
 from infrasense.transforms import (
     TransformError,
     dwt_level,
+    idwt_level,
     iswt,
     levels_for_band,
     swt,
@@ -150,3 +152,37 @@ class TestSwtBandpass:
     def test_no_level_in_band(self):
         # 20 samples reach level 3 at most, whose band starts at 6.25 Hz
         assert swt_bandpass(np.ones(20), 100.0, 0.05, 1.0) is None
+
+
+class TestRollOracle:
+    """The periodic kernel against one `np.roll` copy per filter tap."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600),
+           wav=st.sampled_from(["haar", "db4"]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical(self, seed, n, wav, data):
+        x = np.random.default_rng(seed).normal(size=n)
+        for got, want in zip(dwt_level(x, wav), dwt_level_roll(x, wav)):
+            assert got.tobytes() == want.tobytes()
+        for levels in range(1, n.bit_length() + 1):
+            got, want = swt(x, wav, levels), swt_roll(x, wav, levels)
+            for g, w in zip([*got.details, got.approx], [*want.details, want.approx]):
+                assert g.tobytes() == w.tobytes()
+            subset = data.draw(st.sets(st.integers(1, levels)))
+            for keep in (None, subset):
+                assert (swt_band_reconstruct(got, keep).tobytes()
+                        == swt_band_reconstruct_roll(want, keep).tobytes())
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 600),
+           wav=st.sampled_from(["haar", "db4"]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_waverec_close(self, seed, n, wav, data):
+        x = np.random.default_rng(seed).normal(size=n)
+        dec = wavedec(x, wav, data.draw(st.integers(1, n.bit_length() - 1)))
+        want = waverec_roll(dec)
+        assert np.max(np.abs(waverec(dec) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_empty_signal(self):
+        for got, want in zip(dwt_level([], "db4"), dwt_level_roll([], "db4")):
+            assert got.shape == want.shape == (0,)
+        assert idwt_level([], [], "db4", 0).shape == (0,)
