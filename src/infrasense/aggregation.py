@@ -42,7 +42,7 @@ class MatchPolicy:
     half_life: float = 30 * 86400.0  # s
 
     def __post_init__(self):
-        if self.radius <= 0 or self.half_life <= 0:
+        if not (self.radius > 0 and self.half_life > 0):
             raise ValueError("radius and half_life must be positive")
 
 

@@ -218,11 +218,10 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.duration < math.inf:
         return _fail(EXIT_USAGE, "--duration must be finite and non-negative")
     try:
-        nodes = _load_scenario(args.scenario)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as e:
+        log = run_simulation(_load_scenario(args.scenario), duration=args.duration,
+                             dt=args.dt, comm_range=args.range)
+    except (OSError, KeyError, TypeError, ValueError) as e:
         return _fail(EXIT_INPUT, f"scenario: {e}")
-    log = run_simulation(nodes, duration=args.duration, dt=args.dt,
-                         comm_range=args.range)
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "src", "dst", "checksum"])

@@ -51,9 +51,9 @@ class PipelineConfig:
 _KEYS = {
     "context": ("context", str, None),
     "gravity.tau": ("gravity_tau", float, None),
-    "frame.window_len": ("frame_window_len", float, None),
-    "frame.overlap": ("frame_overlap", float, None),
-    "features.set": ("feature_set", _strs, None),
+    "frame.window_len": ("frame_window_len", float, "road"),
+    "frame.overlap": ("frame_overlap", float, "road"),
+    "features.set": ("feature_set", _strs, "road"),
     "detector.k": ("detector_k", float, "road"),
     "detector.features": ("detector_features", _strs, "road"),
     "maneuver.omega_on": ("maneuver_omega_on", float, "road"),

@@ -180,10 +180,15 @@ class SimNode:
     inbox: dict[int, str] = field(default_factory=dict)  # checksum -> ssid
 
     def __post_init__(self):
-        if not (0.0 <= self.duty <= 1.0) or self.period <= 0:
+        if not (0.0 <= self.duty <= 1.0 and 0 < self.period < math.inf
+                and math.isfinite(self.phase)):
             raise ValueError("invalid duty schedule")
         if not self.waypoints:
             raise ValueError("node needs at least one waypoint")
+        if not all(len(w) == 3 and all(map(math.isfinite, w)) for w in self.waypoints):
+            raise ValueError("waypoints must be finite (t, lat, lon) triples")
+        if any(b[0] < a[0] for a, b in zip(self.waypoints, self.waypoints[1:])):
+            raise ValueError("waypoint times must not decrease")
 
     def position(self, t: float) -> tuple[float, float]:
         ts = [w[0] for w in self.waypoints]
@@ -212,9 +217,8 @@ class SimNode:
         """Highest-severity held packet (ties by checksum, deterministic)."""
         if not self.inbox:
             return None
-        ranked = sorted(self.inbox.items(),
-                        key=lambda kv: (-decode_packet(kv[1]).max_severity(), kv[0]))
-        return ranked[0][1]
+        return min(self.inbox.items(),
+                   key=lambda kv: (-decode_packet(kv[1]).max_severity(), kv[0]))[1]
 
 
 @dataclass(frozen=True)
@@ -225,25 +229,20 @@ class Delivery:
     checksum: int
 
 
-def step_simulation(nodes: list[SimNode], t: float, dt: float,
+def step_simulation(nodes: list[SimNode], t: float,
                     comm_range: float) -> list[Delivery]:
     """One synchronous step: every hotspot broadcasts its best packet to all
     client nodes within `comm_range` meters. Returns the new deliveries."""
-    if dt <= 0 or comm_range <= 0:
-        raise ValueError("dt and range must be positive")
-    ordered = sorted(nodes, key=lambda n: n.id)
+    hotspots, clients = [], []
+    for node in sorted(nodes, key=lambda n: n.id):
+        role = hotspots if node.mode(t) == "hotspot" else clients
+        role.append((node, node.position(t)))
     log = []
-    for src in ordered:
-        if src.mode(t) != "hotspot":
-            continue
+    for src, (slat, slon) in hotspots:
         ssid = src.best_packet()
         if ssid is None:
             continue
-        slat, slon = src.position(t)
-        for dst in ordered:
-            if dst.id == src.id or dst.mode(t) != "client":
-                continue
-            dlat, dlon = dst.position(t)
+        for dst, (dlat, dlon) in clients:
             if great_circle(slat, slon, dlat, dlon) > comm_range:
                 continue
             if dst.receive(ssid):
@@ -255,9 +254,18 @@ def step_simulation(nodes: list[SimNode], t: float, dt: float,
 def run_simulation(nodes: list[SimNode], duration: float, dt: float = 1.0,
                    comm_range: float = 50.0) -> list[Delivery]:
     """Step the simulation over [0, duration). Deterministic given the
-    node set and schedule."""
+    node set and schedule; node ids must be unique."""
+    if not (dt > 0 and comm_range > 0):
+        raise ValueError("dt and range must be positive")
+    if not 0 <= duration < math.inf:
+        raise ValueError("duration must be finite and non-negative")
+    seen = set()
+    for node in nodes:
+        if node.id in seen:
+            raise ValueError(f"repeated node id {node.id!r}")
+        seen.add(node.id)
     log = []
     steps = int(round(duration / dt))
     for i in range(steps):
-        log.extend(step_simulation(nodes, i * dt, dt, comm_range))
+        log.extend(step_simulation(nodes, i * dt, comm_range))
     return log

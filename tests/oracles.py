@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from infrasense.aggregation import great_circle
+from infrasense.dissemination import Delivery, decode_packet
 from infrasense.trace_model import (
     EmptyTraceError,
     GeoFix,
@@ -283,3 +285,47 @@ def extrema_loop(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     maxima = np.where(turn < 0)[0] + 1
     minima = np.where(turn > 0)[0] + 1
     return maxima, minima
+
+
+def best_packet_sorted(node):
+    """Highest-severity held packet (ties by checksum), from a full sort."""
+    if not node.inbox:
+        return None
+    ranked = sorted(node.inbox.items(),
+                    key=lambda kv: (-decode_packet(kv[1]).max_severity(), kv[0]))
+    return ranked[0][1]
+
+
+def step_simulation_pairs(nodes, t: float, dt: float, comm_range: float):
+    """One synchronous step over every ordered node pair, asking each node
+    for its mode and position again for every pair."""
+    if dt <= 0 or comm_range <= 0:
+        raise ValueError("dt and range must be positive")
+    ordered = sorted(nodes, key=lambda n: n.id)
+    log = []
+    for src in ordered:
+        if src.mode(t) != "hotspot":
+            continue
+        ssid = best_packet_sorted(src)
+        if ssid is None:
+            continue
+        slat, slon = src.position(t)
+        for dst in ordered:
+            if dst.id == src.id or dst.mode(t) != "client":
+                continue
+            dlat, dlon = dst.position(t)
+            if great_circle(slat, slon, dlat, dlon) > comm_range:
+                continue
+            if dst.receive(ssid):
+                log.append(Delivery(t=t, src=src.id, dst=dst.id,
+                                    checksum=decode_packet(ssid).checksum))
+    return log
+
+
+def run_simulation_pairs(nodes, duration: float, dt: float = 1.0,
+                         comm_range: float = 50.0):
+    log = []
+    steps = int(round(duration / dt))
+    for i in range(steps):
+        log.extend(step_simulation_pairs(nodes, i * dt, dt, comm_range))
+    return log

@@ -126,6 +126,15 @@ class TestFuse:
         assert prev > 9.9  # 300 days >> half-life: old evidence nearly gone
 
 
+class TestMatchPolicy:
+    @pytest.mark.parametrize("fields", [
+        {"radius": math.nan}, {"half_life": math.nan}, {"radius": 0.0},
+        {"half_life": -1.0}])
+    def test_rejects_non_positive_or_nan(self, fields):
+        with pytest.raises(ValueError, match="must be positive"):
+            MatchPolicy(**fields)
+
+
 class TestMatchSegment:
     def test_first_indicator_bootstraps_anchor(self):
         store = SegmentStore()

@@ -46,8 +46,10 @@ class TestConfig:
             parse_config_text("context = road\nrail.twist_bases = 3,5\n")
 
     def test_road_key_in_rail_context(self):
-        with pytest.raises(ConfigError, match="does not apply"):
-            parse_config_text("context = rail\ndetector.k = 3\n")
+        for line in ("detector.k = 3", "frame.window_len = 2", "frame.overlap = 0.5",
+                     "features.set = mean,rms"):
+            with pytest.raises(ConfigError, match="does not apply"):
+                parse_config_text(f"context = rail\n{line}\n")
 
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
@@ -346,6 +348,22 @@ class TestSimulateCommand:
                      "--out", str(out), *flag]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines", [
+        [scenario_line("a", 51.0, 7.0), scenario_line("a", 51.0002, 7.0, phase=5.0)],
+        [scenario_line("a", 51.0, 7.0), scenario_line("b", math.nan, 7.0)],
+        [json.dumps({"id": "a", "waypoints": [[10.0, 51.0, 7.0], [0.0, 51.001, 7.0]]})],
+        [json.dumps({"id": "a", "waypoints": [[0.0, "51", 7.0]]})],
+    ], ids=["repeated-id", "nan-latitude", "decreasing-times", "text-latitude"])
+    def test_invalid_scenario_is_input_error(self, tmp_path, capsys, lines):
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "log.csv"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_INPUT
         assert not out.exists()
 
     def test_bad_scenario(self, tmp_path, capsys):

@@ -1,9 +1,14 @@
+import copy
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infrasense.cli import _load_scenario
 from infrasense.dissemination import (
     MAX_ENTRIES,
     SSID_CHARS,
@@ -16,9 +21,9 @@ from infrasense.dissemination import (
     decode_packet,
     encode_packet,
     run_simulation,
-    step_simulation,
 )
 from infrasense.reports import Indicator
+from oracles import run_simulation_pairs
 
 METERS_PER_DEG = math.pi / 180.0 * 6371000.0
 
@@ -285,12 +290,122 @@ class TestSimulation:
     def test_step_argument_validation(self):
         nodes = grid_nodes(2)
         with pytest.raises(ValueError):
-            step_simulation(nodes, 0.0, -1.0, 50.0)
+            run_simulation(nodes, 0.0, -1.0, 50.0)
         with pytest.raises(ValueError):
-            step_simulation(nodes, 0.0, 1.0, 0.0)
+            run_simulation(nodes, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("duration,dt,comm_range", [
+        (10.0, 0.0, 50.0), (10.0, math.nan, 50.0), (10.0, 1.0, math.nan),
+        (-1.0, 1.0, 50.0), (math.nan, 1.0, 50.0), (math.inf, 1.0, 50.0)])
+    def test_bad_run_arguments(self, duration, dt, comm_range):
+        with pytest.raises(ValueError):
+            run_simulation(grid_nodes(2), duration, dt, comm_range)
+
+    def test_repeated_node_id(self):
+        a, b = grid_nodes(2, spacing_m=30.0)
+        b.id, b.phase = a.id, 5.0
+        seed_packet(a)
+        with pytest.raises(ValueError, match="repeated node id"):
+            run_simulation([a, b], duration=10.0)
+
+    def test_one_mode_and_position_read_per_node_step(self, monkeypatch):
+        calls = {"mode": 0, "position": 0}
+        for name in calls:
+            method = getattr(SimNode, name)
+
+            def counted(self, t, method=method, name=name):
+                calls[name] += 1
+                return method(self, t)
+            monkeypatch.setattr(SimNode, name, counted)
+        nodes = grid_nodes(3, spacing_m=30.0)
+        nodes[1].phase = 5.0
+        seed_packet(nodes[0])
+        assert run_simulation(nodes, duration=4.0)
+        assert calls == {"mode": 12, "position": 12}
 
     def test_invalid_node(self):
         with pytest.raises(ValueError):
             SimNode(id="a", waypoints=[])
         with pytest.raises(ValueError):
             SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)], duty=1.5)
+
+    @pytest.mark.parametrize("schedule", [
+        {"period": math.nan}, {"period": math.inf}, {"phase": math.nan},
+        {"phase": math.inf}, {"duty": math.nan}])
+    def test_non_finite_schedule(self, schedule):
+        with pytest.raises(ValueError, match="duty schedule"):
+            SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)], **schedule)
+
+    @pytest.mark.parametrize("waypoint", [
+        (0.0, math.nan, 7.0), (0.0, 51.0, math.inf), (math.nan, 51.0, 7.0), (0.0, 51.0)])
+    def test_bad_waypoint(self, waypoint):
+        with pytest.raises(ValueError, match="finite"):
+            SimNode(id="a", waypoints=[(5.0, 51.0, 7.0), waypoint])
+
+    def test_decreasing_waypoint_times(self):
+        with pytest.raises(ValueError, match="must not decrease"):
+            SimNode(id="a", waypoints=[(10.0, 51.0, 7.0), (0.0, 51.001, 7.0)])
+        node = SimNode(id="a", waypoints=[(0.0, 51.0, 7.0), (5.0, 51.001, 7.0),
+                                          (5.0, 51.002, 7.0)])  # a jump
+        assert node.position(5.0) == (51.002, 7.0)
+
+
+@st.composite
+def scenario_specs(draw):
+    """Nodes within a few hundred meters of each other, parked or moving,
+    with random duty schedules and up to three seeded packets."""
+    n = draw(st.integers(2, 25))
+    ids = draw(st.lists(st.text("abvxz", min_size=1, max_size=3),
+                        min_size=n, max_size=n, unique=True))
+    offset = st.floats(-300.0, 300.0)
+    nodes = []
+    for node_id in ids:
+        k = draw(st.integers(1, 4))
+        times = sorted(draw(st.lists(st.floats(0.0, 60.0), min_size=k, max_size=k)))
+        if draw(st.booleans()):
+            places = draw(st.lists(st.tuples(offset, offset), min_size=k, max_size=k))
+        else:
+            places = [draw(st.tuples(offset, offset))] * k
+        waypoints = [(t, 51.0 + north / METERS_PER_DEG,
+                      7.0 + east / (METERS_PER_DEG * math.cos(math.radians(51.0))))
+                     for t, (north, east) in zip(times, places)]
+        period = draw(st.floats(1.0, 30.0))
+        nodes.append(SimNode(id=node_id, waypoints=waypoints, duty=draw(st.floats(0.0, 1.0)),
+                             period=period, phase=draw(st.floats(-period, period))))
+    for holder, severity, lat_e6 in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, 3),
+                      st.integers(50_000_000, 52_000_000)), max_size=3)):
+        nodes[holder].receive(SsidPacket(1, 0, lat_e6, 7_000_000,
+                                         (PacketEntry(0, 0, 1, severity, 128),)).to_ssid())
+    return nodes
+
+
+def assert_matches_oracle(nodes, duration, dt, comm_range):
+    reference = copy.deepcopy(nodes)
+    expected = run_simulation_pairs(reference, duration, dt, comm_range)
+    assert run_simulation(nodes, duration, dt, comm_range) == expected
+    assert [list(n.inbox.items()) for n in nodes] == \
+        [list(n.inbox.items()) for n in reference]
+
+
+class TestSimulationOracle:
+    """The one-snapshot step gives the deliveries and inboxes of the
+    pairwise step it replaced."""
+
+    @given(nodes=scenario_specs(), comm_range=st.floats(10.0, 300.0),
+           dt=st.sampled_from([0.5, 1.0, 2.5]), duration=st.floats(0.0, 60.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pairwise_oracle(self, nodes, comm_range, dt, duration):
+        assert_matches_oracle(nodes, duration, dt, comm_range)
+
+    def test_benchmark_scenario(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+        spec.loader.exec_module(inputs)
+        scenario = tmp_path / "scenario.jsonl"
+        inputs.write_scenario(inputs.scenario(1, 120), scenario)
+        nodes = _load_scenario(scenario)
+        assert_matches_oracle(nodes, inputs.SIM_DURATION, 1.0, 50.0)
+        assert sum(len(n.inbox) for n in nodes) > 12  # the seeded packets spread

@@ -87,3 +87,26 @@ class TestBenchmarkTracer:
             tracer.uninstall()
         assert tracer.spans["transforms.swt"].calls == 1
         assert wavelets.swt is swt
+
+    def test_simulation_spans(self, monkeypatch):
+        """`run_simulation` reaches `step_simulation` and `best_packet`
+        through the bindings the tracer wraps."""
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        from infrasense.dissemination import PacketEntry, SimNode, SsidPacket, run_simulation
+
+        a = SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)], period=2.0)
+        b = SimNode(id="b", waypoints=[(0.0, 51.0002, 7.0)], period=2.0, phase=1.0)
+        a.receive(SsidPacket(1, 0, 51_000_000, 7_000_000,
+                             (PacketEntry(0, 0, 1, 9, 200),)).to_ssid())
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            log = run_simulation([a, b], duration=3.0)
+        finally:
+            tracer.uninstall()
+        assert len(log) == 1
+        assert tracer.spans["dissemination.step_simulation"].calls == 3
+        assert tracer.spans["dissemination.SimNode.best_packet"].calls >= 1
