@@ -63,7 +63,7 @@ def _fail(code: int, message: str) -> int:
 def _analyze_road(trace, cfg: PipelineConfig, out: str) -> dict:
     reoriented = reorient(trace, tau=cfg.gravity_tau)
     rt, linear = reoriented.trace, reoriented.linear
-    plan = FramePlan(cfg.frame_window_len, cfg.frame_overlap, rt.nominal_rate)
+    plan = FramePlan(cfg.frame_window_len, cfg.frame_overlap, rt.rate)
     matrix = feature_matrix(linear[:, 2], plan, cfg.feature_set, t=rt.t)
     matrix.to_csv(os.path.join(out, "features.csv"))
 

@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 from .aggregation import EARTH_RADIUS, great_circle
 from .reports import KINDS
 
-PACKET_BYTES = 24
 SSID_CHARS = 32
 MAX_ENTRIES = 3
 OFFSET_UNIT = 10.0  # m per LSB of the i8 offsets
 _B64_ALPHABET = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_")
 
 TYPE_CODES = {k: i + 1 for i, k in enumerate(KINDS)}
-TYPE_NAMES = {v: k for k, v in TYPE_CODES.items()}
 
 
 class FormatError(ValueError):
@@ -178,6 +176,8 @@ class SimNode:
     period: float = 10.0  # s
     phase: float = 0.0  # s offset of the duty schedule
     inbox: dict[int, str] = field(default_factory=dict)  # checksum -> ssid
+    # checksum -> the packet's highest entry severity, recorded by `receive`
+    severities: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.duty <= 1.0 and 0 < self.period < math.inf
@@ -207,18 +207,19 @@ class SimNode:
 
     def receive(self, ssid: str) -> bool:
         """Deduplicated insert; True when the packet is new to this node."""
-        checksum = decode_packet(ssid).checksum
+        packet = decode_packet(ssid)
+        checksum = packet.checksum
         if checksum in self.inbox:
             return False
         self.inbox[checksum] = ssid
+        self.severities[checksum] = packet.max_severity()
         return True
 
     def best_packet(self) -> str | None:
         """Highest-severity held packet (ties by checksum, deterministic)."""
         if not self.inbox:
             return None
-        return min(self.inbox.items(),
-                   key=lambda kv: (-decode_packet(kv[1]).max_severity(), kv[0]))[1]
+        return self.inbox[min(self.inbox, key=lambda c: (-self.severities[c], c))]
 
 
 @dataclass(frozen=True)
@@ -246,8 +247,8 @@ def step_simulation(nodes: list[SimNode], t: float,
             if great_circle(slat, slon, dlat, dlon) > comm_range:
                 continue
             if dst.receive(ssid):
-                log.append(Delivery(t=t, src=src.id, dst=dst.id,
-                                    checksum=decode_packet(ssid).checksum))
+                checksum = next(reversed(dst.inbox))  # the key `receive` just added
+                log.append(Delivery(t=t, src=src.id, dst=dst.id, checksum=checksum))
     return log
 
 

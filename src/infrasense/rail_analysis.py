@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import Indicator, clamp_severity
-from .trace_model import CapabilityError, Trace, cumtrapz, positions_at, runs, sample_rate
+from .trace_model import CapabilityError, Trace, cumtrapz, runs
 from .transforms import swt_bandpass
 
 
@@ -69,10 +69,9 @@ def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
     """
     if trace.gyro is None:
         raise CapabilityError("track geometry needs a gyroscope")
-    speeds = trace.speed_at(trace.t)
+    speeds = trace.fixes.interp("speed", trace.t)
     if not np.all(np.isfinite(speeds)):
         raise RailAnalysisError("track geometry needs GPS speed")
-    rate = sample_rate(trace.t)
     s_along = cumtrapz(speeds, trace.t)
 
     valid = speeds > min_speed
@@ -87,15 +86,16 @@ def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
         t_seg = trace.t[i:j]
         v_mean = float(np.mean(speeds[i:j]))
         roll = cumtrapz(trace.gyro[i:j, 0], t_seg)
-        band = swt_bandpass(roll, rate, v_mean / wavelength_band[1], v_mean / wavelength_band[0])
+        band = swt_bandpass(roll, trace.rate, v_mean / wavelength_band[1], v_mean / wavelength_band[0])
         roll_band[i:j] = roll - np.mean(roll) if band is None else band
         keep[i:j] = True
 
     cant = roll_band[keep]
-    lat, lon = positions_at(trace.fixes, trace.t[keep])
+    t_kept = trace.t[keep]
     profile = GeometryProfile(
         s=s_along[keep], cant_angle=cant, cant_height=consts.rail_center_width * np.sin(cant),
-        curvature=trace.gyro[keep, 2] / speeds[keep], t=trace.t[keep], lat=lat, lon=lon,
+        curvature=trace.gyro[keep, 2] / speeds[keep], t=t_kept,
+        lat=trace.fixes.interp("lat", t_kept), lon=trace.fixes.interp("lon", t_kept),
     )
     return profile, skipped
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .reports import Indicator, clamp_severity
-from .trace_model import CapabilityError, Trace, cumtrapz, positions_at, runs, sample_rate
+from .trace_model import CapabilityError, Fixes, Trace, cumtrapz, runs
 from .transforms import swt_bandpass
 
 DEFAULT_DETECTOR_FEATURES = ("peak2peak", "kurt", "rms")
@@ -44,7 +44,7 @@ def robust_z(column: np.ndarray) -> tuple[np.ndarray, bool]:
     return (column - med) / (1.4826 * mad), False
 
 
-def detect_anomalies(matrix: FeatureMatrix, fixes, k: float = 3.0,
+def detect_anomalies(matrix: FeatureMatrix, fixes: Fixes, k: float = 3.0,
                      feature_subset=DEFAULT_DETECTOR_FEATURES) -> AnomalyResult:
     """Unsupervised point-anomaly detection on a feature matrix.
 
@@ -69,7 +69,7 @@ def detect_anomalies(matrix: FeatureMatrix, fixes, k: float = 3.0,
 
     peaks = [i + int(np.argmax(score[i:j])) for i, j in runs(hot) if hot[i]]
     t_mid = 0.5 * (matrix.t_start[peaks] + matrix.t_end[peaks])
-    lats, lons = positions_at(fixes, t_mid)
+    lats, lons = fixes.interp("lat", t_mid), fixes.interp("lon", t_mid)
     indicators = []
     for peak, t, lat, lon in zip(peaks, t_mid.tolist(), lats.tolist(), lons.tolist()):
         s = float(score[peak])
@@ -137,8 +137,10 @@ def classify_maneuvers(trace: Trace, linear: np.ndarray, omega_on: float = 0.06,
     if active and t[last_hot] - t[start] >= min_duration:
         events.append((start, last_hot))
 
+    t_mid = np.array([0.5 * (t[i0] + t[i1]) for i0, i1 in events])
+    lats, lons = trace.fixes.interp("lat", t_mid), trace.fixes.interp("lon", t_mid)
     out = []
-    for i0, i1 in events:
+    for (i0, i1), tm, lat, lon in zip(events, t_mid.tolist(), lats.tolist(), lons.tolist()):
         seg_w = wz[i0:i1 + 1]
         seg_t = t[i0:i1 + 1]
         dpsi = float(np.trapezoid(seg_w, seg_t))
@@ -160,11 +162,9 @@ def classify_maneuvers(trace: Trace, linear: np.ndarray, omega_on: float = 0.06,
         else:
             sub = "other"
 
-        t_mid = 0.5 * (seg_t[0] + seg_t[-1])
-        lat, lon = positions_at(trace.fixes, t_mid)
         out.append(Indicator(
-            kind="maneuver", sub_kind=sub, lat=float(lat[0]), lon=float(lon[0]),
-            t=float(t_mid), severity=clamp_severity(deg), confidence=1.0,
+            kind="maneuver", sub_kind=sub, lat=lat, lon=lon,
+            t=tm, severity=clamp_severity(deg), confidence=1.0,
             value=dpsi, unit="rad",
         ))
     return out
@@ -200,10 +200,9 @@ def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] 
     """
     if segment_length <= 0:
         raise ValueError("segment_length must be positive")
-    speeds = trace.speed_at(trace.t)
+    speeds = trace.fixes.interp("speed", trace.t)
     if not np.all(np.isfinite(speeds)):
         raise RoadAnalysisError("roughness needs GPS speed")
-    rate = sample_rate(trace.t)
     az = linear[:, 2]
     s = cumtrapz(speeds, trace.t)
 
@@ -223,7 +222,7 @@ def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] 
             continue
         # frequency band of the requested wavelength band at this speed
         f_lo, f_hi = v_mean / band[1], v_mean / band[0]
-        a_band = swt_bandpass(az[idx], rate, f_lo, f_hi)
+        a_band = swt_bandpass(az[idx], trace.rate, f_lo, f_hi)
         if a_band is None:
             skipped.append((seg, "band_unresolvable"))
             continue

@@ -15,7 +15,7 @@ import numpy as np
 
 from .aggregation import EARTH_RADIUS
 from .road_analysis import QuarterCar, simulate_quarter_car
-from .trace_model import GRAVITY, GeoFix, Trace
+from .trace_model import GRAVITY, Fixes, Trace
 
 PROFILE_SPACING = 0.05  # m
 METERS_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS
@@ -95,18 +95,17 @@ def generate_trace(spec: SynthSpec) -> Trace:
         gyro = rng.normal(0.0, spec.gyro_noise_sigma, size=(n, 3)) if spec.gyro_noise_sigma > 0 else np.zeros((n, 3))
 
     heading = math.radians(spec.heading_deg)
-    fixes = []
-    ft = 0.0
-    while ft <= spec.duration + 1e-9:
-        dist = spec.speed * ft
-        lat = spec.lat0 + dist * math.cos(heading) / METERS_PER_DEG_LAT
-        lon = spec.lon0 + dist * math.sin(heading) / (
-            METERS_PER_DEG_LAT * math.cos(math.radians(spec.lat0)))
-        fixes.append(GeoFix(t=ft, lat=lat, lon=lon, speed=spec.speed, accuracy=5.0))
-        ft += spec.fix_interval
-
-    return Trace(t=t, accel=accel, gyro=gyro, fixes=fixes,
-                 nominal_rate=spec.rate, meta=f"synth seed={spec.seed}")
+    # fix times as a running sum of fix_interval (cumsum adds in order), up to the end
+    steps = np.full(int(spec.duration / spec.fix_interval) + 2, float(spec.fix_interval))
+    ft = np.cumsum(np.concatenate([[0.0], steps]))
+    ft = ft[ft <= spec.duration + 1e-9]
+    dist = spec.speed * ft
+    lat = spec.lat0 + dist * math.cos(heading) / METERS_PER_DEG_LAT
+    lon = spec.lon0 + dist * math.sin(heading) / (
+        METERS_PER_DEG_LAT * math.cos(math.radians(spec.lat0)))
+    fixes = Fixes(t=ft, lat=lat, lon=lon, speed=np.full_like(ft, spec.speed),
+                  accuracy=np.full_like(ft, 5.0))
+    return Trace(t=t, accel=accel, gyro=gyro, fixes=fixes)
 
 
 def pothole_positions(spec: SynthSpec) -> list[tuple[float, float, float]]:

@@ -15,7 +15,8 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,21 +42,45 @@ class CapabilityError(TraceError):
     """Requested operation needs a sensor the trace does not carry."""
 
 
+FIX_COLUMNS = ("t", "lat", "lon", "speed", "accuracy")
+
+
+def valid_fix(lat, lon, speed, accuracy):
+    """The fix rule, elementwise: |lat| <= 90, |lon| <= 180, speed >= 0 and
+    accuracy > 0 (NaN fails it)."""
+    return (np.abs(lat) <= 90) & (np.abs(lon) <= 180) & (speed >= 0) & (accuracy > 0)
+
+
 @dataclass(frozen=True)
-class GeoFix:
-    t: float
-    lat: float
-    lon: float
-    speed: float  # m/s
-    accuracy: float  # m, horizontal
+class Fixes:
+    """GPS fixes as columns of equal length, sorted by t; empty means no GPS."""
+
+    t: np.ndarray  # s
+    lat: np.ndarray  # deg
+    lon: np.ndarray  # deg
+    speed: np.ndarray  # m/s
+    accuracy: np.ndarray  # m, horizontal
 
     def __post_init__(self):
-        if not (abs(self.lat) <= 90 and abs(self.lon) <= 180):
-            raise ValueError(f"invalid coordinates ({self.lat}, {self.lon})")
-        if self.speed < 0:
-            raise ValueError("speed must be non-negative")
-        if self.accuracy <= 0:
-            raise ValueError("accuracy must be positive")
+        for name in FIX_COLUMNS:
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if any(getattr(self, k).shape != (len(self.t),) for k in FIX_COLUMNS):
+            raise ValueError("fix columns must be 1-D and of equal length")
+        if not np.all(np.isfinite(self.t)) or np.any(np.diff(self.t) < 0):
+            raise ValueError("fix times must be finite and sorted")
+        if not np.all(valid_fix(self.lat, self.lon, self.speed, self.accuracy)):
+            raise ValueError("invalid fix: the rule is |lat| <= 90, |lon| <= 180, "
+                             "speed >= 0 and accuracy > 0")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def interp(self, column: str, t) -> np.ndarray:
+        """One column interpolated at the given times; NaN without fixes."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if not len(self):
+            return np.full(t.shape, np.nan)
+        return np.interp(t, self.t, getattr(self, column))
 
 
 @dataclass(frozen=True)
@@ -77,23 +102,22 @@ class Trace:
     t: np.ndarray  # (n,) s, non-decreasing
     accel: np.ndarray  # (n, 3) m/s^2
     gyro: np.ndarray | None  # (n, 3) rad/s or None
-    fixes: list[GeoFix]
-    nominal_rate: float  # Hz, declared; not trusted
-    meta: str = ""
+    fixes: Fixes = field(default_factory=lambda: Fixes(*np.empty((5, 0))))
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.accel = np.asarray(self.accel, dtype=float)
         if self.gyro is not None:
             self.gyro = np.asarray(self.gyro, dtype=float)
-        if len(self.t) < 2:
+        n = len(self.t)
+        if n < 2:
             raise EmptyTraceError("a trace needs at least 2 samples")
-        if self.nominal_rate <= 0:
-            raise ValueError("nominal_rate must be positive")
+        for name, v, shape in (("t", self.t, (n,)), ("accel", self.accel, (n, 3)),
+                               ("gyro", self.gyro, (n, 3))):
+            if v is not None and (v.shape != shape or not np.all(np.isfinite(v))):
+                raise ValueError(f"{name} must be finite, of shape {shape}")
         if np.any(np.diff(self.t) < 0):
             raise ValueError("samples must be sorted by t")
-        if not np.all(np.isfinite(self.t)) or not np.all(np.isfinite(self.accel)):
-            raise ValueError("non-finite sample values")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -102,26 +126,10 @@ class Trace:
     def span(self) -> float:
         return float(self.t[-1] - self.t[0])
 
-    def speed_at(self, t) -> np.ndarray:
-        """Interpolated GPS speed at the given times; NaN without fixes."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if not self.fixes:
-            return np.full(t.shape, np.nan)
-        ft = np.array([f.t for f in self.fixes])
-        fv = np.array([f.speed for f in self.fixes])
-        return np.interp(t, ft, fv)
-
-
-def positions_at(fixes, t) -> tuple[np.ndarray, np.ndarray]:
-    """(lat, lon) of a fix list, interpolated at the given times; NaN without fixes."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if not fixes:
-        nan = np.full(t.shape, np.nan)
-        return nan, nan.copy()
-    ft = np.array([f.t for f in fixes])
-    lat = np.interp(t, ft, np.array([f.lat for f in fixes]))
-    lon = np.interp(t, ft, np.array([f.lon for f in fixes]))
-    return lat, lon
+    @cached_property
+    def rate(self) -> float:
+        """Measured sample rate in Hz (see `sample_rate`), taken on first use."""
+        return sample_rate(self.t)
 
 
 def sample_rate(t) -> float:
@@ -186,12 +194,12 @@ def _column(cells, n: int) -> np.ndarray:
         return np.fromiter(map(_cell_value, cells), float, n)
 
 
-def _columns_to_trace(cols: dict, n: int, meta: str) -> tuple[Trace, ParseReport]:
+def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
     """Apply the row rules to the raw cells of `n` rows, one column at a time.
 
     `cols` maps each schema column present in the input to its n cells.
     A row is dropped when a required value is non-finite, or when all four
-    geo values are finite but fail `GeoFix` validation. A kept row carries a
+    geo values are finite but fail the fix rule (`valid_fix`). A kept row carries a
     fix only when all four geo values are finite; the trace has a gyro only
     when every kept row has all three gyro values.
     """
@@ -205,8 +213,7 @@ def _columns_to_trace(cols: dict, n: int, meta: str) -> tuple[Trace, ParseReport
 
     required = np.isfinite(t) & np.isfinite(accel).all(axis=1)
     has_fix = np.isfinite(geo[:, 1:]).all(axis=1)
-    valid_fix = (np.abs(lat) <= 90) & (np.abs(lon) <= 180) & (speed >= 0) & (acc > 0)
-    invalid_fix = required & has_fix & ~valid_fix
+    invalid_fix = required & has_fix & ~valid_fix(lat, lon, speed, acc)
     kept = np.flatnonzero(required & ~invalid_fix)
     if len(kept) < 2:
         raise EmptyTraceError(f"only {len(kept)} usable samples (need >= 2)")
@@ -214,9 +221,8 @@ def _columns_to_trace(cols: dict, n: int, meta: str) -> tuple[Trace, ParseReport
     reorders = int(np.count_nonzero(np.diff(t[kept]) < 0))
     kept = kept[np.argsort(t[kept], kind="stable")]
     gyro = gyro[kept] if np.isfinite(gyro[kept]).all() else None
-    fixes = [GeoFix(*row) for row in geo[kept[has_fix[kept]]].tolist()]
-    trace = Trace(t=t[kept], accel=accel[kept], gyro=gyro, fixes=fixes,
-                  nominal_rate=sample_rate(t[kept]), meta=meta)
+    trace = Trace(t=t[kept], accel=accel[kept], gyro=gyro, fixes=Fixes(*geo[kept[has_fix[kept]]].T))
+    trace.rate  # measured here, so that a median interval of 0 fails the parse
     drops = {"required_nonfinite": n - int(np.count_nonzero(required)),
              "invalid_fix": int(np.count_nonzero(invalid_fix))}
     return trace, ParseReport(rows_read=n, rows_dropped=n - len(kept), reorders=reorders,
@@ -266,7 +272,7 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
         cols = {k: [obj.get(k) for obj in rows] for k in CSV_COLUMNS}
     else:
         raise ValueError(f"unknown format {format!r}")
-    return _columns_to_trace(cols, len(rows), meta=path)
+    return _columns_to_trace(cols, len(rows))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -277,12 +283,11 @@ def write_trace_csv(trace: Trace, path) -> None:
     most half a sample interval. When two fixes land on one row, the later
     one in ``trace.fixes`` is written and the other is lost.
     """
-    fix_by_row = {}
-    if trace.fixes:
-        ft = np.array([f.t for f in trace.fixes])
-        right = np.clip(np.searchsorted(trace.t, ft), 1, len(trace.t) - 1)
-        rows = np.where(ft - trace.t[right - 1] <= trace.t[right] - ft, right - 1, right)
-        fix_by_row = dict(zip(rows.tolist(), trace.fixes))
+    ft = trace.fixes.t
+    right = np.clip(np.searchsorted(trace.t, ft), 1, len(trace.t) - 1)
+    rows = np.where(ft - trace.t[right - 1] <= trace.t[right] - ft, right - 1, right)
+    geo = np.column_stack([getattr(trace.fixes, k) for k in FIX_COLUMNS[1:]])
+    fix_by_row = dict(zip(rows.tolist(), geo.tolist()))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
@@ -293,10 +298,7 @@ def write_trace_csv(trace: Trace, path) -> None:
             else:
                 row += ["", "", ""]
             fix = fix_by_row.get(i)
-            if fix is not None:
-                row += [repr(fix.lat), repr(fix.lon), repr(fix.speed), repr(fix.accuracy)]
-            else:
-                row += ["", "", "", ""]
+            row += [repr(v) for v in fix] if fix else ["", "", "", ""]
             w.writerow(row)
 
 
@@ -392,7 +394,7 @@ def reorient(trace: Trace, tau: float = 1.0, speed_threshold: float = 3.0) -> Re
 
     rotation = r_vert
     forward = False
-    speeds = trace.speed_at(trace.t)
+    speeds = trace.fixes.interp("speed", trace.t)
     moving = np.isfinite(speeds) & (speeds > speed_threshold)
     if np.any(moving):
         horiz = (r_vert @ linear[moving].T).T[:, :2]
@@ -406,9 +408,6 @@ def reorient(trace: Trace, tau: float = 1.0, speed_threshold: float = 3.0) -> Re
 
     accel = (rotation @ trace.accel.T).T
     gyro = (rotation @ trace.gyro.T).T if trace.gyro is not None else None
-    out = Trace(
-        t=trace.t.copy(), accel=accel, gyro=gyro, fixes=list(trace.fixes),
-        nominal_rate=trace.nominal_rate, meta=trace.meta,
-    )
+    out = Trace(t=trace.t.copy(), accel=accel, gyro=gyro, fixes=trace.fixes)
     return ReorientResult(trace=out, rotation=rotation, linear=(rotation @ linear.T).T,
                           forward_resolved=forward)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infrasense.trace_model import GeoFix, Trace
+from infrasense.trace_model import Fixes, Trace
 
 
 def straight_fixes(duration, speed, lat0=51.0, lon0=7.0, interval=1.0):
@@ -10,9 +10,9 @@ def straight_fixes(duration, speed, lat0=51.0, lon0=7.0, interval=1.0):
     fixes = []
     t = 0.0
     while t <= duration + 1e-9:
-        fixes.append(GeoFix(t, lat0 + speed * t / meters_per_deg, lon0, speed, 5.0))
+        fixes.append((t, lat0 + speed * t / meters_per_deg, lon0, speed, 5.0))
         t += interval
-    return fixes
+    return Fixes(*np.array(fixes).T)
 
 
 def make_trace(duration=10.0, rate=100.0, accel_z=None, gyro=None, speed=10.0,
@@ -24,8 +24,9 @@ def make_trace(duration=10.0, rate=100.0, accel_z=None, gyro=None, speed=10.0,
     accel[:, 2] = -9.81
     if accel_z is not None:
         accel[:, 2] += accel_z[:n]
-    fixes = straight_fixes(duration, speed) if with_fixes else []
-    return Trace(t=t, accel=accel, gyro=gyro, fixes=fixes, nominal_rate=rate)
+    if not with_fixes:
+        return Trace(t=t, accel=accel, gyro=gyro)
+    return Trace(t=t, accel=accel, gyro=gyro, fixes=straight_fixes(duration, speed))
 
 
 @pytest.fixture

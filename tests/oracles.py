@@ -14,7 +14,7 @@ from infrasense.aggregation import great_circle
 from infrasense.dissemination import Delivery, decode_packet
 from infrasense.trace_model import (
     EmptyTraceError,
-    GeoFix,
+    Fixes,
     ParseReport,
     SchemaError,
     Trace,
@@ -42,7 +42,7 @@ def _maybe_float(raw):
         return None
 
 
-def _rows_to_trace(rows, meta: str):
+def _rows_to_trace(rows):
     kept = []
     drops = {"required_nonfinite": 0, "invalid_fix": 0}
     for row in rows:
@@ -56,11 +56,11 @@ def _rows_to_trace(rows, meta: str):
         fix = None
         geo = [_maybe_float(row.get(k)) for k in ("lat", "lon", "speed", "acc")]
         if _finite(*geo):
-            try:
-                fix = GeoFix(t, geo[0], geo[1], geo[2], geo[3])
-            except ValueError:
+            lat, lon, speed, accuracy = geo
+            if not (abs(lat) <= 90 and abs(lon) <= 180 and speed >= 0 and accuracy > 0):
                 drops["invalid_fix"] += 1
                 continue
+            fix = (t, *geo)
         kept.append((t, acc, gyr, fix))
 
     if len(kept) < 2:
@@ -74,8 +74,9 @@ def _rows_to_trace(rows, meta: str):
     accel = np.array([r[1] for r in kept])
     gyros = [r[2] for r in kept]
     gyro = np.array(gyros) if all(g is not None for g in gyros) else None
-    fixes = [r[3] for r in kept if r[3] is not None]
-    trace = Trace(t=t, accel=accel, gyro=gyro, fixes=fixes, nominal_rate=sample_rate(t), meta=meta)
+    fixes = np.array([r[3] for r in kept if r[3] is not None]).reshape(-1, 5)
+    trace = Trace(t=t, accel=accel, gyro=gyro, fixes=Fixes(*fixes.T))
+    sample_rate(t)  # a median interval of 0 fails the parse
     dropped = sum(drops.values())
     return trace, ParseReport(rows_read=len(kept) + dropped, rows_dropped=dropped,
                               reorders=reorders, drops=drops)
@@ -106,7 +107,7 @@ def parse_trace_rows(path, format: str = "csv"):
                 if not all(k in obj for k in REQUIRED):
                     raise SchemaError(f"line {lineno}: missing required keys")
                 rows.append(obj)
-    return _rows_to_trace(rows, meta=path)
+    return _rows_to_trace(rows)
 
 
 def gravity_split_loop(trace, tau: float = 1.0):

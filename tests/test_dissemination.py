@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infrasense import dissemination
 from infrasense.cli import _load_scenario
 from infrasense.dissemination import (
     MAX_ENTRIES,
@@ -231,6 +232,21 @@ class TestSimulation:
         assert [d.dst for d in log] == ["n1"]
         assert log[0].t == 0.0
         assert len(b.inbox) == 1
+
+    def test_each_beacon_decoded_once(self, monkeypatch):
+        # the severity and checksum recorded at receipt serve best_packet and
+        # the delivery log, so only receive decodes
+        a, b = grid_nodes(2, spacing_m=30.0)
+        b.phase = 5.0
+        seed_packet(a, severity=3)
+        best = decode_packet(seed_packet(a, severity=12)).checksum
+        decoded = []
+        monkeypatch.setattr(dissemination, "decode_packet",
+                            lambda ssid: decoded.append(ssid) or decode_packet(ssid))
+        log = run_simulation([a, b], duration=10.0)
+        assert [(d.src, d.dst, d.checksum) for d in log] == [("n0", "n1", best)]
+        # ten receipts: a to b at t = 0..4, then b to a at t = 5..9
+        assert len(decoded) == 10
 
     def test_aligned_phases_never_deliver(self):
         a, b = grid_nodes(2, spacing_m=30.0)

@@ -14,7 +14,7 @@ from infrasense.rail_analysis import (
     geometry_to_csv,
     twist,
 )
-from infrasense.trace_model import CapabilityError, GeoFix, Trace, cumtrapz
+from infrasense.trace_model import CapabilityError, Fixes, Trace, cumtrapz
 from infrasense.transforms import swt_bandpass
 
 
@@ -110,11 +110,10 @@ class TestCantFromRoll:
         fixes = []
         for ft in range(0, int(duration) + 1):
             speed = 1.0 if 40 <= ft < 60 else 30.0
-            fixes.append(GeoFix(float(ft), 51.0 + ft * 1e-4, 7.0, speed, 5.0))
+            fixes.append((float(ft), 51.0 + ft * 1e-4, 7.0, speed, 5.0))
         accel = np.zeros((n, 3))
         accel[:, 2] = -9.81
-        trace = Trace(t=t, accel=accel, gyro=np.zeros((n, 3)), fixes=fixes,
-                      nominal_rate=rate)
+        trace = Trace(t=t, accel=accel, gyro=np.zeros((n, 3)), fixes=Fixes(*np.array(fixes).T))
         points, skipped = cant_from_roll(trace)
         assert any(reason == "low_speed" for _, _, reason in skipped)
         covered = {round(t) for t in points.t}

@@ -107,7 +107,7 @@ class TestDetectAnomalies:
 
     def test_degenerate_flag(self):
         m = feature_matrix(np.zeros(3000), FramePlan(1.0, 0.5, 100.0))
-        res = detect_anomalies(m, [])
+        res = detect_anomalies(m, make_trace(with_fixes=False).fixes)
         assert res.degenerate
         assert res.indicators == []
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from infrasense.trace_model import (
     CSV_COLUMNS,
+    FIX_COLUMNS,
     EmptyTraceError,
-    GeoFix,
+    Fixes,
     SchemaError,
     Trace,
     gravity_split,
@@ -55,7 +56,7 @@ def _cells(values):
 
 
 # t takes few values, so rows repeat and fall out of order; the geo ranges
-# straddle GeoFix's limits, so some fixes are invalid
+# straddle the fix rule's limits, so some fixes are invalid
 CELLS = {
     "t": _cells(st.integers(0, 12).map(lambda k: k * 0.01)),
     **{c: _cells(st.one_of(st.floats(-20, 20), st.integers(-20, 20)))
@@ -94,9 +95,11 @@ def assert_same_parse(path, fmt):
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert [repr(f) for f in trace.fixes] == [repr(f) for f in want_trace.fixes]
+    for name in FIX_COLUMNS:
+        a, b = getattr(trace.fixes, name), getattr(want_trace.fixes, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert report == want_report
-    assert (trace.nominal_rate, trace.meta) == (want_trace.nominal_rate, want_trace.meta)
+    assert trace.rate == want_trace.rate
 
 
 class TestParseTrace:
@@ -109,7 +112,7 @@ class TestParseTrace:
         trace, report = parse_trace(path)
         assert len(trace) == 3
         # median of successive differences is 0.01 s -> 100 Hz
-        assert trace.nominal_rate == pytest.approx(100.0)
+        assert trace.rate == pytest.approx(100.0)
         assert report.rows_dropped == 0
 
     def test_single_valid_row_is_empty_trace(self, tmp_path):
@@ -175,18 +178,17 @@ class TestParseTrace:
             min_size=len(rows), max_size=len(rows)))
         geo = st.tuples(st.floats(-90, 90), st.floats(-180, 180),
                         st.floats(0, 60), st.floats(0.1, 100))
-        fixes = [GeoFix(t[i] + sign * frac / rate, *data.draw(geo))
-                 for i, (frac, sign) in zip(rows, offsets)]
-        trace = Trace(t=t, accel=np.zeros((n, 3)), gyro=None, fixes=fixes, nominal_rate=rate)
+        fixes = Fixes(*np.array([(t[i] + sign * frac / rate, *data.draw(geo))
+                                 for i, (frac, sign) in zip(rows, offsets)]).T)
+        trace = Trace(t=t, accel=np.zeros((n, 3)), gyro=None, fixes=fixes)
         out = tmp_path_factory.mktemp("roundtrip") / "out.csv"
         write_trace_csv(trace, out)
         back, _ = parse_trace(out)
         assert len(back.fixes) == len(fixes)
-        for i, sent, got in zip(rows, fixes, back.fixes):
-            assert got.t == t[i]
-            assert abs(got.t - sent.t) <= 0.5 / rate
-            assert (got.lat, got.lon, got.speed, got.accuracy) == \
-                (sent.lat, sent.lon, sent.speed, sent.accuracy)
+        assert back.fixes.t.tolist() == t[rows].tolist()
+        assert np.all(np.abs(back.fixes.t - fixes.t) <= 0.5 / rate)
+        for name in FIX_COLUMNS[1:]:
+            assert getattr(back.fixes, name).tolist() == getattr(fixes, name).tolist()
 
     def test_invalid_fix_row_dropped_and_counted(self, tmp_path):
         path = write_csv(tmp_path, [
@@ -198,7 +200,7 @@ class TestParseTrace:
         ])
         trace, report = parse_trace(path)
         assert list(trace.t) == [0.0, 0.02, 0.03]
-        assert [f.t for f in trace.fixes] == [0.0, 0.03]
+        assert trace.fixes.t.tolist() == [0.0, 0.03]
         assert report.rows_read == 5 and report.rows_dropped == 2
         assert report.drops == {"required_nonfinite": 1, "invalid_fix": 1}
 
@@ -260,7 +262,7 @@ def low_pass(g0, inputs, tau, dt):
     one step of dt apart."""
     accel = np.vstack([g0, inputs])
     t = np.arange(len(accel)) * dt
-    return gravity_split(Trace(t=t, accel=accel, gyro=None, fixes=[], nominal_rate=1.0), tau)
+    return gravity_split(Trace(t=t, accel=accel, gyro=None), tau)
 
 
 def tau_for(alpha, dt=1.0):
@@ -313,7 +315,7 @@ class TestGravityFilter:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         scale = data.draw(st.floats(0.01, 20.0))
         accel = rng.normal(scale=scale, size=(len(t), 3)) + 9.81 * rng.normal(size=3)
-        trace = Trace(t=t, accel=accel, gyro=None, fixes=[], nominal_rate=100.0)
+        trace = Trace(t=t, accel=accel, gyro=None)
         tau = data.draw(st.floats(0.05, 20.0))
         gravity, linear = gravity_split(trace, tau)
         want_gravity, want_linear = gravity_split_loop(trace, tau)
@@ -364,8 +366,7 @@ class TestReorient:
     def test_rotated_90_about_x_recovers_gravity(self):
         trace = make_trace(duration=5.0, with_fixes=False)
         rot = rotation_x(90)
-        rotated = Trace(t=trace.t, accel=(rot @ trace.accel.T).T, gyro=None,
-                        fixes=[], nominal_rate=trace.nominal_rate)
+        rotated = Trace(t=trace.t, accel=(rot @ trace.accel.T).T, gyro=None)
         res = reorient(rotated)
         assert np.mean(res.trace.accel[:, 2]) == pytest.approx(-9.81, abs=0.1)
 
@@ -391,8 +392,7 @@ class TestReorient:
         t = trace.t
         # surge bursts on the device y axis, starting after a quiet second
         accel[:, 1] += 2.0 * (((t - 1.0) % 3.0 < 1.0) & (t >= 1.0))
-        moved = Trace(t=trace.t, accel=accel, gyro=None, fixes=trace.fixes,
-                      nominal_rate=100.0)
+        moved = Trace(t=trace.t, accel=accel, gyro=None, fixes=trace.fixes)
         res = reorient(moved, tau=5.0)
         assert res.forward_resolved
         # the surge axis (device +y) must land on vehicle +x
@@ -418,8 +418,46 @@ def test_gravity_split_initializes_at_first_sample(rng):
 
 def test_geofix_validation():
     with pytest.raises(ValueError):
-        GeoFix(0.0, 91.0, 0.0, 1.0, 5.0)
+        Fixes(*np.array([(0.0, 91.0, 0.0, 1.0, 5.0)]).T)
     with pytest.raises(ValueError):
-        GeoFix(0.0, 0.0, 0.0, -1.0, 5.0)
+        Fixes(*np.array([(0.0, 0.0, 0.0, -1.0, 5.0)]).T)
     with pytest.raises(ValueError):
-        GeoFix(0.0, 0.0, 0.0, 1.0, 0.0)
+        Fixes(*np.array([(0.0, 0.0, 0.0, 1.0, 0.0)]).T)
+
+
+NAN_GYRO = np.zeros((101, 3))
+NAN_GYRO[50, 0] = np.nan
+
+
+class TestMalformedColumns:
+    """A trace and its fixes refuse columns the analyses would misread."""
+
+    @pytest.mark.parametrize("accel, gyro", [
+        (np.zeros((96, 3)), None),  # 5 rows short
+        (np.zeros((101, 3)), np.zeros((101, 2))),  # 2 gyro columns
+        (np.zeros((101, 3)), NAN_GYRO),
+    ])
+    def test_samples(self, accel, gyro):
+        with pytest.raises(ValueError):
+            Trace(t=np.arange(101) / 100.0, accel=accel, gyro=gyro)
+
+    @pytest.mark.parametrize("column, value", [
+        ("t", np.nan), ("t", np.inf), ("speed", np.nan), ("accuracy", np.nan),
+    ])
+    def test_nonfinite_fix(self, column, value):
+        cols = {"t": [0.0, 1.0], "lat": [51.0, 51.0], "lon": [7.0, 7.0],
+                "speed": [10.0, 20.0], "accuracy": [5.0, 5.0]}
+        cols[column][1] = value
+        with pytest.raises(ValueError):
+            Fixes(**cols)
+
+    def test_unsorted_fixes(self):
+        # np.interp would read the speed at t = 0 as 20, not 10
+        with pytest.raises(ValueError):
+            Fixes(t=[1.0, 0.0], lat=[51.0, 51.0], lon=[7.0, 7.0], speed=[20.0, 10.0],
+                  accuracy=[5.0, 5.0])
+
+    def test_columns_of_unequal_length(self):
+        with pytest.raises(ValueError):
+            Fixes(t=[0.0, 1.0], lat=[51.0], lon=[7.0, 7.0], speed=[10.0, 10.0],
+                  accuracy=[5.0, 5.0])
