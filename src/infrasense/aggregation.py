@@ -1,9 +1,12 @@
 """Crowd-side fusion: spatial matching of indicators to segment anchors
 and time-decayed aggregation per anchor.
 
-Matching is an exhaustive great-circle nearest-neighbor scan over anchors
-of the same kind (the contract any accelerator must reproduce). Fusion
-dilutes old evidence with an exponential half-life.
+Matching follows one contract, an exhaustive great-circle nearest-neighbor
+scan over anchors of the same kind: the nearest anchor within the radius,
+ties to the smaller id. A `GridIndex` per kind reproduces that scan
+exactly while visiting only the anchors that can lie within the radius.
+The simulator's neighbour search uses the same index. Fusion dilutes old
+evidence with an exponential half-life.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from .reports import Indicator
 
 EARTH_RADIUS = 6371000.0  # m
 HISTORY_LIMIT = 64
+_SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
+_SLACK_M = 1e-6  # m, the same for radii so small that rounding is not relative
+_POLAR_LAT = 89.9  # deg; a reach past this latitude scans every point
 
 
 class AggregationError(Exception):
@@ -34,6 +40,88 @@ def great_circle(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     dlmb = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dlmb / 2) ** 2
     return 2 * EARTH_RADIUS * math.asin(math.sqrt(a))
+
+
+class GridIndex:
+    """Points keyed by id in a dict of lat/lon cells about `radius` wide.
+
+    `candidates(lat, lon)` returns, in ascending id, a superset of the ids
+    whose great-circle distance to (lat, lon) can be at most `radius`; it
+    drops only points that are provably farther. Latitude: d >= R*|dphi|.
+    Longitude: the haversine gives sin(d/2R) >= cos(phi_max)*|sin(dlmb/2)|,
+    with phi_max the largest |lat| within the latitude reach; longitude
+    differences wrap at +-180 deg as the haversine's do. Both reaches are
+    widened by a relative and an absolute slack. Points outside the WGS84
+    range sit in one cell that every query visits. A query off that range,
+    within `_POLAR_LAT` of a pole, or whose cells outnumber the points,
+    gets every id.
+    """
+
+    def __init__(self, radius: float):
+        reach = radius * (1.0 + _SLACK) + _SLACK_M
+        self.cell = math.degrees(reach / EARTH_RADIUS)  # deg, also the latitude reach
+        self._half = reach / (2.0 * EARTH_RADIUS)  # rad, half the central angle
+        self._cells: dict[tuple[int, int] | None, set[int]] = {}
+        self._where: dict[int, tuple[int, int] | None] = {}
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+    def _key(self, lat: float, lon: float) -> tuple[int, int] | None:
+        if abs(lat) <= 90.0 and abs(lon) <= 180.0:
+            return math.floor(lat / self.cell), math.floor(lon / self.cell)
+        return None
+
+    def add(self, key: int, lat: float, lon: float) -> None:
+        cell = self._where[key] = self._key(lat, lon)
+        self._cells.setdefault(cell, set()).add(key)
+
+    def move(self, key: int, lat: float, lon: float) -> None:
+        """Re-bucket a point whose coordinates changed."""
+        old, new = self._where[key], self._key(lat, lon)
+        if new != old:
+            members = self._cells[old]
+            members.discard(key)
+            if not members:
+                del self._cells[old]
+            self._where[key] = new
+            self._cells.setdefault(new, set()).add(key)
+
+    def _lon_reach(self, lat: float) -> float | None:
+        """Longitude reach (deg) from `lat`, or None where the bound fails
+        or spans a quarter turn."""
+        phi_max = abs(lat) + self.cell
+        if phi_max >= _POLAR_LAT or self._half >= math.pi / 2:
+            return None
+        s = math.sin(self._half) / math.cos(math.radians(phi_max))
+        if s >= 1.0:
+            return None
+        reach = math.degrees(2.0 * math.asin(s)) * (1.0 + _SLACK)
+        return reach if reach < 90.0 else None
+
+    def candidates(self, lat: float, lon: float) -> list[int]:
+        dlon = self._lon_reach(lat) if self._key(lat, lon) is not None else None
+        if dlon is None:
+            return sorted(self._where)
+        c = self.cell
+        rows = range(math.floor((lat - c) / c), math.floor((lat + c) / c) + 1)
+        cols = []
+        for shift in (-360.0, 0.0, 360.0):
+            lo, hi = max(lon - dlon + shift, -180.0), min(lon + dlon + shift, 180.0)
+            if lo <= hi:
+                cols.append(range(math.floor(lo / c), math.floor(hi / c) + 1))
+        if len(rows) * sum(map(len, cols)) >= len(self._where):
+            return sorted(self._where)
+        cells = self._cells
+        out = list(cells.get(None, ()))
+        for i in rows:
+            for span in cols:
+                for j in span:
+                    members = cells.get((i, j))
+                    if members:
+                        out.extend(members)
+        out.sort()
+        return out
 
 
 @dataclass(frozen=True)
@@ -101,22 +189,39 @@ class SegmentStore:
         self._next_id = 0
         self.records: list[dict] = []
         self.rejected = 0
+        self._grids: dict[str, GridIndex] = {}  # per kind, over self.states
+        self._grid_radius: float | None = None
 
     def __len__(self) -> int:
         return len(self.states)
+
+    def _grid(self, kind: str, radius: float) -> GridIndex:
+        """The kind's index, rebuilt when the radius changes or when anchors
+        were put into `states` from outside (its size differs from the
+        index's)."""
+        if radius != self._grid_radius or sum(map(len, self._grids.values())) != len(self.states):
+            self._grids = {}
+            for aid, st in self.states.items():
+                a = st.anchor
+                self._grids.setdefault(a.kind, GridIndex(radius)).add(aid, a.lat, a.lon)
+            self._grid_radius = radius
+        grid = self._grids.get(kind)
+        if grid is None:
+            grid = self._grids[kind] = GridIndex(radius)
+        return grid
 
     def match_segment(self, indicator: Indicator, policy: MatchPolicy) -> int:
         """Nearest same-kind anchor within the policy radius, or a new one.
 
         Ties break toward the smaller anchor id; the matched anchor centroid
-        moves to the contribution-count-weighted mean.
+        moves to the contribution-count-weighted mean. The index hands over
+        candidates in ascending id, so the result is the exhaustive scan's.
         """
+        grid = self._grid(indicator.kind, policy.radius)
         best_id, best_d = None, None
-        for aid in sorted(self.states):
-            st = self.states[aid]
-            if st.anchor.kind != indicator.kind:
-                continue
-            d = great_circle(st.anchor.lat, st.anchor.lon, indicator.lat, indicator.lon)
+        for aid in grid.candidates(indicator.lat, indicator.lon):
+            anchor = self.states[aid].anchor
+            d = great_circle(anchor.lat, anchor.lon, indicator.lat, indicator.lon)
             if d <= policy.radius and (best_d is None or d < best_d):
                 best_id, best_d = aid, d
         if best_id is None:
@@ -125,12 +230,14 @@ class SegmentStore:
             anchor = SegmentAnchor(id=aid, lat=indicator.lat, lon=indicator.lon,
                                    kind=indicator.kind)
             self.states[aid] = SegmentState(anchor=anchor)
+            grid.add(aid, anchor.lat, anchor.lon)
             return aid
         anchor = self.states[best_id].anchor
         n = anchor.contribution_count
         anchor.lat = (anchor.lat * n + indicator.lat) / (n + 1)
         anchor.lon = (anchor.lon * n + indicator.lon) / (n + 1)
         anchor.contribution_count = n + 1
+        grid.move(best_id, anchor.lat, anchor.lon)
         return best_id
 
     def contribute(self, indicator: Indicator, policy: MatchPolicy,

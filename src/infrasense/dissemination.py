@@ -16,7 +16,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from .aggregation import EARTH_RADIUS, great_circle
+from .aggregation import EARTH_RADIUS, GridIndex, great_circle
 from .reports import KINDS
 
 SSID_CHARS = 32
@@ -233,17 +233,25 @@ class Delivery:
 def step_simulation(nodes: list[SimNode], t: float,
                     comm_range: float) -> list[Delivery]:
     """One synchronous step: every hotspot broadcasts its best packet to all
-    client nodes within `comm_range` meters. Returns the new deliveries."""
+    client nodes within `comm_range` meters. Returns the new deliveries.
+
+    A `GridIndex` over the step's client positions names the clients that
+    can be in range, in id order, so deliveries and inboxes are those of
+    testing every hotspot-client pair."""
     hotspots, clients = [], []
     for node in sorted(nodes, key=lambda n: n.id):
         role = hotspots if node.mode(t) == "hotspot" else clients
         role.append((node, node.position(t)))
+    grid = GridIndex(comm_range)
+    for k, (_, (lat, lon)) in enumerate(clients):
+        grid.add(k, lat, lon)
     log = []
     for src, (slat, slon) in hotspots:
         ssid = src.best_packet()
         if ssid is None:
             continue
-        for dst, (dlat, dlon) in clients:
+        for k in grid.candidates(slat, slon):
+            dst, (dlat, dlon) = clients[k]
             if great_circle(slat, slon, dlat, dlon) > comm_range:
                 continue
             if dst.receive(ssid):

@@ -51,6 +51,11 @@ class SynthSpec:
     fix_interval: float = 1.0  # s
     quarter_car: QuarterCar = field(default_factory=QuarterCar)
 
+    def __post_init__(self):
+        for name in ("duration", "rate", "speed", "fix_interval"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+
     @classmethod
     def from_json(cls, path) -> "SynthSpec":
         with open(path) as fh:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from infrasense.aggregation import great_circle
+from infrasense.aggregation import SegmentAnchor, SegmentState, great_circle
 from infrasense.dissemination import Delivery, decode_packet
 from infrasense.trace_model import (
     EmptyTraceError,
@@ -286,6 +286,32 @@ def extrema_loop(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     maxima = np.where(turn < 0)[0] + 1
     minima = np.where(turn > 0)[0] + 1
     return maxima, minima
+
+
+def match_segment_scan(store, indicator, policy) -> int:
+    """`SegmentStore.match_segment` as an exhaustive scan of every anchor of
+    the store in ascending id."""
+    best_id, best_d = None, None
+    for aid in sorted(store.states):
+        st = store.states[aid]
+        if st.anchor.kind != indicator.kind:
+            continue
+        d = great_circle(st.anchor.lat, st.anchor.lon, indicator.lat, indicator.lon)
+        if d <= policy.radius and (best_d is None or d < best_d):
+            best_id, best_d = aid, d
+    if best_id is None:
+        aid = store._next_id
+        store._next_id += 1
+        anchor = SegmentAnchor(id=aid, lat=indicator.lat, lon=indicator.lon,
+                               kind=indicator.kind)
+        store.states[aid] = SegmentState(anchor=anchor)
+        return aid
+    anchor = store.states[best_id].anchor
+    n = anchor.contribution_count
+    anchor.lat = (anchor.lat * n + indicator.lat) / (n + 1)
+    anchor.lon = (anchor.lon * n + indicator.lon) / (n + 1)
+    anchor.contribution_count = n + 1
+    return best_id
 
 
 def best_packet_sorted(node):

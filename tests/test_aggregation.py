@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infrasense import aggregation
 from infrasense.aggregation import (
     AggregationError,
+    GridIndex,
     MatchPolicy,
     SegmentAnchor,
     SegmentState,
@@ -15,9 +17,11 @@ from infrasense.aggregation import (
     great_circle,
 )
 from infrasense.reports import Indicator
+from oracles import match_segment_scan
 
 DAY = 86400.0
 METERS_PER_DEG = math.pi / 180.0 * 6371000.0
+KINDS_DRAWN = ("anomaly", "roughness")
 
 
 def ind(lat=51.0, lon=7.0, t=0.0, value=1.0, kind="anomaly"):
@@ -287,3 +291,198 @@ class TestSegmentStore:
         anchor = store.states[0].anchor
         assert all(great_circle(anchor.lat, anchor.lon, la, lo) <= policy.radius
                    for la, lo in pts)
+
+
+def wrap_lon(lon):
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+def anchor_bits(store):
+    return [(aid, st_.anchor.kind, st_.anchor.lat.hex(), st_.anchor.lon.hex(),
+             st_.anchor.contribution_count) for aid, st_ in sorted(store.states.items())]
+
+
+def background(store, kinds=KINDS_DRAWN):
+    """Anchors on a 9 x 18 deg lattice put into `states` directly, so that
+    each kind's index holds more points than a query visits cells."""
+    aid = 0
+    for lat in range(-81, 82, 9):
+        for lon in range(-180, 180, 18):
+            kind = kinds[aid % len(kinds)]
+            store.states[aid] = SegmentState(anchor=SegmentAnchor(aid, float(lat), float(lon), kind))
+            aid += 1
+    store._next_id = aid
+
+
+def assert_matches_scan(contributions, prefill=None):
+    """Same anchor ids and bit-identical anchors as the exhaustive scan;
+    `contributions` are (indicator, radius) pairs."""
+    indexed, scanned = SegmentStore(), SegmentStore()
+    if prefill is not None:
+        prefill(indexed)
+        prefill(scanned)
+    got = [indexed.match_segment(i, MatchPolicy(radius=r)) for i, r in contributions]
+    want = [match_segment_scan(scanned, i, MatchPolicy(radius=r)) for i, r in contributions]
+    assert got == want
+    assert anchor_bits(indexed) == anchor_bits(scanned)
+    return indexed
+
+
+# places to draw around: mid-latitude, both sides of +-180 deg, above 85 deg
+# (still indexed) and above 89.9 deg (every anchor scanned)
+BASES = [(51.0, 7.0), (0.0, 179.9999), (-33.0, -180.0), (12.0, 180.0),
+         (86.5, -179.99), (-88.0, 45.0), (89.95, 10.0), (-89.99, -120.0)]
+
+
+@st.composite
+def contributions(draw):
+    radii = draw(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=2, unique=True))
+    base_lat, base_lon = draw(st.sampled_from(BASES))
+    out = []
+    for _ in range(draw(st.integers(1, 40))):
+        radius = draw(st.sampled_from(radii))
+        kind = draw(st.sampled_from(KINDS_DRAWN))
+        if out and draw(st.integers(0, 4)) == 0:  # an exact duplicate: ties
+            prev = draw(st.sampled_from(out))[0]
+            lat, lon = prev.lat, prev.lon
+        else:
+            north = draw(st.floats(-3.0, 3.0)) * radius
+            east = draw(st.floats(-3.0, 3.0)) * radius
+            lat = max(-90.0, min(90.0, base_lat + north / METERS_PER_DEG))
+            cos = max(math.cos(math.radians(lat)), 1e-3)
+            lon = wrap_lon(base_lon + east / (METERS_PER_DEG * cos))
+            if draw(st.booleans()):  # onto a cell border of one radius's grid
+                cell = GridIndex(draw(st.sampled_from(radii))).cell
+                lat = max(-90.0, min(90.0, round(lat / cell) * cell))
+                lon = max(-180.0, min(180.0, round(lon / cell) * cell))
+                lat += draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+        out.append((ind(lat=lat, lon=lon, kind=kind), radius))
+    return out
+
+
+class TestMatchIndex:
+    """The grid index gives the exhaustive scan's answers (tests/oracles.py)."""
+
+    @given(contributions())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scan(self, contributions):
+        assert_matches_scan(contributions, prefill=background)
+
+    def test_centroid_drifts_across_cell_borders(self):
+        # reports walk north in 2 m steps, each one pulling the anchor's
+        # centroid over the next latitude border of the grid
+        policy = MatchPolicy()
+        walk = [(ind(lat=offset(51.0, 2.0 * i)[0]), policy.radius) for i in range(60)]
+        store = assert_matches_scan(walk, prefill=background)
+        start = GridIndex(policy.radius)
+        moved = [st_.anchor for st_ in store.states.values() if st_.anchor.contribution_count > 1]
+        assert any(start._key(a.lat, a.lon) != start._key(51.0, 7.0) for a in moved)
+
+    def test_second_radius_on_one_store(self):
+        # the index built for 5 m must not hide an anchor 60 m away once
+        # the store is asked with 100 m
+        lat, lon = offset(51.0, 60.0)
+        assert_matches_scan([(ind(), 5.0), (ind(lat=lat, lon=lon), 100.0)],
+                            prefill=background)
+
+    def test_anchor_put_into_states_between_matches(self):
+        store = SegmentStore()
+        background(store)
+        policy = MatchPolicy()
+        first = store.match_segment(ind(), policy)
+        aid = store._next_id
+        lat, lon = offset(51.0, 100.0)
+        store.states[aid] = SegmentState(anchor=SegmentAnchor(aid, lat, lon, "anomaly"))
+        store._next_id += 1
+        assert store.match_segment(ind(lat=lat, lon=lon), policy) == aid != first
+
+    def test_points_off_the_wgs84_range(self):
+        # the haversine is periodic in longitude, so lon 367 is lon 7; such
+        # points and NaN ones are visited by every query
+        lat, lon = offset(51.0, 3.0)
+        assert_matches_scan([(ind(lon=367.0), 15.0), (ind(lat=lat, lon=lon), 15.0),
+                             (ind(lat=math.nan), 15.0), (ind(lat=95.0), 15.0),
+                             (ind(lat=lat, lon=lon - 360.0), 15.0)], prefill=background)
+
+    def test_ten_thousand_points(self):
+        rng = np.random.default_rng(7)
+        sites = rng.uniform(0.0, 2000.0, size=(300, 2))
+        kinds = rng.choice(KINDS_DRAWN, size=300)
+        picks = rng.integers(0, 300, size=10_000)
+        scatter = rng.normal(0.0, 4.0, size=(10_000, 2))
+        contributions = []
+        for k, (dn, de) in zip(picks, scatter):
+            lat, lon = offset(51.0, sites[k, 0] + dn, sites[k, 1] + de)
+            contributions.append((ind(lat=lat, lon=lon, kind=str(kinds[k])), 15.0))
+        store = assert_matches_scan(contributions)
+        assert 100 <= len(store) < 1000
+
+
+def destination(lat, lon, bearing, distance):
+    """The point `distance` m from (lat, lon) along `bearing` (rad) on the
+    sphere, longitude wrapped into [-180, 180)."""
+    phi, delta = math.radians(lat), distance / 6371000.0
+    phi2 = math.asin(math.sin(phi) * math.cos(delta)
+                     + math.cos(phi) * math.sin(delta) * math.cos(bearing))
+    dlmb = math.atan2(math.sin(bearing) * math.sin(delta) * math.cos(phi),
+                      math.cos(delta) - math.sin(phi) * math.sin(phi2))
+    return math.degrees(phi2), wrap_lon(lon + math.degrees(dlmb))
+
+
+class TestGridIndex:
+    @given(lat=st.floats(-89.99, 89.99), lon=st.floats(-180.0, 180.0),
+           radius=st.floats(1.0, 2e6))
+    @settings(max_examples=150, deadline=None)
+    def test_candidates_hold_every_point_in_range(self, lat, lon, radius):
+        # points on circles just inside and at the radius, at every 5 deg of
+        # bearing, among fillers far away that outnumber the visited cells
+        grid = GridIndex(radius)
+        points = {}
+        for k in range(72):
+            for frac in (1.0 - 1e-9, 1.0):
+                points[len(points)] = destination(lat, lon, math.radians(5.0 * k), radius * frac)
+        for key, (plat, plon) in points.items():
+            grid.add(key, plat, plon)
+        for key in range(len(points), 2000):
+            grid.add(key, -lat, wrap_lon(lon + 180.0))
+        near = set(grid.candidates(lat, lon))
+        missed = [key for key, (plat, plon) in points.items()
+                  if great_circle(lat, lon, plat, plon) <= radius and key not in near]
+        assert not missed
+
+    def test_moved_point_leaves_its_cell(self):
+        grid = GridIndex(15.0)
+        for key in range(100):
+            grid.add(key, -45.0, 100.0)
+        grid.add(100, 51.0, 7.0)
+        assert 100 in grid.candidates(51.0, 7.0)
+        lat, lon = offset(51.0, 500.0)
+        grid.move(100, lat, lon)
+        assert 100 not in grid.candidates(51.0, 7.0)
+        assert 100 in grid.candidates(lat, lon)
+
+
+class TestGreatCircleCalls:
+    """Distance evaluations per contribution stay flat as the store grows
+    at constant density (counts, not time)."""
+
+    @staticmethod
+    def calls_per_contribution(n, monkeypatch):
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return great_circle(*args)
+        monkeypatch.setattr(aggregation, "great_circle", counted)
+        rng = np.random.default_rng(n)
+        side = math.sqrt(n * 400.0)  # one indicator per 400 m^2
+        store, policy = SegmentStore(), MatchPolicy()
+        for north, east in rng.uniform(0.0, side, size=(n, 2)):
+            lat, lon = offset(51.0, north, east)
+            store.contribute(ind(lat=lat, lon=lon), policy)
+        return calls[0] / n
+
+    def test_flat_from_1k_to_10k(self, monkeypatch):
+        small = self.calls_per_contribution(1_000, monkeypatch)
+        large = self.calls_per_contribution(10_000, monkeypatch)
+        assert large <= 1.5 * small

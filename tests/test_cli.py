@@ -123,6 +123,18 @@ class TestSynthCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["exit"] == EXIT_INPUT
 
+    @pytest.mark.parametrize("field", ["duration", "rate", "speed", "fix_interval"])
+    def test_non_positive_or_non_finite_field(self, tmp_path, capsys, field):
+        out = tmp_path / "x.csv"
+        for value in (0.0, -1.0, -5.0, math.nan, math.inf):
+            spec = write_spec(tmp_path / "spec.json", **{field: value})
+            assert main(["synth", "--spec", str(spec), "--out", str(out)]) == EXIT_INPUT
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1
+            err = json.loads(lines[0])
+            assert err["exit"] == EXIT_INPUT and field in err["error"]
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def pothole_trace(tmp_path_factory):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infrasense import dissemination
+from infrasense.aggregation import great_circle
 from infrasense.cli import _load_scenario
 from infrasense.dissemination import (
     MAX_ENTRIES,
@@ -415,13 +416,62 @@ class TestSimulationOracle:
         assert_matches_oracle(nodes, duration, dt, comm_range)
 
     def test_benchmark_scenario(self, tmp_path, monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-        inputs = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
-        spec.loader.exec_module(inputs)
-        scenario = tmp_path / "scenario.jsonl"
-        inputs.write_scenario(inputs.scenario(1, 120), scenario)
-        nodes = _load_scenario(scenario)
+        inputs = perfbench_inputs(monkeypatch)
+        nodes = benchmark_nodes(inputs, 120, tmp_path)
         assert_matches_oracle(nodes, inputs.SIM_DURATION, 1.0, 50.0)
         assert sum(len(n.inbox) for n in nodes) > 12  # the seeded packets spread
+
+
+def perfbench_inputs(monkeypatch):
+    """The benchmark's input generators, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def benchmark_nodes(inputs, n_nodes, tmp_path):
+    scenario = tmp_path / f"scenario-{n_nodes}.jsonl"
+    inputs.write_scenario(inputs.scenario(1, n_nodes), scenario)
+    return _load_scenario(scenario)
+
+
+class TestNeighbourIndex:
+    """The step's grid index over client positions."""
+
+    def test_flat_from_250_to_1000_nodes(self, tmp_path, monkeypatch):
+        """Distance evaluations per node-step stay flat at the benchmark's
+        constant vehicle density (counts, not time)."""
+        inputs = perfbench_inputs(monkeypatch)
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return great_circle(*args)
+        monkeypatch.setattr(dissemination, "great_circle", counted)
+        per_node_step = []
+        for n_nodes in (250, 1000):
+            nodes = benchmark_nodes(inputs, n_nodes, tmp_path)
+            calls[0] = 0
+            assert run_simulation(nodes, inputs.SIM_DURATION)
+            per_node_step.append(calls[0] / (n_nodes * inputs.SIM_DURATION))
+        assert max(per_node_step) <= 1.5 * min(per_node_step), per_node_step
+
+    @pytest.mark.parametrize("lat,lon", [(60.0, 179.9995), (-60.0, -180.0), (89.95, 0.0)])
+    def test_line_across_antimeridian_or_near_pole(self, lat, lon):
+        # 20 parked vehicles 30 m apart on an east-west line with alternating
+        # roles, and 30 bystanders 1 km north so that the step's index holds
+        # more clients than a query visits cells; the pairwise step is the
+        # reference
+        nodes = []
+        for i in range(50):
+            north, east = (0.0, (i - 10) * 30.0) if i < 20 else (1000.0, (i - 35) * 30.0)
+            node_lat = lat + north / METERS_PER_DEG
+            node_lon = lon + east / (METERS_PER_DEG * math.cos(math.radians(lat)))
+            nodes.append(SimNode(id=f"n{i:02d}", phase=5.0 * (i % 2), waypoints=[
+                (0.0, node_lat, (node_lon + 180.0) % 360.0 - 180.0)]))
+        seed_packet(nodes[0])
+        assert_matches_oracle(nodes, 120.0, 1.0, 50.0)
+        assert nodes[19].inbox and not any(n.inbox for n in nodes[20:])
