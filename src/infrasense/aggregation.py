@@ -53,8 +53,8 @@ class GridIndex:
     differences wrap at +-180 deg as the haversine's do. Both reaches are
     widened by a relative and an absolute slack. Points outside the WGS84
     range sit in one cell that every query visits. A query off that range,
-    within `_POLAR_LAT` of a pole, or whose cells outnumber the points,
-    gets every id.
+    one whose latitude reach passes `_POLAR_LAT`, and one whose cells
+    outnumber the points get every id.
     """
 
     def __init__(self, radius: float):
@@ -100,8 +100,7 @@ class GridIndex:
         return reach if reach < 90.0 else None
 
     def candidates(self, lat: float, lon: float) -> list[int]:
-        dlon = self._lon_reach(lat) if self._key(lat, lon) is not None else None
-        if dlon is None:
+        if self._key(lat, lon) is None or (dlon := self._lon_reach(lat)) is None:
             return sorted(self._where)
         c = self.cell
         rows = range(math.floor((lat - c) / c), math.floor((lat + c) / c) + 1)

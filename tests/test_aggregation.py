@@ -302,13 +302,13 @@ def anchor_bits(store):
              st_.anchor.contribution_count) for aid, st_ in sorted(store.states.items())]
 
 
-def background(store, kinds=KINDS_DRAWN):
+def background(store):
     """Anchors on a 9 x 18 deg lattice put into `states` directly, so that
     each kind's index holds more points than a query visits cells."""
     aid = 0
     for lat in range(-81, 82, 9):
         for lon in range(-180, 180, 18):
-            kind = kinds[aid % len(kinds)]
+            kind = KINDS_DRAWN[aid % 2]
             store.states[aid] = SegmentState(anchor=SegmentAnchor(aid, float(lat), float(lon), kind))
             aid += 1
     store._next_id = aid
