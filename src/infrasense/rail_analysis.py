@@ -7,7 +7,6 @@ path; curvature is yaw rate over speed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -117,18 +116,61 @@ def twist(profile: GeometryProfile, base: float) -> np.ndarray:
     return (np.interp(s[:m] + base, s, cant) - cant[:m]) / base
 
 
+# Curve detection, in metres of track: the signed curvature is averaged over
+# a centred window, runs closer than the gap merge, and shorter arcs drop.
+CURVE_WINDOW = 20.0
+CURVE_GAP = 20.0
+CURVE_MIN_ARC = 20.0
+
+
+def curve_runs(s: np.ndarray, smooth: np.ndarray, threshold: float) -> list[tuple[int, int]]:
+    """(start, stop) of each curve run of a smoothed curvature profile.
+
+    A run is a maximal stretch with |smooth| >= threshold/2 that holds a
+    sample above `threshold`; runs less than CURVE_GAP apart merge, and
+    merged runs with an arc under CURVE_MIN_ARC drop. `stop` is exclusive.
+    """
+    level = np.abs(smooth)
+    hot_before = np.concatenate([[0], np.cumsum(level > threshold)])
+    spans = np.array([(i, j) for i, j in runs(level >= threshold / 2)
+                      if hot_before[j] > hot_before[i]], dtype=int).reshape(-1, 2)
+    if len(spans) == 0:
+        return []
+    apart = s[spans[1:, 0]] - s[spans[:-1, 1] - 1] >= CURVE_GAP
+    starts = spans[np.concatenate([[True], apart]), 0]
+    stops = spans[np.concatenate([apart, [True]]), 1]
+    long_enough = s[stops - 1] - s[starts] >= CURVE_MIN_ARC
+    return list(zip(starts[long_enough].tolist(), stops[long_enough].tolist()))
+
+
 def classify_curves(profile: GeometryProfile,
                     threshold: float = 1.0 / 5000.0) -> list[Indicator]:
-    """Contiguous |curvature| > threshold runs, labeled by arc length:
-    short (< 100 m), medium (100-500 m), long (> 500 m)."""
-    kappa = np.abs(profile.curvature)
-    hot = kappa > threshold
+    """Curves of the track, labeled by arc length: short (< 100 m), medium
+    (100-500 m), long (> 500 m).
+
+    The signed curvature is averaged over CURVE_WINDOW m of track centred on
+    each sample (the window is clipped at the profile ends), which keeps a
+    reverse curve one run and cuts gyro noise by the root of the samples in
+    the window. Runs follow `curve_runs`: on above `threshold`, off below
+    half of it. The radius is 1 / mean raw |curvature| over the run's samples
+    above `threshold`, so it is exact on noise-free input.
+    """
+    s, kappa = profile.s, profile.curvature
+    if len(s) == 0:
+        return []
+    area = cumtrapz(kappa, s)
+    lo = np.maximum(s - CURVE_WINDOW / 2, s[0])
+    hi = np.minimum(s + CURVE_WINDOW / 2, s[-1])
+    width = hi - lo
+    smooth = np.divide(np.interp(hi, s, area) - np.interp(lo, s, area), width,
+                       out=kappa.copy(), where=width > 0)
     out = []
-    for i, j in runs(hot):
-        if not hot[i]:
-            continue
-        arc = profile.s[j - 1] - profile.s[i]
-        mean_kappa = float(np.mean(kappa[i:j]))
+    for i, j in curve_runs(s, smooth, threshold):
+        raw = np.abs(kappa[i:j])
+        above = raw[raw > threshold]
+        # a run's smoothed peak can come from raw samples just outside it
+        mean_kappa = float(np.mean(above if len(above) else np.abs(smooth[i:j])))
+        arc = s[j - 1] - s[i]
         sub = "short" if arc < 100.0 else ("medium" if arc <= 500.0 else "long")
         mid = (i + j - 1) // 2
         out.append(Indicator(
@@ -145,15 +187,15 @@ def geometry_to_csv(profile: GeometryProfile, path,
     """Profile CSV: s, cant_mm, one twist column per base, curvature.
 
     Points without a full base ahead get an empty twist cell."""
-    columns = [profile.s.tolist(), profile.cant_height.tolist()]
+    columns = [list(map(repr, profile.s.tolist())),
+               list(map(repr, profile.cant_height.tolist()))]
     for base in twist_bases:
         try:
-            values = twist(profile, base).tolist()
+            values = list(map(repr, twist(profile, base).tolist()))
         except RailAnalysisError:
             values = []
         columns.append(values + [""] * (len(profile) - len(values)))
-    columns.append(profile.curvature.tolist())
+    columns.append(list(map(repr, profile.curvature.tolist())))
+    header = ",".join(["s", "cant_mm", *[f"twist{base:g}" for base in twist_bases], "curvature"])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "cant_mm", *[f"twist{base:g}" for base in twist_bases], "curvature"])
-        w.writerows(zip(*columns))
+        fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")

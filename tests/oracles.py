@@ -12,6 +12,7 @@ import numpy as np
 
 from infrasense.aggregation import SegmentAnchor, SegmentState, great_circle
 from infrasense.dissemination import Delivery, decode_packet
+from infrasense.rail_analysis import CURVE_GAP, CURVE_MIN_ARC, RailAnalysisError, twist
 from infrasense.trace_model import (
     EmptyTraceError,
     Fixes,
@@ -356,3 +357,53 @@ def run_simulation_pairs(nodes, duration: float, dt: float = 1.0,
     for i in range(steps):
         log.extend(step_simulation_pairs(nodes, i * dt, dt, comm_range))
     return log
+
+
+def geometry_to_csv_writer(profile, path, twist_bases=(3.0, 5.0)) -> None:
+    """`geometry_to_csv` through `csv.writer`, one row of Python floats at a time."""
+    columns = [profile.s.tolist(), profile.cant_height.tolist()]
+    for base in twist_bases:
+        try:
+            values = twist(profile, base).tolist()
+        except RailAnalysisError:
+            values = []
+        columns.append(values + [""] * (len(profile) - len(values)))
+    columns.append(profile.curvature.tolist())
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["s", "cant_mm", *[f"twist{base:g}" for base in twist_bases], "curvature"])
+        w.writerows(zip(*columns))
+
+
+def curve_runs_loop(s, smooth, threshold) -> list[tuple[int, int]]:
+    """`curve_runs` one sample at a time along the track.
+
+    A stretch opens when |smooth| reaches threshold/2 and closes at the
+    first sample below it; a stretch that went above `threshold` joins the
+    open run if it starts less than CURVE_GAP after that run's last sample,
+    and otherwise closes that run and opens the next.
+    """
+    out = []
+    run = None  # [first, last] index of the open run
+    stretch = None  # first index of the current stretch at or above threshold/2
+    hot = False  # whether that stretch went above threshold
+
+    def close():
+        if run is not None and s[run[1]] - s[run[0]] >= CURVE_MIN_ARC:
+            out.append((run[0], run[1] + 1))
+
+    for i, k in enumerate(list(np.abs(smooth)) + [-math.inf]):
+        if k >= threshold / 2:
+            if stretch is None:
+                stretch, hot = i, False
+            hot = hot or k > threshold
+            continue
+        if stretch is not None and hot:
+            if run is not None and s[stretch] - s[run[1]] < CURVE_GAP:
+                run[1] = i - 1
+            else:
+                close()
+                run = [stretch, i - 1]
+        stretch = None
+    close()
+    return out

@@ -218,6 +218,25 @@ class TestSegmentStore:
         assert store.rejected == 1
         assert len(store) == 0
 
+    @pytest.mark.parametrize("lat, lon", [
+        (float("nan"), 7.0), (51.0, float("nan")), (float("inf"), 7.0),
+        (51.0, float("-inf")), (90.5, 7.0), (-95.0, 7.0), (51.0, 180.5), (51.0, -181.0),
+    ], ids=["nan-lat", "nan-lon", "inf-lat", "inf-lon", "lat-over-90", "lat-under-minus-90",
+            "lon-over-180", "lon-under-minus-180"])
+    def test_contribute_rejects_a_position_off_the_wgs84_range(self, lat, lon):
+        store = SegmentStore()
+        assert store.contribute(ind(lat=lat, lon=lon), MatchPolicy()) == -1
+        assert store.rejected == 1
+        assert len(store) == 0
+        assert store.records == []
+
+    def test_contribute_takes_the_wgs84_range_limits(self):
+        store = SegmentStore()
+        for lat, lon in [(90.0, 7.0), (-90.0, 7.0), (51.0, 180.0), (51.0, -180.0)]:
+            assert store.contribute(ind(lat=lat, lon=lon), MatchPolicy()) >= 0
+        assert store.rejected == 0
+        assert len(store.records) == 4
+
     def test_snapshot_sorted_and_filtered(self):
         store = SegmentStore()
         self.fill(store)

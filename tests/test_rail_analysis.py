@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_trace, straight_fixes
+from conftest import make_trace
+from infrasense.cli import EXIT_OK, main
 from infrasense.rail_analysis import (
     GeometryProfile,
     RailAnalysisError,
@@ -11,11 +14,13 @@ from infrasense.rail_analysis import (
     cant_angle,
     cant_from_roll,
     classify_curves,
+    curve_runs,
     geometry_to_csv,
     twist,
 )
-from infrasense.trace_model import CapabilityError, Fixes, Trace, cumtrapz
+from infrasense.trace_model import CapabilityError, Fixes, Trace, cumtrapz, write_trace_csv
 from infrasense.transforms import swt_bandpass
+from oracles import curve_runs_loop, geometry_to_csv_writer
 
 
 class TestCantAngle:
@@ -220,6 +225,142 @@ class TestClassifyCurves:
         assert [i.sub_kind for i in out] == ["medium"]
 
 
+THRESHOLD = 1.0 / 5000.0
+
+
+@st.composite
+def curvature_runs(draw):
+    """Piecewise-constant curvature on a uniform track, in levels around the
+    on (threshold) and off (threshold/2) levels, with either sign; pieces
+    of 38-42 samples at 0.5 m make gaps and arcs just under, at and over 20 m."""
+    ds = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    level = st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0, 1.5, 4.0])
+    length = st.one_of(st.integers(1, 150), st.sampled_from([38, 39, 40, 41, 42]))
+    pieces = draw(st.lists(st.tuples(length, level, st.sampled_from([1.0, -1.0])),
+                           min_size=1, max_size=12))
+    smooth = np.concatenate([np.full(n, sign * lvl * THRESHOLD) for n, lvl, sign in pieces])
+    s = draw(st.floats(0.0, 1e4)) + ds * np.arange(len(smooth))
+    return s, smooth
+
+
+def pieces(*spec, ds=0.5):
+    """(samples, curvature) pieces on a track of spacing `ds` from s = 0."""
+    smooth = np.concatenate([np.full(n, k) for n, k in spec])
+    return ds * np.arange(len(smooth)), smooth
+
+
+class TestCurveRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(profile=curvature_runs())
+    @example(profile=pieces((60, 0.0), (100, 4e-4), (38, 0.0), (100, 4e-4)))  # 19.5 m gap
+    @example(profile=pieces((60, 0.0), (100, 4e-4), (39, 0.0), (100, 4e-4)))  # 20 m gap
+    @example(profile=pieces((100, 4e-4), (100, -4e-4)))  # sign change, runs to both ends
+    @example(profile=pieces((100, 0.0), (41, 4e-4)))  # 20 m run at the end
+    @example(profile=pieces((100, 0.0), (40, 4e-4), (100, 0.0)))  # 19.5 m run
+    @example(profile=pieces((50, 1.5e-4), (10, 2.5e-4), (50, 1.5e-4), (100, 0.0)))
+    def test_matches_the_sample_loop(self, profile):
+        s, smooth = profile
+        assert curve_runs(s, smooth, THRESHOLD) == curve_runs_loop(s, smooth, THRESHOLD)
+
+    def test_gap_rule(self):
+        # 38 samples below threshold/2 at 0.5 m: 19.5 m from the last sample
+        # of one run to the first of the next; 39 samples: 20 m
+        s, smooth = pieces((60, 0.0), (100, 4e-4), (38, 0.0), (100, 4e-4), (60, 0.0))
+        assert curve_runs(s, smooth, THRESHOLD) == [(60, 298)]
+        s, smooth = pieces((60, 0.0), (100, 4e-4), (39, 0.0), (100, 4e-4), (60, 0.0))
+        assert curve_runs(s, smooth, THRESHOLD) == [(60, 160), (199, 299)]
+
+    def test_lukewarm_stretch_is_no_run(self):
+        s, smooth = pieces((60, 0.0), (100, 1.9e-4), (60, 0.0))
+        assert curve_runs(s, smooth, THRESHOLD) == []
+
+    def test_hysteresis_extends_the_run(self):
+        s, smooth = pieces((60, 0.0), (40, 1e-4), (60, 3e-4), (40, 1.2e-4), (60, 0.0))
+        assert curve_runs(s, smooth, THRESHOLD) == [(60, 200)]
+
+    def test_empty(self):
+        assert curve_runs(np.empty(0), np.empty(0), THRESHOLD) == []
+
+
+def noisy_track(straight, radius=None, seed=0, ds=0.2, noise=2.5e-4):
+    """Signed curvature with white noise at `noise` 1/m: `straight` m, then,
+    with a radius, a 100 m clothoid, a 600 m arc and a 100 m clothoid, and
+    `straight` m again."""
+    s = np.arange(0.0, 2 * straight + (800.0 if radius else 0.0), ds)
+    kappa = np.zeros(len(s))
+    if radius:
+        k = 1.0 / radius
+        into = s - straight
+        kappa = np.clip(np.minimum(into, 800.0 - into) / 100.0, 0.0, 1.0) * k
+    kappa = kappa + np.random.default_rng(seed).normal(0.0, noise, len(s))
+    return profile(s, np.zeros(len(s)), kappa)
+
+
+# on these profiles the radius read 1-9 % high over seeds 0-14 (most at
+# 800 m): the clothoid ramps above the threshold pull the mean curvature down
+NOISY_RADIUS_TOLERANCE = 0.15
+
+
+class TestCurvesUnderNoise:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_straight_track_no_curves(self, seed):
+        assert classify_curves(noisy_track(1000.0, seed=seed)) == []
+
+    @pytest.mark.parametrize("radius, seed", [(800.0, 0), (1000.0, 1), (1200.0, 2), (1500.0, 3),
+                                              (1500.0, 4)])
+    def test_clothoid_curve_found_once(self, radius, seed):
+        out = classify_curves(noisy_track(400.0, radius, seed=seed))
+        assert len(out) == 1
+        assert out[0].value == pytest.approx(radius, rel=NOISY_RADIUS_TOLERANCE)
+        assert out[0].sub_kind == "long"
+
+    def test_reverse_curve_under_noise_stays_one_run(self):
+        pts = noisy_track(400.0, 1000.0)
+        s, kappa = pts.s, pts.curvature.copy()
+        kappa[s > 800.0] -= 2.0 / 1000.0 * np.clip((s[s > 800.0] - 800.0) / 100.0, 0, 1)
+        out = classify_curves(profile(s, np.zeros(len(s)), kappa))
+        assert len(out) == 1
+
+
+class TestRailAnalyzeCommand:
+    SPEED = 20.0  # m/s
+    RADII = (900.0, 1400.0)
+    STARTS = (400.0, 1600.0)  # m
+
+    def curved_trace(self, seed=7):
+        """Two curves, left then right, each a 100 m clothoid, a 600 m arc
+        and a 100 m clothoid, between 400 m straights; gyro noise of
+        0.005 rad/s on the roll and yaw rates."""
+        rate = 100.0
+        duration = (3 * 400.0 + 2 * 800.0) / self.SPEED
+        t = np.arange(int(round(duration * rate)) + 1) / rate
+        s = self.SPEED * t
+        kappa = np.zeros(len(t))
+        for start, radius, sign in zip(self.STARTS, self.RADII, (1.0, -1.0)):
+            into = s - start
+            kappa += sign * np.clip(np.minimum(into, 800.0 - into) / 100.0, 0.0, 1.0) / radius
+        rng = np.random.default_rng(seed)
+        return rail_trace(duration, rate, self.SPEED,
+                          roll_rate=rng.normal(0.0, 0.005, len(t)),
+                          yaw_rate=self.SPEED * kappa + rng.normal(0.0, 0.005, len(t)))
+
+    def test_injected_curves_found(self, tmp_path):
+        trace = tmp_path / "rail.csv"
+        write_trace_csv(self.curved_trace(), trace)
+        cfg = tmp_path / "rail.cfg"
+        cfg.write_text("context = rail\n")
+        out = tmp_path / "out"
+        assert main(["analyze", str(trace), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        geojson = out / "indicators.geojson"
+        assert geojson.stat().st_size < 10_000
+        curves = [f["properties"] for f in json.loads(geojson.read_text())["features"]
+                  if f["properties"]["kind"] == "curvature"]
+        assert len(curves) == len(self.RADII)
+        for got, radius, start in zip(curves, self.RADII, self.STARTS):
+            assert got["value"] == pytest.approx(radius, rel=NOISY_RADIUS_TOLERANCE)
+            assert got["t"] == pytest.approx((start + 400.0) / self.SPEED, abs=5.0)
+
+
 class TestGeometryCsv:
     def test_columns_and_twist_blanks(self, tmp_path):
         s = np.arange(0.0, 20.0, 0.5)
@@ -241,3 +382,17 @@ class TestGeometryCsv:
         geometry_to_csv(pts, out)
         rows = out.read_text().splitlines()[1:]
         assert all(r.split(",")[2] == "" for r in rows)
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_bytes_match_the_csv_writer(self, tmp_path, n):
+        # bases 0.5, 3 and 50 m over 20 m of track: twist columns nearly
+        # full, short and empty
+        rng = np.random.default_rng(n)
+        s = np.arange(n) * 0.5
+        pts = profile(s, rng.normal(0.0, 5.0, n), rng.normal(0.0, 1e-3, n) * 10.0 ** -rng.integers(0, 20, n))
+        if n:
+            pts.curvature[0] = -0.0
+        bases = (0.5, 3.0, 50.0)
+        geometry_to_csv(pts, tmp_path / "a.csv", twist_bases=bases)
+        geometry_to_csv_writer(pts, tmp_path / "b.csv", twist_bases=bases)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
