@@ -241,9 +241,8 @@ class SegmentStore:
 
     def contribute(self, indicator: Indicator, policy: MatchPolicy,
                    device: str = "") -> int:
-        """Match then fuse one indicator; logs the event. Returns anchor id,
-        or -1 for an indicator with a non-finite value or a position off the
-        WGS84 range, which is counted in `rejected` and not logged."""
+        """Match then fuse one indicator; logs the event. Returns anchor id, or
+        -1 (counted in `rejected`) for a non-finite value or a position off WGS84."""
         if not (math.isfinite(indicator.value) and abs(indicator.lat) <= 90.0
                 and abs(indicator.lon) <= 180.0):
             self.rejected += 1

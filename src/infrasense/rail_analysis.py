@@ -131,9 +131,8 @@ def curve_runs(s: np.ndarray, smooth: np.ndarray, threshold: float) -> list[tupl
     merged runs with an arc under CURVE_MIN_ARC drop. `stop` is exclusive.
     """
     level = np.abs(smooth)
-    hot_before = np.concatenate([[0], np.cumsum(level > threshold)])
     spans = np.array([(i, j) for i, j in runs(level >= threshold / 2)
-                      if hot_before[j] > hot_before[i]], dtype=int).reshape(-1, 2)
+                      if np.any(level[i:j] > threshold)], dtype=int).reshape(-1, 2)
     if len(spans) == 0:
         return []
     apart = s[spans[1:, 0]] - s[spans[:-1, 1] - 1] >= CURVE_GAP

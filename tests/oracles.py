@@ -392,6 +392,7 @@ def curve_runs_loop(s, smooth, threshold) -> list[tuple[int, int]]:
         if run is not None and s[run[1]] - s[run[0]] >= CURVE_MIN_ARC:
             out.append((run[0], run[1] + 1))
 
+    # the sentinel after the last sample closes a stretch at the profile end
     for i, k in enumerate(list(np.abs(smooth)) + [-math.inf]):
         if k >= threshold / 2:
             if stretch is None:

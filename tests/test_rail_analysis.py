@@ -315,6 +315,8 @@ class TestCurvesUnderNoise:
         assert out[0].sub_kind == "long"
 
     def test_reverse_curve_under_noise_stays_one_run(self):
+        # from s = 800 m the curvature turns over 100 m from 1/1000 to
+        # -1/1000, then ramps on to -1/500 and holds it to the end
         pts = noisy_track(400.0, 1000.0)
         s, kappa = pts.s, pts.curvature.copy()
         kappa[s > 800.0] -= 2.0 / 1000.0 * np.clip((s[s > 800.0] - 800.0) / 100.0, 0, 1)
