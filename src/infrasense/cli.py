@@ -4,23 +4,29 @@ Subcommands: analyze, synth, aggregate, simulate, encode, decode.
 Exit codes: 0 success, 2 usage, 3 input error, 4 numeric failure.
 Outputs are written to a temporary directory and moved into place on
 success, so a failed run never leaves partial files.
+
+Only the numpy-free layers (aggregation, dissemination, reports) are
+imported here. The numpy layers are registered in ``sys.modules`` by
+:func:`_lazy` and run on first attribute access, so ``aggregate``,
+``simulate``, ``encode`` and ``decode`` start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
+import types
 from dataclasses import replace
 
 from . import __version__
 from .aggregation import AggregationError, MatchPolicy, SegmentStore, StoreError
-from .config import ConfigError, PipelineConfig, config_hash, config_values, load_config
 from .dissemination import (
     FormatError,
     IntegrityError,
@@ -29,25 +35,42 @@ from .dissemination import (
     encode_packet,
     run_simulation,
 )
-from .features import FeatureError, feature_matrix, FramePlan
-from .rail_analysis import (
-    RailAnalysisError,
-    TrackConstants,
-    cant_from_roll,
-    classify_curves,
-    geometry_to_csv,
-)
 from .reports import indicators_from_geojson, indicators_to_geojson
-from .road_analysis import (
-    RoadAnalysisError,
-    StepInstabilityError,
-    classify_maneuvers,
-    detect_anomalies,
-    roughness_index,
-)
-from .synth import SynthSpec, generate_trace
-from .transforms import TransformError
-from .trace_model import TraceError, parse_trace, reorient, sampling_gaps, write_trace_csv
+
+
+def _lazy(name: str, *submodules: str) -> types.ModuleType:
+    """``infrasense.<name>``, put into ``sys.modules`` and bound on its parent
+    like an import would, but run only on its first attribute access (the
+    ``importlib.util.LazyLoader`` recipe); or the module already there.
+
+    The spec is built from the file, so no parent package runs. A package's
+    `submodules` are registered before it turns lazy, so that its own
+    imports rebind their names as they would on an eager import.
+    """
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    path = os.path.join(os.path.dirname(__file__), *name.split("."))
+    spec = importlib.util.spec_from_file_location(
+        full, os.path.join(path, "__init__.py") if submodules else path + ".py")
+    loader = spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    parent, _, attr = full.rpartition(".")
+    setattr(sys.modules[parent], attr, module)
+    for sub in submodules:
+        _lazy(f"{name}.{sub}")
+    loader.exec_module(module)
+    return module
+
+
+trace_model = _lazy("trace_model")
+transforms = _lazy("transforms", "stft", "wavelets", "emd")
+features = _lazy("features")
+road_analysis = _lazy("road_analysis")
+rail_analysis = _lazy("rail_analysis")
+config = _lazy("config")
+synth = _lazy("synth")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,22 +83,22 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _analyze_road(trace, cfg: PipelineConfig, out: str) -> dict:
-    reoriented = reorient(trace, tau=cfg.gravity_tau)
+def _analyze_road(trace, cfg: config.PipelineConfig, out: str) -> dict:
+    reoriented = trace_model.reorient(trace, tau=cfg.gravity_tau)
     rt, linear = reoriented.trace, reoriented.linear
-    plan = FramePlan(cfg.frame_window_len, cfg.frame_overlap, rt.rate)
-    matrix = feature_matrix(linear[:, 2], plan, cfg.feature_set, t=rt.t)
+    plan = features.FramePlan(cfg.frame_window_len, cfg.frame_overlap, rt.rate)
+    matrix = features.feature_matrix(linear[:, 2], plan, cfg.feature_set, t=rt.t)
     matrix.to_csv(os.path.join(out, "features.csv"))
 
-    result = detect_anomalies(matrix, rt.fixes, k=cfg.detector_k,
-                              feature_subset=cfg.detector_features)
+    result = road_analysis.detect_anomalies(matrix, rt.fixes, k=cfg.detector_k,
+                                            feature_subset=cfg.detector_features)
     indicators = list(result.indicators)
     if rt.gyro is not None:
-        indicators += classify_maneuvers(rt, linear, cfg.maneuver_omega_on,
-                                         cfg.maneuver_omega_off)
+        indicators += road_analysis.classify_maneuvers(
+            rt, linear, cfg.maneuver_omega_on, cfg.maneuver_omega_off)
     indicators_to_geojson(indicators, os.path.join(out, "indicators.geojson"))
 
-    reports, skipped = roughness_index(
+    reports, skipped = road_analysis.roughness_index(
         rt, linear, band=(cfg.roughness_band_min, cfg.roughness_band_max),
         segment_length=cfg.roughness_segment_length)
     with open(os.path.join(out, "roughness.csv"), "w", newline="") as fh:
@@ -93,14 +116,14 @@ def _analyze_road(trace, cfg: PipelineConfig, out: str) -> dict:
     }
 
 
-def _analyze_rail(trace, cfg: PipelineConfig, out: str) -> dict:
-    rt = reorient(trace, tau=cfg.gravity_tau).trace
-    profile, skipped = cant_from_roll(
-        rt, TrackConstants(),
+def _analyze_rail(trace, cfg: config.PipelineConfig, out: str) -> dict:
+    rt = trace_model.reorient(trace, tau=cfg.gravity_tau).trace
+    profile, skipped = rail_analysis.cant_from_roll(
+        rt, rail_analysis.TrackConstants(),
         wavelength_band=(cfg.rail_wavelength_min, cfg.rail_wavelength_max))
-    geometry_to_csv(profile, os.path.join(out, "geometry.csv"),
-                    twist_bases=cfg.rail_twist_bases)
-    indicators = classify_curves(profile, threshold=cfg.rail_curvature_threshold)
+    rail_analysis.geometry_to_csv(profile, os.path.join(out, "geometry.csv"),
+                                  twist_bases=cfg.rail_twist_bases)
+    indicators = rail_analysis.classify_curves(profile, threshold=cfg.rail_curvature_threshold)
     indicators_to_geojson(indicators, os.path.join(out, "indicators.geojson"))
     return {"indicators": len(indicators), "geometry_points": len(profile),
             "spans_skipped": skipped}
@@ -108,17 +131,20 @@ def _analyze_rail(trace, cfg: PipelineConfig, out: str) -> dict:
 
 def cmd_analyze(args) -> int:
     try:
-        cfg = load_config(args.config) if args.config else PipelineConfig()
-    except (OSError, ConfigError) as e:
+        cfg = config.load_config(args.config) if args.config else config.PipelineConfig()
+    except (OSError, config.ConfigError) as e:
         return _fail(EXIT_INPUT, f"config: {e}")
     try:
         fmt = "jsonl" if str(args.trace).endswith(".jsonl") else "csv"
-        trace, report = parse_trace(args.trace, fmt)
-    except (OSError, TraceError, ValueError) as e:
+        trace, report = trace_model.parse_trace(args.trace, fmt)
+    except (OSError, trace_model.TraceError, ValueError) as e:
         return _fail(EXIT_INPUT, f"trace: {e}")
 
-    os.makedirs(args.out, exist_ok=True)
-    tmp = tempfile.mkdtemp(prefix=".infrasense-", dir=args.out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        tmp = tempfile.mkdtemp(prefix=".infrasense-", dir=args.out)
+    except OSError as e:
+        return _fail(EXIT_INPUT, f"out: {e}")
     try:
         if cfg.context == "road":
             counts = _analyze_road(trace, cfg, tmp)
@@ -127,20 +153,21 @@ def cmd_analyze(args) -> int:
         manifest = {
             "tool": "infrasense",
             "version": __version__,
-            "config_hash": config_hash(cfg),
-            "config": config_values(cfg),
+            "config_hash": config.config_hash(cfg),
+            "config": config.config_values(cfg),
             "trace": str(args.trace),
             "parse_report": {"rows_read": report.rows_read,
                              "rows_dropped": report.rows_dropped,
                              "reorders": report.reorders,
                              "drops": report.drops},
-            "gaps": sampling_gaps(trace.t),
+            "gaps": trace_model.sampling_gaps(trace.t),
             "counts": counts,
         }
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, default=str)
-    except (TraceError, FeatureError, TransformError, RoadAnalysisError,
-            RailAnalysisError, ValueError) as e:
+    except (trace_model.TraceError, features.FeatureError, transforms.TransformError,
+            road_analysis.RoadAnalysisError, rail_analysis.RailAnalysisError,
+            ValueError) as e:
         shutil.rmtree(tmp, ignore_errors=True)
         return _fail(EXIT_NUMERIC, f"analysis: {e}")
     except Exception:
@@ -155,16 +182,19 @@ def cmd_analyze(args) -> int:
 
 def cmd_synth(args) -> int:
     try:
-        spec = SynthSpec.from_json(args.spec)
+        spec = synth.SynthSpec.from_json(args.spec)
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
     except (OSError, TypeError, ValueError, json.JSONDecodeError) as e:
         return _fail(EXIT_INPUT, f"spec: {e}")
     try:
-        trace = generate_trace(spec)
-    except StepInstabilityError as e:
+        trace = synth.generate_trace(spec)
+    except road_analysis.StepInstabilityError as e:
         return _fail(EXIT_NUMERIC, f"synth: {e}")
-    write_trace_csv(trace, args.out)
+    try:
+        trace_model.write_trace_csv(trace, args.out)
+    except OSError as e:
+        return _fail(EXIT_INPUT, f"out: {e}")
     return EXIT_OK
 
 
@@ -177,7 +207,7 @@ def cmd_aggregate(args) -> int:
             store = SegmentStore.load(args.store, policy)
         else:
             store = SegmentStore()
-    except StoreError as e:
+    except (OSError, StoreError) as e:
         return _fail(EXIT_INPUT, f"store: {e}")
     try:
         for path in args.indicators:
@@ -185,9 +215,17 @@ def cmd_aggregate(args) -> int:
                 store.contribute(ind, policy)
     except (OSError, KeyError, ValueError, AggregationError) as e:
         return _fail(EXIT_INPUT, f"indicators: {e}")
-    store.save(args.store)
+    # The snapshot goes first: if it cannot be written, the store is left as
+    # it was, and the same call can be made again.
     if args.out:
-        store.snapshot_geojson(args.out)
+        try:
+            store.snapshot_geojson(args.out)
+        except OSError as e:
+            return _fail(EXIT_INPUT, f"out: {e}")
+    try:
+        store.save(args.store)
+    except OSError as e:
+        return _fail(EXIT_INPUT, f"store: {e}")
     return EXIT_OK
 
 
@@ -222,11 +260,14 @@ def cmd_simulate(args) -> int:
                              dt=args.dt, comm_range=args.range)
     except (OSError, KeyError, TypeError, ValueError) as e:
         return _fail(EXIT_INPUT, f"scenario: {e}")
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "src", "dst", "checksum"])
-        for d in log:
-            w.writerow([d.t, d.src, d.dst, d.checksum])
+    try:
+        with open(args.out, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t", "src", "dst", "checksum"])
+            for d in log:
+                w.writerow([d.t, d.src, d.dst, d.checksum])
+    except OSError as e:
+        return _fail(EXIT_INPUT, f"out: {e}")
     return EXIT_OK
 
 

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -310,6 +313,112 @@ class TestSegmentStore:
         anchor = store.states[0].anchor
         assert all(great_circle(anchor.lat, anchor.lon, la, lo) <= policy.radius
                    for la, lo in pts)
+
+
+def rewrite(store) -> bytes:
+    """The log as a full rewrite writes it."""
+    return "".join(json.dumps(rec) + "\n" for rec in store.records).encode()
+
+
+def add(store, n, start=0, policy=MatchPolicy()):
+    for i in range(start, start + n):
+        lat, lon = offset(51.0, 37.0 * (i % 7), 11.0 * (i % 3))
+        store.contribute(ind(lat=lat, lon=lon, t=float(i) * DAY, value=i % 10), policy)
+
+
+class TestStoreLog:
+    """`save` appends to the file a store was loaded from, and the file holds
+    the bytes a full rewrite would."""
+
+    def test_reopened_store_appends_a_full_rewrite(self, tmp_path):
+        path, full = tmp_path / "store.jsonl", tmp_path / "full.jsonl"
+        first = SegmentStore()
+        add(first, 30)
+        first.save(path)
+        before = path.read_bytes()
+        store = SegmentStore.load(path, MatchPolicy())
+        add(store, 10, start=30)
+        store.save(path)
+        store.save(full)
+        assert path.read_bytes() == full.read_bytes() == rewrite(store)
+        assert path.read_bytes().startswith(before)
+        assert len(path.read_bytes().splitlines()) == 40
+
+    def test_only_new_records_are_written(self, tmp_path):
+        # a loaded log in another layout keeps its lines: they are not rewritten
+        path = tmp_path / "store.jsonl"
+        source = SegmentStore()
+        add(source, 5)
+        old = "".join(json.dumps(r, separators=(",", ":")) + "\n\n" for r in source.records)
+        path.write_text(old)
+        store = SegmentStore.load(path, MatchPolicy())
+        add(store, 3, start=5)
+        store.save(path)
+        assert path.read_text() == old + "".join(
+            json.dumps(r) + "\n" for r in store.records[5:])
+        assert SegmentStore.load(path, MatchPolicy()).records == store.records
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        source = SegmentStore()
+        add(source, 4)
+        path.write_bytes(rewrite(source).rstrip(b"\n"))
+        store = SegmentStore.load(path, MatchPolicy())
+        add(store, 2, start=4)
+        store.save(path)
+        assert path.read_bytes() == rewrite(store)
+
+    def test_nothing_added(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        source = SegmentStore()
+        add(source, 4)
+        path.write_bytes(rewrite(source).rstrip(b"\n"))
+        store = SegmentStore.load(path, MatchPolicy())
+        store.save(path)
+        store.save(path)
+        assert path.read_bytes() == rewrite(store)
+
+    def test_log_changed_since_load_is_rewritten(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        source = SegmentStore()
+        add(source, 4)
+        source.save(path)
+        store = SegmentStore.load(path, MatchPolicy())
+        with open(path, "a") as fh:
+            fh.write("\n")
+        add(store, 2, start=4)
+        store.save(path)
+        assert path.read_bytes() == rewrite(store)
+
+    def test_fresh_store_and_other_path_write_every_record(self, tmp_path):
+        path, other = tmp_path / "store.jsonl", tmp_path / "other.jsonl"
+        path.write_text("stale\n")
+        store = SegmentStore()
+        add(store, 6)
+        store.save(path)
+        assert path.read_bytes() == rewrite(store)
+        other.write_text("stale\n")
+        reopened = SegmentStore.load(path, MatchPolicy())
+        add(reopened, 2, start=6)
+        reopened.save(other)
+        assert other.read_bytes() == rewrite(reopened)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_saves_and_reloads_keep_a_full_rewrite(self, steps):
+        """Any sequence of contributions, saves and reloads leaves the bytes
+        of a full rewrite in the file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store.jsonl")
+            store, added = SegmentStore(), 0
+            for n, reload in steps:
+                add(store, n, start=added)
+                added += n
+                store.save(path)
+                with open(path, "rb") as fh:
+                    assert fh.read() == rewrite(store)
+                if reload:
+                    store = SegmentStore.load(path, MatchPolicy())
 
 
 def wrap_lon(lon):

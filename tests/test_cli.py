@@ -318,6 +318,57 @@ class TestAggregateCommand:
         assert not store.exists() and not snap.exists()
 
 
+def one_json_error(capsys, code):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["exit"] == code, err
+
+
+class TestOutputPathErrors:
+    """An output path that cannot be written is an input error: exit 3 with
+    one JSON line, and no other output is left behind."""
+
+    def indicators(self, tmp_path):
+        geo = tmp_path / "in.geojson"
+        geo.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "geometry": {"type": "Point", "coordinates": [7.0, 51.0]},
+            "properties": {"kind": "anomaly", "sub_kind": "", "t": 0.0, "severity": 9,
+                           "confidence": 0.5, "value": 2.0}}]}))
+        return geo
+
+    def test_aggregate_store_in_missing_directory(self, tmp_path, capsys):
+        store = tmp_path / "missing" / "s.jsonl"
+        assert main(["aggregate", str(self.indicators(tmp_path)),
+                     "--store", str(store)]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+
+    def test_aggregate_out_in_missing_directory(self, tmp_path, capsys):
+        store = tmp_path / "s.jsonl"
+        assert main(["aggregate", str(self.indicators(tmp_path)), "--store", str(store),
+                     "--out", str(tmp_path / "missing" / "x.geojson")]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        assert not store.exists()
+
+    def test_simulate_out_in_missing_directory(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text(scenario_line("a", 51.0, 7.0) + "\n")
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "missing" / "d.csv")]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+
+    def test_analyze_out_is_a_file(self, pothole_trace, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.write_text("keep")
+        assert main(["analyze", str(pothole_trace), "--out", str(out)]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        assert out.read_text() == "keep"
+
+    def test_synth_out_in_missing_directory(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", duration=5.0, potholes=[])
+        assert main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "missing" / "t.csv")]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+
+
 def scenario_line(node_id, lat, lon, phase=0.0, packets=()):
     return json.dumps({"id": node_id, "waypoints": [[0.0, lat, lon]],
                        "phase": phase, "packets": list(packets)})

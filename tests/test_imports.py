@@ -1,6 +1,7 @@
 """What importing the package loads: the EMD names are plain functions and
 a class, while scipy loads only when EMD or the Hilbert spectrum first runs;
-and which functions the benchmark's tracer finds to wrap."""
+the CLI and its crowd-side commands load no numpy; and which functions the
+benchmark's tracer finds to wrap."""
 
 import importlib.util
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import infrasense
 import infrasense.transforms as transforms
+from infrasense.dissemination import PacketEntry, SsidPacket
 
 SRC = str(Path(infrasense.__file__).resolve().parents[1])
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -67,8 +69,94 @@ class TestImportGraph:
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
         assert {f"infrasense.{m}" for m in layers} <= loaded
 
+    def test_cli_imports_no_numpy(self):
+        proc = run_fresh(
+            "import sys, infrasense.cli\n"
+            "print(*sys.modules, sep='\\n')\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert not [m for m in proc.stdout.split() if m.split(".")[0] == "numpy"]
+
+    @pytest.mark.parametrize("command", ["aggregate", "simulate", "encode", "decode"])
+    def test_crowd_commands_load_no_numpy(self, tmp_path, command):
+        geo = tmp_path / "in.geojson"
+        geo.write_text('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+                       '"geometry": {"type": "Point", "coordinates": [7.0, 51.0]}, '
+                       '"properties": {"kind": "anomaly", "sub_kind": "", "t": 0.0, '
+                       '"severity": 9, "confidence": 0.5, "value": 2.0}}]}')
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text('{"id": "a", "waypoints": [[0.0, 51.0, 7.0]]}\n'
+                            '{"id": "b", "waypoints": [[0.0, 51.0002, 7.0]]}\n')
+        argv = {
+            "aggregate": ["aggregate", str(geo), "--store", str(tmp_path / "s.jsonl"),
+                          "--out", str(tmp_path / "snap.geojson")],
+            "simulate": ["simulate", "--scenario", str(scenario),
+                         "--out", str(tmp_path / "d.csv")],
+            "encode": ["encode", str(geo), "--lat", "51.0", "--lon", "7.0"],
+            "decode": ["decode", SsidPacket(1, 0, 51_000_000, 7_000_000,
+                                            (PacketEntry(0, 0, 1, 9, 200),)).to_ssid()],
+        }[command]
+        proc = run_fresh(
+            "import sys\n"
+            "from infrasense.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(*sys.modules, sep='\\n')\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert not [m for m in proc.stdout.split() if m.split(".")[0] == "numpy"]
+
+    @pytest.mark.parametrize("order", ["layer first", "cli first"])
+    def test_one_module_object(self, order):
+        imports = ["import infrasense.trace_model as tm",
+                   "import infrasense.transforms.wavelets as w",
+                   "import infrasense.cli as cli"]
+        if order == "cli first":
+            imports.reverse()
+        proc = run_fresh(
+            "\n".join(imports) + "\n"
+            "import sys, types, infrasense\n"
+            "from infrasense.trace_model import Trace\n"
+            "assert cli.trace_model is tm is infrasense.trace_model\n"
+            "assert cli.trace_model.Trace is tm.Trace is Trace\n"
+            "assert cli.transforms.wavelets is w is sys.modules['infrasense.transforms.wavelets']\n"
+            "assert isinstance(infrasense.transforms.emd, types.FunctionType)\n"
+            "assert isinstance(infrasense.transforms.stft, types.FunctionType)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestBenchmarkTracer:
+    def test_install_in_a_fresh_interpreter(self):
+        """The tracer imports the CLI and wraps at once: each span's binding in
+        its defining module is the wrapper, and `swt_bandpass` reaches the
+        wrapped `swt`."""
+        proc = run_fresh(
+            "import importlib.util, sys\n"
+            f"spec = importlib.util.spec_from_file_location('perfbench_tracing', {str(TRACING)!r})\n"
+            "tracing = importlib.util.module_from_spec(spec)\n"
+            "sys.modules[spec.name] = tracing\n"
+            "spec.loader.exec_module(tracing)\n"
+            "tracer = tracing.Tracer()\n"
+            "tracer.install()\n"
+            "unwrapped = []\n"
+            "for s in tracing.SPANS:\n"
+            "    owner = sys.modules['infrasense.' + s.module]\n"
+            "    attr = s.attr\n"
+            "    if '.' in attr:\n"
+            "        cls, attr = attr.split('.')\n"
+            "        owner = getattr(owner, cls)\n"
+            "    fn = vars(owner)[attr]\n"
+            "    fn = getattr(fn, '__func__', fn)\n"
+            "    if not fn.__qualname__.startswith('Tracer._wrap.'):\n"
+            "        unwrapped.append(f'{s.module}.{s.attr}')\n"
+            "assert not unwrapped, unwrapped\n"
+            "import numpy as np\n"
+            "from infrasense.transforms import wavelets\n"
+            "wavelets.swt_bandpass(np.zeros(64), 100.0, 1.0, 10.0)\n"
+            "assert tracer.spans['transforms.swt'].calls == 1, tracer.spans['transforms.swt']\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_install_and_uninstall(self, monkeypatch):
         """Every function the benchmark times per layer exists under its name,
         and `swt_bandpass` calls `swt` through the binding the tracer wraps."""
@@ -95,7 +183,7 @@ class TestBenchmarkTracer:
         tracing = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, tracing)
         spec.loader.exec_module(tracing)
-        from infrasense.dissemination import PacketEntry, SimNode, SsidPacket, run_simulation
+        from infrasense.dissemination import SimNode, run_simulation
 
         a = SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)], period=2.0)
         b = SimNode(id="b", waypoints=[(0.0, 51.0002, 7.0)], period=2.0, phase=1.0)
