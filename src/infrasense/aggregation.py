@@ -11,6 +11,7 @@ evidence with an exponential half-life.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -181,11 +182,6 @@ def fuse(state: SegmentState, t: float, value: float,
     )
 
 
-def _file_id(path) -> tuple[int, int, int]:
-    st = os.stat(path)
-    return st.st_dev, st.st_ino, st.st_size
-
-
 class SegmentStore:
     """In-memory anchor store with a JSONL event log for persistence."""
 
@@ -196,9 +192,6 @@ class SegmentStore:
         self.rejected = 0
         self._grids: dict[str, GridIndex] = {}  # per kind, over self.states
         self._grid_radius: float | None = None
-        # (device, inode, size) of the log file as last loaded or saved, the
-        # number of records in it, and whether it ends in a newline
-        self._log: tuple[tuple[int, int, int], int, bool] | None = None
 
     def __len__(self) -> int:
         return len(self.states)
@@ -286,30 +279,24 @@ class SegmentStore:
         return out
 
     def save(self, path) -> None:
-        """Write the event log. If `path` is the file this store was loaded
-        from or last saved to, and its size has not changed since, only the
-        records added since are appended; otherwise every record is written."""
-        start, lead, mode = 0, "", "w"
-        if self._log is not None:
-            try:
-                same = _file_id(path) == self._log[0]
-            except OSError:
-                same = False
-            if same:
-                start, lead, mode = self._log[1], "" if self._log[2] else "\n", "a"
-        with open(path, mode) as fh:
-            fh.write(lead)
-            fh.writelines(json.dumps(rec) + "\n" for rec in self.records[start:])
-        self._log = (_file_id(path), len(self.records), True)
+        """Write the event log to a temporary file beside `path` and rename it
+        over `path`, so that a write that stops part-way leaves the old log."""
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.writelines(json.dumps(rec) + "\n" for rec in self.records)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path, policy: MatchPolicy) -> "SegmentStore":
         """Rebuild deterministically by replaying the event log."""
         store = cls()
-        ends_in_newline = True
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
-                ends_in_newline = line.endswith("\n")
                 line = line.strip()
                 if not line:
                     continue
@@ -328,7 +315,6 @@ class SegmentStore:
                         f"store line {lineno}: replay assigned anchor {aid}, "
                         f"log says {expect} (policy mismatch?)"
                     )
-        store._log = (_file_id(path), len(store.records), ends_in_newline)
         return store
 
     def snapshot_geojson(self, path=None, kind: str | None = None, bbox=None) -> dict:

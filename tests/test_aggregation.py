@@ -327,35 +327,32 @@ def add(store, n, start=0, policy=MatchPolicy()):
 
 
 class TestStoreLog:
-    """`save` appends to the file a store was loaded from, and the file holds
-    the bytes a full rewrite would."""
+    """`save` leaves in the file the bytes a full rewrite writes, or, if the
+    write fails, the log that was there before."""
 
-    def test_reopened_store_appends_a_full_rewrite(self, tmp_path):
+    def test_reopened_store_saves_a_full_rewrite(self, tmp_path):
         path, full = tmp_path / "store.jsonl", tmp_path / "full.jsonl"
         first = SegmentStore()
         add(first, 30)
         first.save(path)
-        before = path.read_bytes()
         store = SegmentStore.load(path, MatchPolicy())
         add(store, 10, start=30)
         store.save(path)
         store.save(full)
         assert path.read_bytes() == full.read_bytes() == rewrite(store)
-        assert path.read_bytes().startswith(before)
         assert len(path.read_bytes().splitlines()) == 40
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["full.jsonl", "store.jsonl"]
 
-    def test_only_new_records_are_written(self, tmp_path):
-        # a loaded log in another layout keeps its lines: they are not rewritten
+    def test_log_in_another_layout_is_rewritten(self, tmp_path):
         path = tmp_path / "store.jsonl"
         source = SegmentStore()
         add(source, 5)
-        old = "".join(json.dumps(r, separators=(",", ":")) + "\n\n" for r in source.records)
-        path.write_text(old)
+        path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n\n"
+                                for r in source.records))
         store = SegmentStore.load(path, MatchPolicy())
         add(store, 3, start=5)
         store.save(path)
-        assert path.read_text() == old + "".join(
-            json.dumps(r) + "\n" for r in store.records[5:])
+        assert path.read_bytes() == rewrite(store)
         assert SegmentStore.load(path, MatchPolicy()).records == store.records
 
     def test_last_line_without_newline(self, tmp_path):
@@ -378,18 +375,6 @@ class TestStoreLog:
         store.save(path)
         assert path.read_bytes() == rewrite(store)
 
-    def test_log_changed_since_load_is_rewritten(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        source = SegmentStore()
-        add(source, 4)
-        source.save(path)
-        store = SegmentStore.load(path, MatchPolicy())
-        with open(path, "a") as fh:
-            fh.write("\n")
-        add(store, 2, start=4)
-        store.save(path)
-        assert path.read_bytes() == rewrite(store)
-
     def test_fresh_store_and_other_path_write_every_record(self, tmp_path):
         path, other = tmp_path / "store.jsonl", tmp_path / "other.jsonl"
         path.write_text("stale\n")
@@ -402,6 +387,28 @@ class TestStoreLog:
         add(reopened, 2, start=6)
         reopened.save(other)
         assert other.read_bytes() == rewrite(reopened)
+
+    def test_write_that_fails_part_way_leaves_the_old_log(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = SegmentStore()
+        add(store, 20)
+        store.save(path)
+        before = path.read_bytes()
+        add(store, 5, start=20)
+        store.records.insert(22, {"op": object()})  # not JSON: the write stops there
+        with pytest.raises(TypeError):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+
+    def test_rename_that_fails_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        store = SegmentStore()
+        add(store, 3)
+        with pytest.raises(OSError):
+            store.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
