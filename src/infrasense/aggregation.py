@@ -15,13 +15,11 @@ import contextlib
 import json
 import math
 import os
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .reports import Indicator
 
 EARTH_RADIUS = 6371000.0  # m
-HISTORY_LIMIT = 64
 _SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
 _SLACK_M = 1e-6  # m, the same for radii so small that rounding is not relative
 _POLAR_LAT = 89.9  # deg; a reach past this latitude scans every point
@@ -152,11 +150,9 @@ class SegmentState:
     value: float = 0.0
     weight_sum: float = 0.0
     last_update: float = float("-inf")
-    history: deque = field(default_factory=lambda: deque(maxlen=HISTORY_LIMIT))
 
 
-def fuse(state: SegmentState, t: float, value: float,
-         policy: MatchPolicy, device: str = "") -> SegmentState:
+def fuse(state: SegmentState, t: float, value: float, policy: MatchPolicy) -> SegmentState:
     """Fold one contribution into the aggregate.
 
     Prior evidence decays by 2^(-|dt| / half_life); the new contribution
@@ -173,12 +169,9 @@ def fuse(state: SegmentState, t: float, value: float,
         w_old = state.weight_sum
     w_new = d * w_old + 1.0
     v_new = (d * w_old * state.value + value) / w_new
-    hist = deque(state.history, maxlen=HISTORY_LIMIT)
-    hist.append((t, value, device))
     return SegmentState(
         anchor=state.anchor, value=v_new, weight_sum=w_new,
         last_update=max(t, state.last_update if state.weight_sum else t),
-        history=hist,
     )
 
 
@@ -215,7 +208,8 @@ class SegmentStore:
         """Nearest same-kind anchor within the policy radius, or a new one.
 
         Ties break toward the smaller anchor id; the matched anchor centroid
-        moves to the contribution-count-weighted mean. The index hands over
+        moves to the contribution-count-weighted mean, taken across +-180 deg
+        when the report lies over the antimeridian. The index hands over
         candidates in ascending id, so the result is the exhaustive scan's.
         """
         grid = self._grid(indicator.kind, policy.radius)
@@ -236,13 +230,17 @@ class SegmentStore:
         anchor = self.states[best_id].anchor
         n = anchor.contribution_count
         anchor.lat = (anchor.lat * n + indicator.lat) / (n + 1)
-        anchor.lon = (anchor.lon * n + indicator.lon) / (n + 1)
+        dlon = indicator.lon - anchor.lon
+        if abs(dlon) > 180.0:  # across +-180 deg: average the wrapped difference
+            lon = anchor.lon + (dlon - math.copysign(360.0, dlon)) / (n + 1)
+            anchor.lon = (lon + 180.0) % 360.0 - 180.0
+        else:
+            anchor.lon = (anchor.lon * n + indicator.lon) / (n + 1)
         anchor.contribution_count = n + 1
         grid.move(best_id, anchor.lat, anchor.lon)
         return best_id
 
-    def contribute(self, indicator: Indicator, policy: MatchPolicy,
-                   device: str = "") -> int:
+    def contribute(self, indicator: Indicator, policy: MatchPolicy) -> int:
         """Match then fuse one indicator; logs the event. Returns anchor id, or
         -1 (counted in `rejected`) for a non-finite value or a position off WGS84."""
         if not (math.isfinite(indicator.value) and abs(indicator.lat) <= 90.0
@@ -250,8 +248,7 @@ class SegmentStore:
             self.rejected += 1
             return -1
         aid = self.match_segment(indicator, policy)
-        self.states[aid] = fuse(self.states[aid], indicator.t, indicator.value,
-                                policy, device)
+        self.states[aid] = fuse(self.states[aid], indicator.t, indicator.value, policy)
         self.records.append({
             "op": "fuse", "anchor_id": aid, "t": indicator.t,
             "value": indicator.value, "lat": indicator.lat, "lon": indicator.lon,
@@ -259,24 +256,9 @@ class SegmentStore:
         })
         return aid
 
-    def snapshot(self, kind: str | None = None, bbox=None) -> list[SegmentState]:
-        """States (optionally filtered by kind and (min_lat, min_lon, max_lat,
-        max_lon) bbox), sorted by anchor id."""
-        if bbox is not None:
-            min_lat, min_lon, max_lat, max_lon = bbox
-            if min_lat > max_lat or min_lon > max_lon:
-                raise AggregationError("inverted bbox")
-        out = []
-        for aid in sorted(self.states):
-            st = self.states[aid]
-            if kind is not None and st.anchor.kind != kind:
-                continue
-            if bbox is not None and not (
-                min_lat <= st.anchor.lat <= max_lat and min_lon <= st.anchor.lon <= max_lon
-            ):
-                continue
-            out.append(st)
-        return out
+    def snapshot(self) -> list[SegmentState]:
+        """Every state, sorted by anchor id."""
+        return [self.states[aid] for aid in sorted(self.states)]
 
     def save(self, path) -> None:
         """Write the event log to a temporary file beside `path` and rename it
@@ -317,9 +299,9 @@ class SegmentStore:
                     )
         return store
 
-    def snapshot_geojson(self, path=None, kind: str | None = None, bbox=None) -> dict:
+    def snapshot_geojson(self, path=None) -> dict:
         features = []
-        for st in self.snapshot(kind, bbox):
+        for st in self.snapshot():
             features.append({
                 "type": "Feature",
                 "geometry": {"type": "Point",

@@ -65,7 +65,7 @@ def _lazy(name: str, *submodules: str) -> types.ModuleType:
 
 
 trace_model = _lazy("trace_model")
-transforms = _lazy("transforms", "stft", "wavelets", "emd")
+transforms = _lazy("transforms", "wavelets", "emd")
 features = _lazy("features")
 road_analysis = _lazy("road_analysis")
 rail_analysis = _lazy("rail_analysis")
@@ -117,7 +117,8 @@ def _analyze_road(trace, cfg: config.PipelineConfig, out: str) -> dict:
 
 
 def _analyze_rail(trace, cfg: config.PipelineConfig, out: str) -> dict:
-    rt = trace_model.reorient(trace, tau=cfg.gravity_tau).trace
+    reoriented = trace_model.reorient(trace, tau=cfg.gravity_tau)
+    rt = reoriented.trace
     profile, skipped = rail_analysis.cant_from_roll(
         rt, rail_analysis.TrackConstants(),
         wavelength_band=(cfg.rail_wavelength_min, cfg.rail_wavelength_max))
@@ -126,7 +127,7 @@ def _analyze_rail(trace, cfg: config.PipelineConfig, out: str) -> dict:
     indicators = rail_analysis.classify_curves(profile, threshold=cfg.rail_curvature_threshold)
     indicators_to_geojson(indicators, os.path.join(out, "indicators.geojson"))
     return {"indicators": len(indicators), "geometry_points": len(profile),
-            "spans_skipped": skipped}
+            "spans_skipped": skipped, "forward_resolved": reoriented.forward_resolved}
 
 
 def cmd_analyze(args) -> int:

@@ -1,13 +1,13 @@
-"""Transform-based signal decomposition: STFT, DWT/SWT, EMD-HHT.
+"""Transform-based signal decomposition: DWT/SWT and EMD.
 
-Importing this package loads no scipy module: EMD-HHT, the only part that
-needs scipy, imports it inside the functions that call it.
+Importing this package loads no scipy module: EMD, the only part that
+needs scipy, imports it inside its envelope.
 """
 
-from .emd import ImfSet, emd, hht_spectrum
-from .stft import Spectrogram, TransformError, stft
+from .emd import ImfSet, emd
 from .wavelets import (
     WAVELETS,
+    TransformError,
     WaveletDecomposition,
     dwt_level,
     idwt_level,
@@ -22,9 +22,9 @@ from .wavelets import (
 )
 
 __all__ = [
-    "Spectrogram", "TransformError", "stft",
+    "TransformError",
     "WAVELETS", "WaveletDecomposition", "dwt_level", "idwt_level",
     "wavedec", "waverec", "swt", "iswt", "swt_band_reconstruct", "swt_bandpass",
     "swt_level_band", "levels_for_band",
-    "ImfSet", "emd", "hht_spectrum",
+    "ImfSet", "emd",
 ]

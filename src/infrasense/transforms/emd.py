@@ -1,4 +1,4 @@
-"""Empirical mode decomposition and the Hilbert energy spectrum.
+"""Empirical mode decomposition.
 
 Sifting subtracts the mean of cubic-spline envelopes of the local maxima
 and minima until the normalized change between sift iterates drops below
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import Spectrogram, TransformError
+from .wavelets import TransformError
 
 _MAX_SIFTS = 100
 
@@ -113,29 +113,3 @@ def emd(signal, max_imfs: int = 10, sift_stop: float = 0.05) -> ImfSet:
         imfs.append(imf)
         residue = residue - imf
     return ImfSet(imfs=imfs, residue=residue)
-
-
-def hht_spectrum(imfs: ImfSet, rate: float, n_freq: int = 64,
-                 n_time: int = 32) -> Spectrogram:
-    """Hilbert energy spectrum: squared instantaneous amplitude binned on a
-    time-frequency grid, accumulated over all IMFs."""
-    if len(imfs) < 1:
-        raise TransformError("need at least one IMF")
-    from scipy.signal import hilbert  # here, so importing the CLI loads no scipy
-
-    n = len(imfs.residue)
-    grid = np.zeros((n_time, n_freq))
-    t = np.arange(n - 1) / rate
-    t_edges = np.linspace(0.0, (n - 1) / rate, n_time + 1)
-    f_edges = np.linspace(0.0, rate / 2.0, n_freq + 1)
-    for imf in imfs.imfs:
-        analytic = hilbert(imf)
-        phase = np.unwrap(np.angle(analytic))
-        inst_f = np.diff(phase) * rate / (2.0 * np.pi)
-        amp2 = np.abs(analytic[:-1]) ** 2
-        fi = np.clip(np.searchsorted(f_edges, np.clip(inst_f, 0.0, rate / 2.0)) - 1, 0, n_freq - 1)
-        ti = np.clip(np.searchsorted(t_edges, t) - 1, 0, n_time - 1)
-        np.add.at(grid, (ti, fi), amp2)
-    frame_times = 0.5 * (t_edges[:-1] + t_edges[1:])
-    bin_freqs = 0.5 * (f_edges[:-1] + f_edges[1:])
-    return Spectrogram(grid, frame_times, bin_freqs)

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import TransformError
-
 _SQRT3 = math.sqrt(3.0)
+
+
+class TransformError(Exception):
+    pass
+
 
 # Orthonormal low-pass (scaling) filters.
 WAVELETS = {

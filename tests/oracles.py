@@ -310,7 +310,12 @@ def match_segment_scan(store, indicator, policy) -> int:
     anchor = store.states[best_id].anchor
     n = anchor.contribution_count
     anchor.lat = (anchor.lat * n + indicator.lat) / (n + 1)
-    anchor.lon = (anchor.lon * n + indicator.lon) / (n + 1)
+    dlon = indicator.lon - anchor.lon
+    if abs(dlon) > 180.0:  # across +-180 deg: average the wrapped difference
+        lon = anchor.lon + (dlon - math.copysign(360.0, dlon)) / (n + 1)
+        anchor.lon = (lon + 180.0) % 360.0 - 180.0
+    else:
+        anchor.lon = (anchor.lon * n + indicator.lon) / (n + 1)
     anchor.contribution_count = n + 1
     return best_id
 

@@ -91,13 +91,6 @@ class TestFuse:
         with pytest.raises(AggregationError):
             fuse(self.fresh(), 0.0, float("nan"), self.policy())
 
-    def test_history_recorded_and_bounded(self):
-        st_ = self.fresh()
-        for i in range(100):
-            st_ = fuse(st_, float(i), float(i), self.policy(), device=f"d{i}")
-        assert len(st_.history) == 64
-        assert st_.history[-1] == (99.0, 99.0, "d99")
-
     @given(vals=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=20),
            dts=st.lists(st.floats(0.0, 90.0), min_size=20, max_size=20))
     @settings(max_examples=100, deadline=None)
@@ -105,10 +98,10 @@ class TestFuse:
         # the aggregate always stays inside the hull of the contributions
         st_ = self.fresh()
         t = 0.0
-        for v, dt in zip(vals, dts):
+        for n, (v, dt) in enumerate(zip(vals, dts), 1):
             t += dt * DAY
             st_ = fuse(st_, t, v, self.policy())
-            assert min(vals[: len(st_.history)]) - 1e-9 <= st_.value <= max(vals[: len(st_.history)]) + 1e-9
+            assert min(vals[:n]) - 1e-9 <= st_.value <= max(vals[:n]) + 1e-9
 
     @given(c=st.floats(-50.0, 50.0), n=st.integers(2, 30), seed=st.integers(0, 999))
     @settings(max_examples=60, deadline=None)
@@ -159,6 +152,21 @@ class TestMatchSegment:
         assert anchor.contribution_count == 2
         # centroid at the midpoint, 5 m north of the first report
         assert great_circle(anchor.lat, anchor.lon, *offset(51.0, 5.0)) < 0.01
+
+    @pytest.mark.parametrize("first_lon", [179.99995, -179.99995])
+    def test_centroid_across_the_antimeridian(self, first_lon):
+        # two reports 11 m apart on either side of +-180 deg share one
+        # anchor, whose centroid is their midpoint on the antimeridian
+        store = SegmentStore()
+        reports = [ind(lat=0.0, lon=first_lon), ind(lat=0.0, lon=-first_lon)]
+        assert [store.match_segment(r, MatchPolicy()) for r in reports] == [0, 0]
+        anchor = store.states[0].anchor
+        assert -180.0 <= anchor.lon <= 180.0
+        assert great_circle(anchor.lat, anchor.lon, 0.0, 180.0) < 1.0
+        half = great_circle(0.0, first_lon, 0.0, -first_lon) / 2.0
+        for r in reports:
+            assert great_circle(anchor.lat, anchor.lon, r.lat, r.lon) == pytest.approx(half, abs=1.0)
+        assert_matches_scan([(r, 15.0) for r in reports])
 
     def test_far_point_new_anchor(self):
         store = SegmentStore()
@@ -246,15 +254,6 @@ class TestSegmentStore:
         store.contribute(ind(lat=52.0, kind="roughness"), MatchPolicy())
         snap = store.snapshot()
         assert [s.anchor.id for s in snap] == sorted(s.anchor.id for s in snap)
-        only = store.snapshot(kind="roughness")
-        assert len(only) == 1 and only[0].anchor.kind == "roughness"
-        box = store.snapshot(bbox=(50.9, 6.9, 51.5, 7.1))
-        assert all(50.9 <= s.anchor.lat <= 51.5 for s in box)
-        assert not any(s.anchor.kind == "roughness" for s in box)
-
-    def test_inverted_bbox(self):
-        with pytest.raises(AggregationError):
-            SegmentStore().snapshot(bbox=(52.0, 7.0, 51.0, 8.0))
 
     def test_deterministic_rebuild(self, tmp_path):
         a = SegmentStore()

@@ -12,7 +12,7 @@ from infrasense.config import (
     parse_config_text,
 )
 from infrasense.dissemination import SsidPacket, PacketEntry
-from infrasense.trace_model import parse_trace
+from infrasense.trace_model import parse_trace, reorient
 
 METERS_PER_DEG = math.pi / 180.0 * 6371000.0
 
@@ -270,6 +270,9 @@ class TestAnalyzeCommand:
         assert (out / "geometry.csv").exists()
         header = (out / "geometry.csv").read_text().splitlines()[0]
         assert header == "s,cant_mm,twist3,twist5,curvature"
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        want = reorient(parse_trace(trace)[0], tau=PipelineConfig().gravity_tau)
+        assert counts["forward_resolved"] is want.forward_resolved
 
 
 class TestAggregateCommand:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import extrema_loop
 
-from infrasense.transforms import ImfSet, TransformError, emd, hht_spectrum
+from infrasense.transforms import TransformError, emd
 from infrasense.transforms.emd import _extrema
 
 
@@ -66,31 +66,3 @@ class TestEmd:
     def test_flat_signal_no_imfs(self):
         result = emd(np.full(64, 2.0))
         assert len(result) == 0
-
-
-class TestHhtSpectrum:
-    def test_pure_tone_concentrated(self):
-        rate = 100.0
-        imf = np.sin(2 * np.pi * 5 * np.arange(400) / rate)
-        spec = hht_spectrum(ImfSet([imf], np.zeros(400)), rate, n_freq=50, n_time=20)
-        core = spec.magnitudes[2:-2]  # edges excluded
-        near = np.abs(spec.bin_freqs - 5.0) <= 1.0
-        assert core[:, near].sum() >= 0.8 * core.sum()
-
-    def test_zero_imf_set_rejected(self):
-        with pytest.raises(TransformError):
-            hht_spectrum(ImfSet([], np.zeros(16)), 100.0)
-
-    def test_chirp_ridge_increases(self):
-        rate = 200.0
-        t = np.arange(0, 8, 1 / rate)
-        # linear chirp 2 -> 10 Hz
-        f0, f1 = 2.0, 10.0
-        phase = 2 * np.pi * (f0 * t + (f1 - f0) / (2 * t[-1]) * t ** 2)
-        imf = np.sin(phase)
-        spec = hht_spectrum(ImfSet([imf], np.zeros(len(t))), rate, n_freq=64, n_time=16)
-        rows = spec.magnitudes[1:-1]
-        ridge = [float(np.sum(spec.bin_freqs * r) / np.sum(r)) for r in rows]
-        # non-decreasing up to rounding (bin quantization can repeat values)
-        assert all(b >= a - 1e-9 for a, b in zip(ridge, ridge[1:]))
-        assert ridge[-1] - ridge[0] > 5.0

@@ -1,7 +1,7 @@
-"""What importing the package loads: the EMD names are plain functions and
-a class, while scipy loads only when EMD or the Hilbert spectrum first runs;
-the CLI and its crowd-side commands load no numpy; and which functions the
-benchmark's tracer finds to wrap."""
+"""What importing the package loads: the EMD names are a plain function and
+a class, while scipy loads only when EMD first runs; the CLI and its
+crowd-side commands load no numpy, and `synth` and `analyze` load no scipy;
+and which functions the benchmark's tracer finds to wrap."""
 
 import importlib.util
 import os
@@ -30,18 +30,18 @@ class TestLazyEmdExports:
     @pytest.mark.parametrize("first", [
         "import infrasense.transforms.emd",
         "from infrasense.transforms import emd",
-        "import infrasense.transforms as t; t.hht_spectrum",
+        "import infrasense.transforms as t; t.ImfSet",
     ])
     def test_fresh_interpreter(self, first):
         proc = run_fresh(
             f"{first}\n"
-            "import types, infrasense.transforms.emd\n"
+            "import sys, types, infrasense.transforms.emd\n"
             "import infrasense.transforms as package\n"
-            "from infrasense.transforms import ImfSet, emd, hht_spectrum\n"
+            "from infrasense.transforms import ImfSet, emd\n"
             "assert isinstance(emd, types.FunctionType), emd\n"
             "assert package.emd is emd, package.emd\n"
-            "assert isinstance(hht_spectrum, types.FunctionType), hht_spectrum\n"
             "assert isinstance(ImfSet, type), ImfSet\n"
+            "assert package.ImfSet is sys.modules['infrasense.transforms.emd'].ImfSet is ImfSet\n"
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -105,6 +105,27 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         assert not [m for m in proc.stdout.split() if m.split(".")[0] == "numpy"]
 
+    def test_synth_and_analyze_load_no_scipy(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"duration": 20.0, "speed": 10.0, "rate": 100.0, "seed": 1, '
+                        '"potholes": [{"position_m": 100.0, "depth_m": 0.05, "length_m": 0.5}]}')
+        trace, rail = tmp_path / "ride.csv", tmp_path / "rail.cfg"
+        rail.write_text("context = rail\n")
+        runs = [["synth", "--spec", str(spec), "--out", str(trace)],
+                ["analyze", str(trace), "--out", str(tmp_path / "road")],
+                ["analyze", str(trace), "--config", str(rail), "--out", str(tmp_path / "rail")]]
+        proc = run_fresh(
+            "import sys\n"
+            "from infrasense.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(*sys.modules, sep='\\n')\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "infrasense.rail_analysis" in loaded
+        assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
     @pytest.mark.parametrize("order", ["layer first", "cli first"])
     def test_one_module_object(self, order):
         imports = ["import infrasense.trace_model as tm",
@@ -120,7 +141,12 @@ class TestImportGraph:
             "assert cli.trace_model.Trace is tm.Trace is Trace\n"
             "assert cli.transforms.wavelets is w is sys.modules['infrasense.transforms.wavelets']\n"
             "assert isinstance(infrasense.transforms.emd, types.FunctionType)\n"
-            "assert isinstance(infrasense.transforms.stft, types.FunctionType)\n"
+            "from infrasense.transforms import TransformError\n"
+            "assert TransformError is infrasense.transforms.TransformError is w.TransformError\n"
+            "assert TransformError is sys.modules['infrasense.transforms.emd'].TransformError\n"
+            "assert TransformError is cli.transforms.TransformError\n"
+            "assert not hasattr(infrasense.transforms, 'stft')\n"
+            "assert not hasattr(infrasense.transforms, 'hht_spectrum')\n"
         )
         assert proc.returncode == 0, proc.stderr
 
