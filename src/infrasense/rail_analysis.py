@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reports import Indicator, clamp_severity
-from .trace_model import CapabilityError, Trace, cumtrapz, runs
+from .trace_model import CapabilityError, Trace, cumtrapz, runs, write_rows
 from .transforms import swt_bandpass
 
 
@@ -185,16 +185,24 @@ def geometry_to_csv(profile: GeometryProfile, path,
                     twist_bases: tuple[float, ...] = (3.0, 5.0)) -> None:
     """Profile CSV: s, cant_mm, one twist column per base, curvature.
 
-    Points without a full base ahead get an empty twist cell."""
-    columns = [list(map(repr, profile.s.tolist())),
-               list(map(repr, profile.cant_height.tolist()))]
+    Points without a full base ahead get an empty twist cell. Rows are
+    written in blocks (`write_rows`)."""
+    columns = [profile.s, profile.cant_height]
     for base in twist_bases:
         try:
-            values = list(map(repr, twist(profile, base).tolist()))
+            columns.append(twist(profile, base))
         except RailAnalysisError:
-            values = []
-        columns.append(values + [""] * (len(profile) - len(values)))
-    columns.append(list(map(repr, profile.curvature.tolist())))
+            columns.append(np.empty(0))
+    columns.append(profile.curvature)
+
+    def block_columns(start, stop):
+        out = []
+        for c in columns:
+            cells = list(map(repr, c[start:stop].tolist()))
+            out.append(cells + [""] * (stop - start - len(cells)))  # a short twist column
+        return out
+
     header = ",".join(["s", "cant_mm", *[f"twist{base:g}" for base in twist_bases], "curvature"])
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n")
+        fh.write(header + "\r\n")
+        write_rows(fh, len(profile), block_columns)

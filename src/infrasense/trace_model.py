@@ -195,16 +195,17 @@ def _column(cells, n: int) -> np.ndarray:
 
 
 def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
-    """Apply the row rules to the raw cells of `n` rows, one column at a time.
+    """Apply the row rules to `n` rows, one column at a time.
 
-    `cols` maps each schema column present in the input to its n cells.
+    `cols` maps each schema column present in the input to its n values, as
+    `_column` reads them.
     A row is dropped when a required value is non-finite, or when all four
     geo values are finite but fail the fix rule (`valid_fix`). A kept row carries a
     fix only when all four geo values are finite; the trace has a gyro only
     when every kept row has all three gyro values.
     """
     nan = np.full(n, math.nan)
-    v = {k: _column(cols[k], n) if k in cols else nan for k in CSV_COLUMNS}
+    v = {k: cols.get(k, nan) for k in CSV_COLUMNS}
     t = v["t"]
     accel = np.column_stack([v["ax"], v["ay"], v["az"]])
     gyro = np.column_stack([v["gx"], v["gy"], v["gz"]])
@@ -229,6 +230,45 @@ def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
                               drops=drops)
 
 
+# Rows per block when a trace is read or a CSV is written. Only one block's
+# cells exist as Python strings at a time, so that part of the memory a
+# parse or a write needs does not grow with the length of the ride.
+_ROW_BLOCK = 4096
+
+
+def _read_blocks(rows, block_cells) -> tuple[dict, int]:
+    """Read rows `_ROW_BLOCK` at a time into float columns.
+
+    `block_cells` maps a list of rows to each column's cells in those rows;
+    `_column` converts them block by block. Returns the joined columns and
+    the number of rows.
+    """
+    blocks, n = {}, 0
+    while block := list(itertools.islice(rows, _ROW_BLOCK)):
+        for k, cells in block_cells(block).items():
+            blocks.setdefault(k, []).append(_column(cells, len(block)))
+        n += len(block)
+    for k in blocks:
+        blocks[k] = np.concatenate(blocks[k])
+    return blocks, n
+
+
+def _jsonl_objects(fh):
+    """The JSON object of each non-blank line; SchemaError on a line that is
+    no object or lacks a required key."""
+    for lineno, line in enumerate(fh, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"line {lineno}: invalid JSON ({e})") from e
+        if not isinstance(obj, dict) or not all(k in obj for k in _REQUIRED):
+            raise SchemaError(f"line {lineno}: missing required keys")
+        yield obj
+
+
 def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
     """Parse a recording into a Trace.
 
@@ -238,7 +278,8 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
     non-finite required values or an invalid fix are dropped and counted by
     reason in the report. CSV rows are read as `csv.DictReader` reads them:
     blank lines are skipped, short rows padded with missing cells and the
-    cells past the header ignored.
+    cells past the header ignored. Both formats are read `_ROW_BLOCK` rows
+    at a time.
     """
     path = str(path)
     if format == "csv":
@@ -248,31 +289,35 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
             missing = [c for c in _REQUIRED if c not in header]
             if missing:
                 raise SchemaError(f"missing required columns: {missing}")
-            rows = [row for row in reader if row]
-        # a header name repeated: the last of its columns counts, as in DictReader
-        index = {name: i for i, name in enumerate(header)}
-        # transposed, short rows padded with None; a column no row reaches is all None
-        cells = list(itertools.zip_longest(*rows))
-        cols = {k: cells[j] if j < len(cells) else [None] * len(rows)
-                for k, j in index.items() if k in CSV_COLUMNS}
+            # a header name repeated: the last of its columns counts, as in DictReader
+            index = {name: j for j, name in enumerate(header) if name in CSV_COLUMNS}
+
+            def block_cells(rows):
+                # transposed, short rows padded with None; a column no row reaches is all None
+                cells = list(itertools.zip_longest(*rows))
+                return {k: cells[j] if j < len(cells) else [None] * len(rows)
+                        for k, j in index.items()}
+
+            cols, n = _read_blocks(filter(None, reader), block_cells)
     elif format == "jsonl":
-        rows = []
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise SchemaError(f"line {lineno}: invalid JSON ({e})") from e
-                if not all(k in obj for k in _REQUIRED):
-                    raise SchemaError(f"line {lineno}: missing required keys")
-                rows.append(obj)
-        cols = {k: [obj.get(k) for obj in rows] for k in CSV_COLUMNS}
+            cols, n = _read_blocks(_jsonl_objects(fh), lambda objs: {
+                k: [obj.get(k) for obj in objs] for k in CSV_COLUMNS})
     else:
         raise ValueError(f"unknown format {format!r}")
-    return _columns_to_trace(cols, len(rows))
+    return _columns_to_trace(cols, n)
+
+
+def write_rows(fh, n: int, block_columns) -> None:
+    """Write `n` CSV rows `_ROW_BLOCK` at a time, as `csv.writer` writes
+    cells that need no quoting: joined by commas, each row ended by CRLF.
+
+    `block_columns(start, stop)` returns the cells of rows start..stop, one
+    list of strings per column.
+    """
+    for start in range(0, n, _ROW_BLOCK):
+        rows = map(",".join, zip(*block_columns(start, min(start + _ROW_BLOCK, n))))
+        fh.write("\r\n".join(rows) + "\r\n")
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -283,23 +328,23 @@ def write_trace_csv(trace: Trace, path) -> None:
     most half a sample interval. When two fixes land on one row, the later
     one in ``trace.fixes`` is written and the other is lost.
     """
+    n = len(trace.t)
     ft = trace.fixes.t
-    right = np.clip(np.searchsorted(trace.t, ft), 1, len(trace.t) - 1)
+    right = np.clip(np.searchsorted(trace.t, ft), 1, n - 1)
     rows = np.where(ft - trace.t[right - 1] <= trace.t[right] - ft, right - 1, right)
-    geo = np.column_stack([getattr(trace.fixes, k) for k in FIX_COLUMNS[1:]])
-    fix_by_row = dict(zip(rows.tolist(), geo.tolist()))
+    last = np.diff(rows, append=n) != 0  # fixes are sorted, and so are their rows
+    # NaN marks an empty cell: no value of a valid Trace or Fixes is NaN
+    geo = np.full((4, n), math.nan)
+    geo[:, rows[last]] = [getattr(trace.fixes, k)[last] for k in FIX_COLUMNS[1:]]
+    gyro = trace.gyro.T if trace.gyro is not None else np.full((3, n), math.nan)
+    columns = [trace.t, *trace.accel.T, *gyro, *geo]
+
+    def block_columns(start, stop):
+        return [[repr(v) if v == v else "" for v in c[start:stop].tolist()] for c in columns]
+
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for i, t in enumerate(trace.t):
-            row = [repr(float(t))] + [repr(float(v)) for v in trace.accel[i]]
-            if trace.gyro is not None:
-                row += [repr(float(v)) for v in trace.gyro[i]]
-            else:
-                row += ["", "", ""]
-            fix = fix_by_row.get(i)
-            row += [repr(v) for v in fix] if fix else ["", "", "", ""]
-            w.writerow(row)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        write_rows(fh, n, block_columns)
 
 
 # A scan block ends after this many steps, or sooner where its running

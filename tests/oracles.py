@@ -14,6 +14,8 @@ from infrasense.aggregation import SegmentAnchor, SegmentState, great_circle
 from infrasense.dissemination import Delivery, decode_packet
 from infrasense.rail_analysis import CURVE_GAP, CURVE_MIN_ARC, RailAnalysisError, twist
 from infrasense.trace_model import (
+    CSV_COLUMNS,
+    FIX_COLUMNS,
     EmptyTraceError,
     Fixes,
     ParseReport,
@@ -105,10 +107,31 @@ def parse_trace_rows(path, format: str = "csv"):
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise SchemaError(f"line {lineno}: invalid JSON ({e})") from e
-                if not all(k in obj for k in REQUIRED):
+                if not isinstance(obj, dict) or not all(k in obj for k in REQUIRED):
                     raise SchemaError(f"line {lineno}: missing required keys")
                 rows.append(obj)
     return _rows_to_trace(rows)
+
+
+def write_trace_csv_writer(trace, path) -> None:
+    """`write_trace_csv` through `csv.writer`, one row of Python floats at a time."""
+    ft = trace.fixes.t
+    right = np.clip(np.searchsorted(trace.t, ft), 1, len(trace.t) - 1)
+    rows = np.where(ft - trace.t[right - 1] <= trace.t[right] - ft, right - 1, right)
+    geo = np.column_stack([getattr(trace.fixes, k) for k in FIX_COLUMNS[1:]])
+    fix_by_row = dict(zip(rows.tolist(), geo.tolist()))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(CSV_COLUMNS)
+        for i, t in enumerate(trace.t):
+            row = [repr(float(t))] + [repr(float(v)) for v in trace.accel[i]]
+            if trace.gyro is not None:
+                row += [repr(float(v)) for v in trace.gyro[i]]
+            else:
+                row += ["", "", ""]
+            fix = fix_by_row.get(i)
+            row += [repr(v) for v in fix] if fix else ["", "", "", ""]
+            w.writerow(row)
 
 
 def gravity_split_loop(trace, tau: float = 1.0):

@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_trace
+from infrasense import trace_model
 from infrasense.cli import EXIT_OK, main
 from infrasense.rail_analysis import (
     GeometryProfile,
@@ -398,3 +400,34 @@ class TestGeometryCsv:
         geometry_to_csv(pts, tmp_path / "a.csv", twist_bases=bases)
         geometry_to_csv_writer(pts, tmp_path / "b.csv", twist_bases=bases)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 19])
+    def test_bytes_match_across_row_blocks(self, tmp_path, monkeypatch, n):
+        # blocks of 8 rows: n = block - 1, block, block + 1 and 2 block + 3.
+        # Over 0.5 m spacing, base b leaves n - 2b twist values; the lengths
+        # end inside the first block, on a block edge and in the last block,
+        # and base 50 m leaves the column empty.
+        monkeypatch.setattr(trace_model, "_ROW_BLOCK", 8)
+        lengths = [m for m in (3, 8, 16, n - 1) if m < n]
+        bases = (*[(n - m) / 2 for m in lengths], 50.0)
+        rng = np.random.default_rng(n)
+        pts = profile(np.arange(n) * 0.5, rng.normal(0.0, 5.0, n), rng.normal(0.0, 1e-3, n))
+        assert [len(twist(pts, b)) for b in bases[:-1]] == lengths
+        geometry_to_csv(pts, tmp_path / "a.csv", twist_bases=bases)
+        geometry_to_csv_writer(pts, tmp_path / "b.csv", twist_bases=bases)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_peak_memory(self, tmp_path):
+        # 60 k points, 6 MB of CSV: a writer that holds every cell as a str
+        # at once peaks 37 MB above its start, one in row blocks at 4 MB
+        n = 60_000
+        rng = np.random.default_rng(0)
+        pts = profile(np.arange(n) * 0.5, rng.normal(0.0, 5.0, n), rng.normal(0.0, 1e-3, n))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            geometry_to_csv(pts, tmp_path / "geometry.csv")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6

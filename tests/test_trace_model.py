@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from infrasense import trace_model
 from infrasense.trace_model import (
     CSV_COLUMNS,
     FIX_COLUMNS,
@@ -20,7 +23,7 @@ from infrasense.trace_model import (
 )
 
 from conftest import make_trace
-from oracles import gravity_split_loop, parse_trace_rows
+from oracles import gravity_split_loop, parse_trace_rows, write_trace_csv_writer
 
 
 def write_csv(tmp_path, rows, header="t,ax,ay,az,gx,gy,gz,lat,lon,speed,acc"):
@@ -219,42 +222,132 @@ class TestParseTrace:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_csv_matches_row_parser(self, tmp_path_factory, data):
-        header = [c for c in CSV_COLUMNS if c in REQUIRED or data.draw(PRESENT)]
-        if data.draw(st.booleans()):  # a column outside the schema, or a repeated name
-            extra = data.draw(st.sampled_from(["note", *header]))
-            header.insert(data.draw(st.integers(0, len(header))), extra)
-        dirty = draw_dirty_groups(data)
-        cells = {c: CELLS[c][dirty[c]] for c in header if c in CELLS}
-        lines = [",".join(header)]
-        for _ in range(data.draw(st.integers(0, 25))):
-            if data.draw(st.integers(0, 9)) == 0:
-                lines.append("")  # blank line
-                continue
-            row = [data.draw(cells.get(c, JUNK)) for c in header]
-            size = data.draw(st.sampled_from([len(row)] * 10 + [1, len(row) - 1, len(row) + 2]))
-            row = (row + ["7"] * 2)[:size]  # a short row, or a long one with extra cells
-            lines.append(",".join(row))
-        path = tmp_path_factory.mktemp("parse") / "trace.csv"
-        path.write_text("\n".join(lines) + "\n")
-        assert_same_parse(path, "csv")
+        assert_same_parse(write_drawn(tmp_path_factory, "trace.csv", draw_csv(data)), "csv")
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_jsonl_matches_row_parser(self, tmp_path_factory, data):
-        dirty = draw_dirty_groups(data)
-        values = {c: JSON_VALUES if dirty[c] else JSON_NUMBER for c in CSV_COLUMNS}
-        partial = data.draw(st.booleans())  # rows may leave out optional keys
-        lines = []
-        for _ in range(data.draw(st.integers(0, 25))):
-            if data.draw(st.integers(0, 9)) == 0:
-                lines.append("  ")  # blank line
-                continue
-            keys = [c for c in CSV_COLUMNS
-                    if c in REQUIRED or not partial or data.draw(PRESENT)]
-            lines.append(json.dumps({k: data.draw(values[k]) for k in keys}))
-        path = tmp_path_factory.mktemp("parse") / "trace.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+        assert_same_parse(write_drawn(tmp_path_factory, "trace.jsonl", draw_jsonl(data)), "jsonl")
+
+    # Blocks of 1-4 rows over files of up to 25: blocks of short rows only,
+    # a junk cell in one block of a column, blank lines between blocks.
+    @given(data=st.data(), block=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_csv_matches_row_parser_in_small_blocks(self, tmp_path_factory, data, block):
+        path = write_drawn(tmp_path_factory, "trace.csv", draw_csv(data))
+        with mock.patch.object(trace_model, "_ROW_BLOCK", block):
+            assert_same_parse(path, "csv")
+
+    @given(data=st.data(), block=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_jsonl_matches_row_parser_in_small_blocks(self, tmp_path_factory, data, block):
+        path = write_drawn(tmp_path_factory, "trace.jsonl", draw_jsonl(data))
+        with mock.patch.object(trace_model, "_ROW_BLOCK", block):
+            assert_same_parse(path, "jsonl")
+
+    @pytest.mark.parametrize("line", ['"t ax ay az"', "[1, 2]", "3.5"])
+    def test_jsonl_line_not_an_object_is_schema_error(self, tmp_path, line):
+        # a string holds "t" etc. as substrings, so only a type check catches it
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"t": 0, "ax": 0, "ay": 0, "az": -9.81}\n' + line + "\n")
+        with pytest.raises(SchemaError, match="line 2"):
+            parse_trace(path, "jsonl")
         assert_same_parse(path, "jsonl")
+
+
+def draw_csv(data) -> list[str]:
+    """Lines of a drawn CSV trace: optional columns left out, an extra or
+    repeated header name, blank, short and long rows, junk cells."""
+    header = [c for c in CSV_COLUMNS if c in REQUIRED or data.draw(PRESENT)]
+    if data.draw(st.booleans()):  # a column outside the schema, or a repeated name
+        extra = data.draw(st.sampled_from(["note", *header]))
+        header.insert(data.draw(st.integers(0, len(header))), extra)
+    dirty = draw_dirty_groups(data)
+    cells = {c: CELLS[c][dirty[c]] for c in header if c in CELLS}
+    lines = [",".join(header)]
+    for _ in range(data.draw(st.integers(0, 25))):
+        if data.draw(st.integers(0, 9)) == 0:
+            lines.append("")  # blank line
+            continue
+        row = [data.draw(cells.get(c, JUNK)) for c in header]
+        size = data.draw(st.sampled_from([len(row)] * 10 + [1, len(row) - 1, len(row) + 2]))
+        row = (row + ["7"] * 2)[:size]  # a short row, or a long one with extra cells
+        lines.append(",".join(row))
+    return lines
+
+
+def draw_jsonl(data) -> list[str]:
+    """Lines of a drawn JSONL trace: blank lines, left-out optional keys and
+    values of any JSON type."""
+    dirty = draw_dirty_groups(data)
+    values = {c: JSON_VALUES if dirty[c] else JSON_NUMBER for c in CSV_COLUMNS}
+    partial = data.draw(st.booleans())  # rows may leave out optional keys
+    lines = []
+    for _ in range(data.draw(st.integers(0, 25))):
+        if data.draw(st.integers(0, 9)) == 0:
+            lines.append("  ")  # blank line
+            continue
+        keys = [c for c in CSV_COLUMNS
+                if c in REQUIRED or not partial or data.draw(PRESENT)]
+        lines.append(json.dumps({k: data.draw(values[k]) for k in keys}))
+    return lines
+
+
+def write_drawn(tmp_path_factory, name, lines):
+    path = tmp_path_factory.mktemp("parse") / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def ride(n, rng, gyro=True, fix_t=None):
+    """n samples at 100 Hz of random readings, with 1 Hz fixes unless
+    `fix_t` gives their times."""
+    t = np.arange(n) / 100.0
+    fix_t = t[::100] if fix_t is None else np.asarray(fix_t, dtype=float)
+    k = len(fix_t)
+    fixes = Fixes(fix_t, rng.uniform(-90, 90, k), rng.uniform(-180, 180, k),
+                  rng.uniform(0, 60, k), rng.uniform(0.1, 100, k))
+    gyro = rng.normal(0.0, 0.1, (n, 3)) if gyro else None
+    return Trace(t=t, accel=rng.normal(0.0, 3.0, (n, 3)), gyro=gyro, fixes=fixes)
+
+
+class TestWriteTraceCsv:
+    CASES = {
+        "gyro": dict(gyro=True),
+        "no_gyro": dict(gyro=False),
+        # off the grid, before the first and after the last sample, and two
+        # fixes on one row (the later one is written)
+        "sparse_fixes": dict(gyro=False, fix_t=[-0.5, 0.004, 0.031, 0.033, 0.036, 0.1549, 0.5, 9.0]),
+        "no_fixes": dict(gyro=True, fix_t=[]),
+    }
+
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("n", [2, 50])
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes_match_the_csv_writer(self, tmp_path, monkeypatch, case, n, block):
+        if block:
+            monkeypatch.setattr(trace_model, "_ROW_BLOCK", block)
+        trace = ride(n, np.random.default_rng(n), **self.CASES[case])
+        trace.accel[0, 0] = -0.0
+        write_trace_csv(trace, tmp_path / "a.csv")
+        write_trace_csv_writer(trace, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestParseMemory:
+    # tracemalloc counts every allocation, so the peak repeats from run to
+    # run. A 10-min ride at 100 Hz (7.9 MB of CSV): a parse that holds every
+    # cell as a str at once peaks at 60 MB, one in row blocks at 16 MB.
+    def test_parse_peak(self, tmp_path):
+        path = tmp_path / "ride.csv"
+        write_trace_csv(ride(60_000, np.random.default_rng(1)), path)
+        tracemalloc.start()
+        try:
+            parse_trace(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
 
 
 def low_pass(g0, inputs, tau, dt):
