@@ -11,12 +11,11 @@ evidence with an exponential half-life.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 from dataclasses import dataclass
 
+from .outputs import new_file
 from .reports import Indicator
 
 EARTH_RADIUS = 6371000.0  # m
@@ -262,16 +261,15 @@ class SegmentStore:
 
     def save(self, path) -> None:
         """Write the event log to a temporary file beside `path` and rename it
-        over `path`, so that a write that stops part-way leaves the old log."""
-        tmp = f"{path}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.writelines(json.dumps(rec) + "\n" for rec in self.records)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        over `path`, so that a write that stops part-way leaves the old log.
+
+        Unlike the outputs that a run can make again, the old log is not
+        unlinked first: it is the one file that cannot be rebuilt, and the
+        rename over it is what makes ext4 write the new log's data before
+        the rename commits, so a crash leaves the old log or the new one,
+        never an empty file."""
+        with new_file(path, rename_over=True) as fh:
+            fh.writelines(json.dumps(rec) + "\n" for rec in self.records)
 
     @classmethod
     def load(cls, path, policy: MatchPolicy) -> "SegmentStore":
@@ -317,6 +315,6 @@ class SegmentStore:
             })
         collection = {"type": "FeatureCollection", "features": features}
         if path is not None:
-            with open(path, "w") as fh:
+            with new_file(path) as fh:
                 json.dump(collection, fh, indent=2)
         return collection

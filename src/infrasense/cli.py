@@ -2,8 +2,15 @@
 
 Subcommands: analyze, synth, aggregate, simulate, encode, decode.
 Exit codes: 0 success, 2 usage, 3 input error, 4 numeric failure.
-Outputs are written to a temporary directory and moved into place on
-success, so a failed run never leaves partial files.
+
+Every output is written as a new file and then put in place
+(:mod:`infrasense.outputs`): ``analyze`` writes into a temporary directory
+inside ``--out``, the other commands into a temporary file beside their
+``--out``; on success the old file is unlinked and the new one renamed to
+its name. So a failed run leaves the old outputs as they were and no
+partial file, and no run waits for the filesystem to flush a file it
+renames over or truncates. Outputs get no ``fsync``. The store of
+``aggregate`` alone is renamed over the old log (``SegmentStore.save``).
 
 Only the numpy-free layers (aggregation, dissemination, reports) are
 imported here. The numpy layers are registered in ``sys.modules`` by
@@ -35,6 +42,7 @@ from .dissemination import (
     encode_packet,
     run_simulation,
 )
+from .outputs import new_file, put_in_place, replaceable
 from .reports import indicators_from_geojson, indicators_to_geojson
 
 
@@ -175,8 +183,14 @@ def cmd_analyze(args) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
 
-    for name in os.listdir(tmp):
-        os.replace(os.path.join(tmp, name), os.path.join(args.out, name))
+    moves = [(os.path.join(tmp, name), os.path.join(args.out, name))
+             for name in sorted(os.listdir(tmp))]
+    blocked = [dst for _, dst in moves if not replaceable(dst)]
+    if blocked:
+        shutil.rmtree(tmp, ignore_errors=True)
+        return _fail(EXIT_INPUT, f"out: {blocked[0]} is not a regular file")
+    for src, dst in moves:
+        put_in_place(src, dst)
     os.rmdir(tmp)
     return EXIT_OK
 
@@ -262,7 +276,7 @@ def cmd_simulate(args) -> int:
     except (OSError, KeyError, TypeError, ValueError) as e:
         return _fail(EXIT_INPUT, f"scenario: {e}")
     try:
-        with open(args.out, "w", newline="") as fh:
+        with new_file(args.out, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "src", "dst", "checksum"])
             for d in log:

@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .outputs import new_file
+
 GRAVITY = 9.81
 
 CSV_COLUMNS = ("t", "ax", "ay", "az", "gx", "gy", "gz", "lat", "lon", "speed", "acc")
@@ -204,25 +206,35 @@ def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
     fix only when all four geo values are finite; the trace has a gyro only
     when every kept row has all three gyro values.
     """
-    nan = np.full(n, math.nan)
-    v = {k: cols.get(k, nan) for k in CSV_COLUMNS}
+    v = {k: cols[k] if k in cols else np.full(n, math.nan) for k in CSV_COLUMNS}
     t = v["t"]
-    accel = np.column_stack([v["ax"], v["ay"], v["az"]])
-    gyro = np.column_stack([v["gx"], v["gy"], v["gz"]])
-    geo = np.column_stack([t, v["lat"], v["lon"], v["speed"], v["acc"]])
-    lat, lon, speed, acc = geo[:, 1:].T
 
-    required = np.isfinite(t) & np.isfinite(accel).all(axis=1)
-    has_fix = np.isfinite(geo[:, 1:]).all(axis=1)
-    invalid_fix = required & has_fix & ~valid_fix(lat, lon, speed, acc)
+    def finite(names):
+        return np.logical_and.reduce([np.isfinite(v[k]) for k in names])
+
+    required = finite(_REQUIRED)
+    has_fix = finite(("lat", "lon", "speed", "acc"))
+    invalid_fix = required & has_fix & ~valid_fix(v["lat"], v["lon"], v["speed"], v["acc"])
     kept = np.flatnonzero(required & ~invalid_fix)
     if len(kept) < 2:
         raise EmptyTraceError(f"only {len(kept)} usable samples (need >= 2)")
 
     reorders = int(np.count_nonzero(np.diff(t[kept]) < 0))
-    kept = kept[np.argsort(t[kept], kind="stable")]
-    gyro = gyro[kept] if np.isfinite(gyro[kept]).all() else None
-    trace = Trace(t=t[kept], accel=accel[kept], gyro=gyro, fixes=Fixes(*geo[kept[has_fix[kept]]].T))
+    if reorders:
+        kept = kept[np.argsort(t[kept], kind="stable")]
+    every_row = len(kept) == n and not reorders  # kept is arange(n): copy nothing
+
+    def take(column):
+        return column if every_row else column[kept]
+
+    def stack(names):
+        return np.column_stack([take(v[k]) for k in names])
+
+    has_gyro = all(np.isfinite(v[k])[kept].all() for k in ("gx", "gy", "gz"))
+    fix_rows = kept[has_fix[kept]]
+    trace = Trace(t=take(t), accel=stack(("ax", "ay", "az")),
+                  gyro=stack(("gx", "gy", "gz")) if has_gyro else None,
+                  fixes=Fixes(*(v[k][fix_rows] for k in ("t", "lat", "lon", "speed", "acc"))))
     trace.rate  # measured here, so that a median interval of 0 fails the parse
     drops = {"required_nonfinite": n - int(np.count_nonzero(required)),
              "invalid_fix": int(np.count_nonzero(invalid_fix))}
@@ -342,7 +354,7 @@ def write_trace_csv(trace: Trace, path) -> None:
     def block_columns(start, stop):
         return [[repr(v) if v == v else "" for v in c[start:stop].tolist()] for c in columns]
 
-    with open(path, "w", newline="") as fh:
+    with new_file(path, newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
         write_rows(fh, n, block_columns)
 

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +31,16 @@ def make_trace(duration=10.0, rate=100.0, accel_z=None, gyro=None, speed=10.0,
     if not with_fixes:
         return Trace(t=t, accel=accel, gyro=gyro)
     return Trace(t=t, accel=accel, gyro=gyro, fixes=straight_fixes(duration, speed))
+
+
+def perfbench_module(name, monkeypatch):
+    """A module of the benchmark (``inputs`` or ``checks``), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

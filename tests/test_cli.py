@@ -1,9 +1,13 @@
+import builtins
+import errno
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from infrasense import aggregation, trace_model
 from infrasense.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from infrasense.config import (
     ConfigError,
@@ -370,6 +374,150 @@ class TestOutputPathErrors:
         assert main(["synth", "--spec", str(spec),
                      "--out", str(tmp_path / "missing" / "t.csv")]) == EXIT_INPUT
         one_json_error(capsys, EXIT_INPUT)
+
+    def test_analyze_output_name_is_a_directory(self, pothole_trace, tmp_path, capsys):
+        out = tmp_path / "report"
+        (out / "features.csv" / "kept").mkdir(parents=True)
+        (out / "indicators.geojson").write_text("old")
+        assert main(["analyze", str(pothole_trace), "--out", str(out)]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        # no output moved and no temporary directory left
+        assert sorted(p.name for p in out.iterdir()) == ["features.csv", "indicators.geojson"]
+        assert (out / "indicators.geojson").read_text() == "old"
+
+
+def no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFailedWriteKeepsOldFile:
+    """A write that fails part-way (here: the disk fills after the first
+    bytes) is an input error that leaves the previous output's bytes and no
+    temporary file."""
+
+    def test_simulate(self, tmp_path, capsys, monkeypatch):
+        ssid = SsidPacket(1, 0, 51_000_000, 7_000_000,
+                          (PacketEntry(0, 0, 1, 9, 200),)).to_ssid()
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text(scenario_line("a", 51.0, 7.0, packets=[ssid]) + "\n"
+                            + scenario_line("b", 51.0002, 7.0, phase=5.0) + "\n")
+        out = tmp_path / "log.csv"
+        out.write_text("old log\n")
+
+        class FullDiskWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def writerow(self, row):
+                self.fh.write(",".join(map(str, row)) + "\r\n")
+                self.writerow = no_space
+        monkeypatch.setattr("csv.writer", FullDiskWriter)
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        assert out.read_text() == "old log\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "scenario.jsonl"]
+
+    def test_aggregate_out(self, tmp_path, capsys, monkeypatch):
+        geo = TestOutputPathErrors().indicators(tmp_path)
+        store, snap = tmp_path / "store.jsonl", tmp_path / "snap.geojson"
+        args = ["aggregate", str(geo), "--store", str(store), "--out", str(snap)]
+        assert main(args) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def dump(obj, fh, **kwargs):
+            fh.write('{"type": ')
+            no_space()
+        monkeypatch.setattr(aggregation.json, "dump", dump)
+        assert main(args) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_synth_out(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path / "spec.json", duration=5.0, potholes=[])
+        out = tmp_path / "t.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+        old = out.read_bytes()
+
+        def write_rows(fh, n, block_columns):
+            fh.write("0.0,")
+            no_space()
+        monkeypatch.setattr(trace_model, "write_rows", write_rows)
+        assert main(["synth", "--spec", str(spec), "--out", str(out),
+                     "--seed", "2"]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        assert out.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "t.csv"]
+
+    def test_symlink_out_becomes_a_file(self, tmp_path):
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text(scenario_line("a", 51.0, 7.0) + "\n")
+        target, out = tmp_path / "target.csv", tmp_path / "log.csv"
+        target.write_text("untouched")
+        out.symlink_to(target)
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert not out.is_symlink() and out.read_text().startswith("t,src,dst")
+        assert target.read_text() == "untouched"
+
+
+class TestRepeatedRunsWriteNewFiles:
+    """Running every command again into the same paths puts each output in
+    place as a new file: nothing but the store is renamed over an existing
+    file or truncated, since on ext4 both wait for the new data to reach the
+    disk. The outputs are the same bytes, and no temporary file is left."""
+
+    def run_all(self, pothole_trace, rail_trace, work):
+        cfg = work / "rail.cfg"
+        cfg.write_text("context = rail\n")
+        scenario = work / "scenario.jsonl"
+        scenario.write_text(scenario_line("a", 51.0, 7.0, packets=[SsidPacket(
+            1, 0, 51_000_000, 7_000_000, (PacketEntry(0, 0, 1, 9, 200),)).to_ssid()])
+            + "\n" + scenario_line("b", 51.0002, 7.0, phase=5.0) + "\n")
+        spec = write_spec(work / "spec.json", duration=5.0, potholes=[])
+        store, geo = work / "store.jsonl", work / "road" / "indicators.geojson"
+        store.unlink(missing_ok=True)
+        for args in (
+                ["analyze", str(pothole_trace), "--out", str(work / "road")],
+                ["analyze", str(rail_trace), "--config", str(cfg), "--out", str(work / "rail")],
+                ["synth", "--spec", str(spec), "--out", str(work / "synth.csv")],
+                ["aggregate", str(geo), "--store", str(store), "--out", str(work / "s1.geojson")],
+                ["aggregate", str(geo), "--store", str(store), "--out", str(work / "s2.geojson")],
+                ["simulate", "--scenario", str(scenario), "--out", str(work / "log.csv")]):
+            assert main(args) == EXIT_OK, args
+        return {str(p.relative_to(work)): p.read_bytes()
+                for p in sorted(work.rglob("*")) if p.is_file()}
+
+    def test_second_run(self, pothole_trace, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path / "rail-spec.json", potholes=[], duration=60.0,
+                          speed=30.0, noise_sigma=0.01)
+        rail_trace = tmp_path / "rail.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(rail_trace)]) == EXIT_OK
+        work = tmp_path / "work"
+        work.mkdir()
+        first = self.run_all(pothole_trace, rail_trace, work)
+
+        renamed_over, truncated = [], []
+        real_replace, real_open = os.replace, builtins.open
+
+        def replace(src, dst, *args, **kwargs):
+            if os.path.lexists(dst):
+                renamed_over.append(os.path.basename(dst))
+            return real_replace(src, dst, *args, **kwargs)
+
+        def open_(file, mode="r", *args, **kwargs):
+            if "w" in mode and os.path.lexists(file):
+                truncated.append(os.path.basename(file))
+            return real_open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(builtins, "open", open_)
+        second = self.run_all(pothole_trace, rail_trace, work)
+        monkeypatch.undo()
+
+        assert renamed_over == ["store.jsonl"]  # the second aggregate reopens it
+        assert truncated == []
+        assert second == first
+        assert not [name for name in first if ".tmp" in name or ".infrasense-" in name]
+        assert {"road/features.csv", "rail/geometry.csv", "synth.csv", "s2.geojson",
+                "log.csv"} <= set(first)
 
 
 def scenario_line(node_id, lat, lon, phase=0.0, packets=()):

@@ -1,8 +1,5 @@
 import copy
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +22,7 @@ from infrasense.dissemination import (
     run_simulation,
 )
 from infrasense.reports import Indicator
+from conftest import perfbench_module
 from oracles import run_simulation_pairs
 
 METERS_PER_DEG = math.pi / 180.0 * 6371000.0
@@ -423,13 +421,7 @@ class TestSimulationOracle:
 
 
 def perfbench_inputs(monkeypatch):
-    """The benchmark's input generators, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look it up
-    spec.loader.exec_module(inputs)
-    return inputs
+    return perfbench_module("inputs", monkeypatch)
 
 
 def benchmark_nodes(inputs, n_nodes, tmp_path):
