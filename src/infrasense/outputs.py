@@ -6,8 +6,11 @@ target. So a write that fails part-way leaves the old file as it was, and
 a new output never replaces an old one by a rename over it or by
 truncating it: on ext4 both make the call wait until the new data is on
 disk (``auto_da_alloc``), which on a slow disk costs more than the run's
-computation. Outputs get no ``fsync``, so a power loss soon after a run
-may leave an empty output, as a first run into a new path always could.
+computation. Unlinking an old file is quick while its data is still in
+the page cache, as it is when a run is repeated within the kernel's
+writeback delay; once the data is on disk, the unlink can wait as long.
+Outputs get no ``fsync``, so a power loss soon after a run may leave an
+empty output, as a first run into a new path always could.
 
 Only a regular file or a symlink at the target is unlinked. A device or a
 pipe (``--out /dev/null``) is written to as it is, and a directory fails.

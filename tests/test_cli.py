@@ -330,27 +330,28 @@ def one_json_error(capsys, code):
     assert len(err) == 1 and json.loads(err[0])["exit"] == code, err
 
 
+def one_indicator(tmp_path):
+    geo = tmp_path / "in.geojson"
+    geo.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+        "type": "Feature", "geometry": {"type": "Point", "coordinates": [7.0, 51.0]},
+        "properties": {"kind": "anomaly", "sub_kind": "", "t": 0.0, "severity": 9,
+                       "confidence": 0.5, "value": 2.0}}]}))
+    return geo
+
+
 class TestOutputPathErrors:
     """An output path that cannot be written is an input error: exit 3 with
     one JSON line, and no other output is left behind."""
 
-    def indicators(self, tmp_path):
-        geo = tmp_path / "in.geojson"
-        geo.write_text(json.dumps({"type": "FeatureCollection", "features": [{
-            "type": "Feature", "geometry": {"type": "Point", "coordinates": [7.0, 51.0]},
-            "properties": {"kind": "anomaly", "sub_kind": "", "t": 0.0, "severity": 9,
-                           "confidence": 0.5, "value": 2.0}}]}))
-        return geo
-
     def test_aggregate_store_in_missing_directory(self, tmp_path, capsys):
         store = tmp_path / "missing" / "s.jsonl"
-        assert main(["aggregate", str(self.indicators(tmp_path)),
+        assert main(["aggregate", str(one_indicator(tmp_path)),
                      "--store", str(store)]) == EXIT_INPUT
         one_json_error(capsys, EXIT_INPUT)
 
     def test_aggregate_out_in_missing_directory(self, tmp_path, capsys):
         store = tmp_path / "s.jsonl"
-        assert main(["aggregate", str(self.indicators(tmp_path)), "--store", str(store),
+        assert main(["aggregate", str(one_indicator(tmp_path)), "--store", str(store),
                      "--out", str(tmp_path / "missing" / "x.geojson")]) == EXIT_INPUT
         one_json_error(capsys, EXIT_INPUT)
         assert not store.exists()
@@ -418,7 +419,7 @@ class TestFailedWriteKeepsOldFile:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "scenario.jsonl"]
 
     def test_aggregate_out(self, tmp_path, capsys, monkeypatch):
-        geo = TestOutputPathErrors().indicators(tmp_path)
+        geo = one_indicator(tmp_path)
         store, snap = tmp_path / "store.jsonl", tmp_path / "snap.geojson"
         args = ["aggregate", str(geo), "--store", str(store), "--out", str(snap)]
         assert main(args) == EXIT_OK

@@ -414,14 +414,10 @@ class TestSimulationOracle:
         assert_matches_oracle(nodes, duration, dt, comm_range)
 
     def test_benchmark_scenario(self, tmp_path, monkeypatch):
-        inputs = perfbench_inputs(monkeypatch)
+        inputs = perfbench_module("inputs", monkeypatch)
         nodes = benchmark_nodes(inputs, 120, tmp_path)
         assert_matches_oracle(nodes, inputs.SIM_DURATION, 1.0, 50.0)
         assert sum(len(n.inbox) for n in nodes) > 12  # the seeded packets spread
-
-
-def perfbench_inputs(monkeypatch):
-    return perfbench_module("inputs", monkeypatch)
 
 
 def benchmark_nodes(inputs, n_nodes, tmp_path):
@@ -436,7 +432,7 @@ class TestNeighbourIndex:
     def test_flat_from_250_to_1000_nodes(self, tmp_path, monkeypatch):
         """Distance evaluations per node-step stay flat at the benchmark's
         constant vehicle density (counts, not time)."""
-        inputs = perfbench_inputs(monkeypatch)
+        inputs = perfbench_module("inputs", monkeypatch)
         calls = [0]
 
         def counted(*args):
