@@ -8,9 +8,11 @@ context (road vs rail).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .features import DEFAULT_FEATURES
+from .rail_analysis import twist_column
 from .road_analysis import DEFAULT_DETECTOR_FEATURES
 
 
@@ -18,8 +20,16 @@ class ConfigError(Exception):
     pass
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in raw.split(","))
+def _twist_bases(raw: str) -> tuple[float, ...]:
+    """Twist base lengths: finite, positive, and each naming its own column."""
+    bases = tuple(float(v) for v in raw.split(","))
+    for base in bases:
+        if not (math.isfinite(base) and base > 0):
+            raise ValueError(f"base {base} is not a finite positive length")
+    names = [twist_column(base) for base in bases]
+    if len(set(names)) < len(names):
+        raise ValueError(f"bases repeat a column: {', '.join(names)}")
+    return bases
 
 
 def _strs(raw: str) -> tuple[str, ...]:
@@ -61,7 +71,7 @@ _KEYS = {
     "roughness.band_min": ("roughness_band_min", float, "road"),
     "roughness.band_max": ("roughness_band_max", float, "road"),
     "roughness.segment_length": ("roughness_segment_length", float, "road"),
-    "rail.twist_bases": ("rail_twist_bases", _floats, "rail"),
+    "rail.twist_bases": ("rail_twist_bases", _twist_bases, "rail"),
     "rail.curvature_threshold": ("rail_curvature_threshold", float, "rail"),
     "rail.wavelength_min": ("rail_wavelength_min", float, "rail"),
     "rail.wavelength_max": ("rail_wavelength_max", float, "rail"),

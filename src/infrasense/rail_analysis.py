@@ -8,7 +8,7 @@ path; curvature is yaw rate over speed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,28 +181,64 @@ def classify_curves(profile: GeometryProfile,
     return out
 
 
+# Decimal places of each geometry.csv column, at what the sensors resolve:
+# s to 1 mm (GPS speed resolves it to about a metre), cant to 0.1 um,
+# twist to 1e-7 mm/m and curvature to 1e-8 1/m, four orders of magnitude
+# below the per-sample gyro-z noise over speed.
+S_DECIMALS = 3
+CANT_DECIMALS = 4
+TWIST_DECIMALS = 7
+CURVATURE_DECIMALS = 8
+
+
+def twist_column(base: float) -> str:
+    """Name of the geometry.csv column of twist over `base` m."""
+    return f"twist{base:g}"
+
+
+def geometry_columns(profile: GeometryProfile,
+                     twist_bases: tuple[float, ...]) -> list[tuple[str, np.ndarray, int]]:
+    """The columns of geometry.csv as (name, values, decimal places).
+
+    Every column is rounded to its decimal places. Each twist is computed
+    from the rounded s and cant, so that it can be recomputed from the file
+    itself, and holds one value per point with a full base ahead (none when
+    the profile is shorter than the base).
+    """
+    s = np.round(profile.s, S_DECIMALS)
+    cant = np.round(profile.cant_height, CANT_DECIMALS)
+    rounded = replace(profile, s=s, cant_height=cant)
+    columns = [("s", s, S_DECIMALS), ("cant_mm", cant, CANT_DECIMALS)]
+    for base in twist_bases:
+        try:
+            values = np.round(twist(rounded, base), TWIST_DECIMALS)
+        except RailAnalysisError:
+            values = np.empty(0)
+        columns.append((twist_column(base), values, TWIST_DECIMALS))
+    columns.append(("curvature", np.round(profile.curvature, CURVATURE_DECIMALS),
+                    CURVATURE_DECIMALS))
+    return columns
+
+
 def geometry_to_csv(profile: GeometryProfile, path,
                     twist_bases: tuple[float, ...] = (3.0, 5.0)) -> None:
     """Profile CSV: s, cant_mm, one twist column per base, curvature.
 
-    Points without a full base ahead get an empty twist cell. Rows are
-    written in blocks (`write_rows`)."""
-    columns = [profile.s, profile.cant_height]
-    for base in twist_bases:
-        try:
-            columns.append(twist(profile, base))
-        except RailAnalysisError:
-            columns.append(np.empty(0))
-    columns.append(profile.curvature)
+    Cells are the `geometry_columns`, written with their decimal places
+    (``"%.3f"`` and so on), so each parses back to exactly the rounded
+    value. Points without a full base ahead get an empty twist cell. Rows
+    are written in blocks (`write_rows`)."""
+    columns = geometry_columns(profile, twist_bases)
+    formats = [f"%.{decimals}f".__mod__ for _, _, decimals in columns]
 
     def block_columns(start, stop):
         out = []
-        for c in columns:
-            cells = list(map(repr, c[start:stop].tolist()))
+        for (_, values, _), fmt in zip(columns, formats):
+            cells = list(map(fmt, values[start:stop].tolist()))
             out.append(cells + [""] * (stop - start - len(cells)))  # a short twist column
         return out
 
-    header = ",".join(["s", "cant_mm", *[f"twist{base:g}" for base in twist_bases], "curvature"])
+    header = ",".join(name for name, _, _ in columns)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
         write_rows(fh, len(profile), block_columns)

@@ -186,6 +186,17 @@ def detrend_linear(x: np.ndarray) -> np.ndarray:
     return centred - (k @ centred) / (k @ k) * k
 
 
+def segment_bounds(s: np.ndarray, segment_length: float) -> np.ndarray:
+    """Row bounds of the whole segments of a non-decreasing distance `s`.
+
+    Segment k holds the rows k*L <= s < (k+1)*L, from ``bounds[k]`` up to
+    ``bounds[k + 1]``; the part of the ride after the last whole segment
+    is in none.
+    """
+    edges = np.arange(int(s[-1] // segment_length) + 1) * segment_length
+    return np.searchsorted(s, edges)
+
+
 def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] = (0.5, 50.0),
                     segment_length: float = 100.0,
                     min_speed: float = 2.0) -> tuple[list[RoughnessReport], list[tuple[int, str]]]:
@@ -208,32 +219,30 @@ def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] 
 
     reports = []
     skipped = []
-    n_segments = int(s[-1] // segment_length)
-    for seg in range(n_segments):
-        s0, s1 = seg * segment_length, (seg + 1) * segment_length
-        mask = (s >= s0) & (s < s1)
-        idx = np.where(mask)[0]
-        if len(idx) < 16:
+    bounds = segment_bounds(s, segment_length)
+    for seg in range(len(bounds) - 1):
+        i, j = bounds[seg], bounds[seg + 1]
+        if j - i < 16:
             skipped.append((seg, "too_few_samples"))
             continue
-        v_mean = float(np.mean(speeds[idx]))
+        v_mean = float(np.mean(speeds[i:j]))
         if v_mean <= min_speed:
             skipped.append((seg, "low_speed"))
             continue
         # frequency band of the requested wavelength band at this speed
         f_lo, f_hi = v_mean / band[1], v_mean / band[0]
-        a_band = swt_bandpass(az[idx], trace.rate, f_lo, f_hi)
+        a_band = swt_bandpass(az[i:j], trace.rate, f_lo, f_hi)
         if a_band is None:
             skipped.append((seg, "band_unresolvable"))
             continue
-        t_seg = trace.t[idx]
+        t_seg = trace.t[i:j]
         vel = detrend_linear(cumtrapz(a_band, t_seg))
         elev = detrend_linear(cumtrapz(vel, t_seg))
-        length = float(s[idx[-1]] - s[idx[0]])
+        length = float(s[j - 1] - s[i])
         index = float(np.sum(np.abs(np.diff(elev))) / length) * 1000.0
         reports.append(RoughnessReport(
             segment_length=segment_length, index=index, band=band,
-            mean_speed=v_mean, s_start=s0,
+            mean_speed=v_mean, s_start=seg * segment_length,
         ))
     return reports, skipped
 

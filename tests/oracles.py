@@ -12,7 +12,7 @@ import numpy as np
 
 from infrasense.aggregation import SegmentAnchor, SegmentState, great_circle
 from infrasense.dissemination import Delivery, decode_packet
-from infrasense.rail_analysis import CURVE_GAP, CURVE_MIN_ARC, RailAnalysisError, twist
+from infrasense.rail_analysis import CURVE_GAP, CURVE_MIN_ARC, geometry_columns
 from infrasense.trace_model import (
     CSV_COLUMNS,
     FIX_COLUMNS,
@@ -388,19 +388,17 @@ def run_simulation_pairs(nodes, duration: float, dt: float = 1.0,
 
 
 def geometry_to_csv_writer(profile, path, twist_bases=(3.0, 5.0)) -> None:
-    """`geometry_to_csv` through `csv.writer`, one row of Python floats at a time."""
-    columns = [profile.s.tolist(), profile.cant_height.tolist()]
-    for base in twist_bases:
-        try:
-            values = twist(profile, base).tolist()
-        except RailAnalysisError:
-            values = []
-        columns.append(values + [""] * (len(profile) - len(values)))
-    columns.append(profile.curvature.tolist())
+    """`geometry_to_csv` through `csv.writer`, one row at a time: the same
+    rounded `geometry_columns`, each cell formatted by `format(value, ".Nf")`."""
+    columns = geometry_columns(profile, twist_bases)
+    cells = []
+    for _, values, decimals in columns:
+        column = [format(v, f".{decimals}f") for v in values.tolist()]
+        cells.append(column + [""] * (len(profile) - len(column)))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["s", "cant_mm", *[f"twist{base:g}" for base in twist_bases], "curvature"])
-        w.writerows(zip(*columns))
+        w.writerow([name for name, _, _ in columns])
+        w.writerows(zip(*cells))
 
 
 def curve_runs_loop(s, smooth, threshold) -> list[tuple[int, int]]:
@@ -435,4 +433,14 @@ def curve_runs_loop(s, smooth, threshold) -> list[tuple[int, int]]:
                 run = [stretch, i - 1]
         stretch = None
     close()
+    return out
+
+
+def segment_rows_mask(s, segment_length) -> list[np.ndarray]:
+    """The rows of each whole segment of the distance `s`, found by comparing
+    every sample with the segment's edges: k*L <= s < (k+1)*L."""
+    out = []
+    for seg in range(int(s[-1] // segment_length)):
+        s0, s1 = seg * segment_length, (seg + 1) * segment_length
+        out.append(np.where((s >= s0) & (s < s1))[0])
     return out

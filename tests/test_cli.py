@@ -250,6 +250,19 @@ class TestAnalyzeCommand:
         assert code == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bases", ["nan", "inf", "0", "-3", "3,3", "3,3.0000001"])
+    def test_bad_twist_bases(self, pothole_trace, tmp_path, capsys, bases):
+        # refused as the config loads, before the trace is parsed; the last
+        # two would write two columns named twist3
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"context = rail\nrail.twist_bases = {bases}\n")
+        out = tmp_path / "o"
+        code = main(["analyze", str(pothole_trace), "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_INPUT
+        error = json.loads(capsys.readouterr().err.strip())["error"]
+        assert error.startswith("config: line 2: bad value for 'rail.twist_bases'")
+        assert not out.exists()
+
     def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys):
         # too-short trace fails mid-pipeline; out dir must stay empty
         spec = write_spec(tmp_path / "spec.json", duration=2.0, potholes=[])

@@ -1,12 +1,14 @@
+import csv
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_trace
+from conftest import make_trace, perfbench_module
 from infrasense import trace_model
 from infrasense.cli import EXIT_OK, main
 from infrasense.rail_analysis import (
@@ -418,8 +420,9 @@ class TestGeometryCsv:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_peak_memory(self, tmp_path):
-        # 60 k points, 6 MB of CSV: a writer that holds every cell as a str
-        # at once peaks 37 MB above its start, one in row blocks at 4 MB
+        # 60 k points, 3 MB of CSV: the row-block writer peaks 5 MB above its
+        # start, its rounded copies of the columns included; a writer that
+        # held all 6 MB of full-precision cells as str at once peaked at 37 MB
         n = 60_000
         rng = np.random.default_rng(0)
         pts = profile(np.arange(n) * 0.5, rng.normal(0.0, 5.0, n), rng.normal(0.0, 1e-3, n))
@@ -431,3 +434,60 @@ class TestGeometryCsv:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+BENCH_SEED, BENCH_DURATION = 5, 240.0
+
+
+@pytest.fixture(scope="module")
+def bench_rail(tmp_path_factory):
+    """A 4-min benchmark rail ride over two curves, analysed through the CLI."""
+    work = tmp_path_factory.mktemp("bench-rail")
+    with pytest.MonkeyPatch.context() as mp:
+        inputs, checks = perfbench_module("inputs", mp), perfbench_module("checks", mp)
+        ride = inputs.rail_ride(BENCH_SEED, duration=BENCH_DURATION)
+    ride.write_csv(work / "ride.csv")
+    (work / "rail.cfg").write_text("context = rail\n")
+    assert main(["analyze", str(work / "ride.csv"), "--config", str(work / "rail.cfg"),
+                 "--out", str(work / "out")]) == EXIT_OK
+    return inputs, checks, ride, work
+
+
+class TestBenchmarkRailRide:
+    def test_benchmark_checks_pass(self, bench_rail):
+        inputs, checks, ride, work = bench_rail
+        assert len(ride.truth["curves"]) == 2
+        header, values = checks.read_geometry(work / "out" / "geometry.csv")
+        collection = checks.load_json(work / "out" / "indicators.geojson")
+        assert checks.check_twist(header, values) == []
+        assert checks.check_cant_irregularity(header, values, ride.truth) == []
+        curve_length = 2 * inputs.TRANSITION + inputs.ARC
+        assert checks.check_curves(collection, ride.truth, curve_length) == []
+
+    def test_cells_hold_the_profile_to_their_resolution(self, bench_rail):
+        _, _, _, work = bench_rail
+        trace, _ = trace_model.parse_trace(work / "ride.csv")
+        profile, _ = cant_from_roll(trace_model.reorient(trace).trace)
+        with open(work / "out" / "geometry.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["s", "cant_mm", "twist3", "twist5", "curvature"]
+        cells = np.array(rows)
+        assert cells.shape == (len(profile), len(header))
+
+        def column(name):
+            return cells[:, header.index(name)]
+
+        def assert_within(got, want, half_step):
+            # half the last written digit, plus float slack
+            assert np.max(np.abs(got - want)) <= half_step * (1 + 1e-6)
+
+        s, cant = column("s").astype(float), column("cant_mm").astype(float)
+        assert_within(s, profile.s, 0.5e-3)  # m
+        assert_within(cant, profile.cant_height, 0.5e-4)  # mm
+        assert_within(column("curvature").astype(float), profile.curvature, 5e-9)  # 1/m
+        rounded = replace(profile, s=s, cant_height=cant)
+        for base in (3.0, 5.0):
+            cells_of_base = column(f"twist{base:g}")
+            ahead = s + base <= s[-1]
+            np.testing.assert_array_equal(cells_of_base == "", ~ahead)
+            assert_within(cells_of_base[ahead].astype(float), twist(rounded, base), 5e-8)  # mm/m

@@ -17,10 +17,12 @@ from infrasense.road_analysis import (
     quarter_car_states,
     robust_z,
     roughness_index,
+    segment_bounds,
     simulate_quarter_car,
 )
 from infrasense.synth import PROFILE_SPACING, Pothole, Sinusoid, SynthSpec, generate_trace
-from infrasense.trace_model import CapabilityError, gravity_split
+from infrasense.trace_model import CapabilityError, cumtrapz, gravity_split
+from oracles import segment_rows_mask
 
 
 def maneuvers(trace):
@@ -230,6 +232,34 @@ class TestRoughnessIndex:
     def test_bad_segment_length(self):
         with pytest.raises(ValueError):
             roughness(make_trace(), segment_length=0.0)
+
+
+class TestSegmentBounds:
+    def rows(self, s, segment_length=100.0):
+        bounds = segment_bounds(s, segment_length)
+        return [np.arange(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
+
+    def test_ride_with_samples_on_the_edges(self):
+        # 8 m/s at 64 Hz: s steps by exactly 0.125 m, so every 100 m edge is a sample
+        trace = make_trace(duration=70.0, rate=64.0, speed=8.0)
+        s = cumtrapz(trace.fixes.interp("speed", trace.t), trace.t)
+        assert np.isin(np.arange(6) * 100.0, s).all()
+        got, want = self.rows(s), segment_rows_mask(s, 100.0)
+        assert len(got) == len(want) == 5
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        reports, skipped = roughness(trace)
+        assert len(reports) + len(skipped) == 5
+
+    @given(st.lists(st.sampled_from([0.0, 0.125, 12.5, 37.5, 100.0, 250.0]),
+                    min_size=1, max_size=60))
+    def test_matches_the_mask_rule(self, steps):
+        # exact binary steps, with stops (0) and jumps over whole segments
+        s = np.cumsum([0.0, *steps])
+        got, want = self.rows(s), segment_rows_mask(s, 100.0)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestDetrendLinear:
