@@ -21,12 +21,16 @@ class ConfigError(Exception):
 
 
 def _twist_bases(raw: str) -> tuple[float, ...]:
-    """Twist base lengths: finite, positive, and each naming its own column."""
+    """Twist base lengths: finite, positive, and each naming its own column,
+    whose name reads back as exactly that base."""
     bases = tuple(float(v) for v in raw.split(","))
     for base in bases:
         if not (math.isfinite(base) and base > 0):
             raise ValueError(f"base {base} is not a finite positive length")
     names = [twist_column(base) for base in bases]
+    for base, name in zip(bases, names):
+        if float(name.removeprefix("twist")) != base:
+            raise ValueError(f"base {base!r} would be written as column {name}")
     if len(set(names)) < len(names):
         raise ValueError(f"bases repeat a column: {', '.join(names)}")
     return bases

@@ -7,6 +7,7 @@ path; curvature is yaw rate over speed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -227,18 +228,24 @@ def geometry_to_csv(profile: GeometryProfile, path,
     Cells are the `geometry_columns`, written with their decimal places
     (``"%.3f"`` and so on), so each parses back to exactly the rounded
     value. Points without a full base ahead get an empty twist cell. Rows
-    are written in blocks (`write_rows`)."""
+    are written in blocks (`write_rows`); a row with every cell is
+    formatted with one ``%``, the rows past a short twist column cell by
+    cell."""
     columns = geometry_columns(profile, twist_bases)
-    formats = [f"%.{decimals}f".__mod__ for _, _, decimals in columns]
+    formats = [f"%.{decimals}f" for _, _, decimals in columns]
+    row_format = ",".join(formats).__mod__
+    full = min(len(values) for _, values, _ in columns)  # rows with every cell
 
-    def block_columns(start, stop):
-        out = []
+    def block_rows(start, stop):
+        cut = min(max(start, full), stop)
+        rows = map(row_format, zip(*(values[start:cut].tolist() for _, values, _ in columns)))
+        tail = []
         for (_, values, _), fmt in zip(columns, formats):
-            cells = list(map(fmt, values[start:stop].tolist()))
-            out.append(cells + [""] * (stop - start - len(cells)))  # a short twist column
-        return out
+            cells = list(map(fmt.__mod__, values[cut:stop].tolist()))
+            tail.append(cells + [""] * (stop - cut - len(cells)))  # a short twist column
+        return itertools.chain(rows, map(",".join, zip(*tail)))
 
     header = ",".join(name for name, _, _ in columns)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        write_rows(fh, len(profile), block_columns)
+        write_rows(fh, len(profile), block_rows)

@@ -15,6 +15,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -187,13 +188,21 @@ def _column(cells, n: int) -> np.ndarray:
     unparsable.
 
     `float` strips the whitespace a number is padded with, so its values
-    equal `_cell_value`'s; a column with any cell it rejects is converted
+    equal `_cell_value`'s. A column with empty cells converts only its
+    other cells; one with a cell `float` rejects among those is converted
     again cell by cell.
     """
     try:
         return np.fromiter(map(float, cells), float, n)
     except (TypeError, ValueError, OverflowError):
+        pass
+    present = np.fromiter(map(operator.ne, cells, itertools.repeat("")), bool, n)
+    out = np.full(n, math.nan)
+    try:
+        out[present] = np.fromiter(map(float, itertools.compress(cells, present.tolist())), float)
+    except (TypeError, ValueError, OverflowError):
         return np.fromiter(map(_cell_value, cells), float, n)
+    return out
 
 
 def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
@@ -248,21 +257,66 @@ def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
 _ROW_BLOCK = 4096
 
 
-def _read_blocks(rows, block_cells) -> tuple[dict, int]:
-    """Read rows `_ROW_BLOCK` at a time into float columns.
+def _read_blocks(blocks) -> tuple[dict, int]:
+    """Join blocks of cells into float columns.
 
-    `block_cells` maps a list of rows to each column's cells in those rows;
-    `_column` converts them block by block. Returns the joined columns and
+    `blocks` yields (cells, m): each column's cells in a block of m rows,
+    which `_column` converts block by block. Returns the joined columns and
     the number of rows.
     """
-    blocks, n = {}, 0
+    parts, n = {}, 0
+    for cells, m in blocks:
+        for k, column in cells.items():
+            parts.setdefault(k, []).append(_column(column, m))
+        n += m
+    return {k: np.concatenate(v) for k, v in parts.items()}, n
+
+
+def _row_blocks(rows, block_cells):
+    """`_ROW_BLOCK` rows at a time, as (cells, m) with `block_cells(rows)`
+    mapping a list of rows to each column's cells in them."""
     while block := list(itertools.islice(rows, _ROW_BLOCK)):
-        for k, cells in block_cells(block).items():
-            blocks.setdefault(k, []).append(_column(cells, len(block)))
-        n += len(block)
-    for k in blocks:
-        blocks[k] = np.concatenate(blocks[k])
-    return blocks, n
+        yield block_cells(block), len(block)
+
+
+def _split_cells(lines, width: int, index: dict) -> dict | None:
+    """Each indexed column's cells in a block of CSV lines, by one split of
+    the block's text; None unless every line is exactly `width` unquoted
+    cells ended by a newline and no longer than `csv.field_size_limit()`.
+
+    Line ends become separator cells, which must fall every `width` + 1
+    cells, so a row can be read from the split only as `csv.reader` reads
+    it.
+    """
+    text = "".join(lines)
+    if '"' in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    m, step = len(lines), width + 1
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    flat = text.replace("\n", ",\n,").split(",")
+    if len(flat) != m * step + 1 or flat[width::step].count("\n") != m:
+        return None
+    return {k: flat[j:m * step:step] for k, j in index.items()}
+
+
+def _csv_blocks(fh, width: int, index: dict):
+    """The cells of the CSV rows after the header, as `_row_blocks` yields
+    them: each block of lines by `_split_cells`, and from the first block
+    it cannot read on, every row by `csv.reader`."""
+
+    def transpose(rows):
+        # short rows padded with None; a column no row reaches is all None
+        cells = list(itertools.zip_longest(*rows))
+        return {k: cells[j] if j < len(cells) else [None] * len(rows)
+                for k, j in index.items()}
+
+    while lines := list(itertools.islice(fh, _ROW_BLOCK)):
+        cells = _split_cells(lines, width, index)
+        if cells is None:
+            rows = filter(None, csv.reader(itertools.chain(lines, fh)))
+            yield from _row_blocks(rows, transpose)
+            return
+        yield cells, len(lines)
 
 
 def _jsonl_objects(fh):
@@ -290,46 +344,43 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
     non-finite required values or an invalid fix are dropped and counted by
     reason in the report. CSV rows are read as `csv.DictReader` reads them:
     blank lines are skipped, short rows padded with missing cells and the
-    cells past the header ignored. Both formats are read `_ROW_BLOCK` rows
-    at a time.
+    cells past the header ignored; a file `csv.reader` cannot read, such as
+    one with a cell longer than `csv.field_size_limit()`, is a SchemaError.
+    Both formats are read `_ROW_BLOCK` rows at a time; CSV blocks of plain
+    rows are split as text (`_split_cells`), the rest go through
+    `csv.reader`.
     """
     path = str(path)
     if format == "csv":
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            missing = [c for c in _REQUIRED if c not in header]
-            if missing:
-                raise SchemaError(f"missing required columns: {missing}")
-            # a header name repeated: the last of its columns counts, as in DictReader
-            index = {name: j for j, name in enumerate(header) if name in CSV_COLUMNS}
-
-            def block_cells(rows):
-                # transposed, short rows padded with None; a column no row reaches is all None
-                cells = list(itertools.zip_longest(*rows))
-                return {k: cells[j] if j < len(cells) else [None] * len(rows)
-                        for k, j in index.items()}
-
-            cols, n = _read_blocks(filter(None, reader), block_cells)
+            try:
+                header = next(csv.reader(fh), [])
+                missing = [c for c in _REQUIRED if c not in header]
+                if missing:
+                    raise SchemaError(f"missing required columns: {missing}")
+                # a header name repeated: the last of its columns counts, as in DictReader
+                index = {name: j for j, name in enumerate(header) if name in CSV_COLUMNS}
+                cols, n = _read_blocks(_csv_blocks(fh, len(header), index))
+            except csv.Error as e:
+                raise SchemaError(f"unreadable CSV: {e}") from e
     elif format == "jsonl":
         with open(path) as fh:
-            cols, n = _read_blocks(_jsonl_objects(fh), lambda objs: {
-                k: [obj.get(k) for obj in objs] for k in CSV_COLUMNS})
+            cols, n = _read_blocks(_row_blocks(_jsonl_objects(fh), lambda objs: {
+                k: [obj.get(k) for obj in objs] for k in CSV_COLUMNS}))
     else:
         raise ValueError(f"unknown format {format!r}")
     return _columns_to_trace(cols, n)
 
 
-def write_rows(fh, n: int, block_columns) -> None:
+def write_rows(fh, n: int, block_rows) -> None:
     """Write `n` CSV rows `_ROW_BLOCK` at a time, as `csv.writer` writes
-    cells that need no quoting: joined by commas, each row ended by CRLF.
+    cells that need no quoting: each row ended by CRLF.
 
-    `block_columns(start, stop)` returns the cells of rows start..stop, one
-    list of strings per column.
+    `block_rows(start, stop)` returns rows start..stop, each one string of
+    cells joined by commas.
     """
     for start in range(0, n, _ROW_BLOCK):
-        rows = map(",".join, zip(*block_columns(start, min(start + _ROW_BLOCK, n))))
-        fh.write("\r\n".join(rows) + "\r\n")
+        fh.write("\r\n".join(block_rows(start, min(start + _ROW_BLOCK, n))) + "\r\n")
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -351,12 +402,13 @@ def write_trace_csv(trace: Trace, path) -> None:
     gyro = trace.gyro.T if trace.gyro is not None else np.full((3, n), math.nan)
     columns = [trace.t, *trace.accel.T, *gyro, *geo]
 
-    def block_columns(start, stop):
-        return [[repr(v) if v == v else "" for v in c[start:stop].tolist()] for c in columns]
+    def block_rows(start, stop):
+        cells = [[repr(v) if v == v else "" for v in c[start:stop].tolist()] for c in columns]
+        return map(",".join, zip(*cells))
 
     with new_file(path, newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        write_rows(fh, n, block_columns)
+        write_rows(fh, n, block_rows)
 
 
 # A scan block ends after this many steps, or sooner where its running

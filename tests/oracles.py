@@ -91,11 +91,14 @@ def parse_trace_rows(path, format: str = "csv"):
     if format == "csv":
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in REQUIRED if c not in header]
-            if missing:
-                raise SchemaError(f"missing required columns: {missing}")
-            rows = list(reader)
+            try:
+                header = reader.fieldnames or []
+                missing = [c for c in REQUIRED if c not in header]
+                if missing:
+                    raise SchemaError(f"missing required columns: {missing}")
+                rows = list(reader)
+            except csv.Error as e:
+                raise SchemaError(f"unreadable CSV: {e}") from e
     else:
         rows = []
         with open(path) as fh:

@@ -234,6 +234,26 @@ class TestAnalyzeCommand:
         assert code == EXIT_INPUT
         assert "sample interval is 0" in json.loads(capsys.readouterr().err.strip())["error"]
 
+    @pytest.mark.parametrize("row", [0, 1, None])
+    def test_cell_past_the_field_limit_is_input_error(self, tmp_path, capsys, monkeypatch, row):
+        # a 200 000-character cell in the header (None), in the first row,
+        # which the text split hands to csv.reader, or in a row after a
+        # quoted one, which csv.reader already reads
+        monkeypatch.setattr(trace_model, "_ROW_BLOCK", 1)
+        lines = ["t,ax,ay,az", '"0",0,0,-9.81', "0.01,0,0,-9.81", "0.02,0,0,-9.81"]
+        big = "1" * 200_000
+        if row is None:
+            lines[0] += ",note" + big
+        else:
+            lines[row + 1] = big + lines[row + 1][lines[row + 1].index(","):]
+        trace = tmp_path / "big.csv"
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "field larger than field limit" in json.loads(err[0])["error"]
+        assert not out.exists()
+
     def test_unknown_config_key(self, pothole_trace, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("bogus.key = 1\n")
@@ -250,10 +270,13 @@ class TestAnalyzeCommand:
         assert code == EXIT_INPUT
         capsys.readouterr()
 
-    @pytest.mark.parametrize("bases", ["nan", "inf", "0", "-3", "3,3", "3,3.0000001"])
+    @pytest.mark.parametrize("bases", ["nan", "inf", "0", "-3", "3,3", "3,3.0000001",
+                                       "3.0000001", "1234567"])
     def test_bad_twist_bases(self, pothole_trace, tmp_path, capsys, bases):
-        # refused as the config loads, before the trace is parsed; the last
-        # two would write two columns named twist3
+        # refused as the config loads, before the trace is parsed; "3,3" and
+        # "3,3.0000001" would write two columns named twist3, and the last two
+        # a column whose name reads back as another base (twist3,
+        # twist1.23457e+06)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"context = rail\nrail.twist_bases = {bases}\n")
         out = tmp_path / "o"

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import tracemalloc
@@ -76,6 +77,11 @@ JSON_VALUES = st.one_of(
     st.tuples(_PAD, st.floats(-100, 100).map(repr), _PAD).map("".join), JUNK,
     st.none(), st.booleans(), st.just([1.0]),
 )
+
+
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+# the kinds of line the split cannot read
+HAND_OFF = ("quoted", "quoted_newline", "blank", "short", "long", "no_final_newline")
 
 
 def _parse_outcome(parse, path, fmt):
@@ -245,6 +251,71 @@ class TestParseTrace:
         with mock.patch.object(trace_model, "_ROW_BLOCK", block):
             assert_same_parse(path, "jsonl")
 
+    # Rows of the header's width only: every block is split as text.
+    @given(data=st.data(), block=st.integers(1, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_split_rows_match_row_parser(self, tmp_path_factory, data, block):
+        header, cells = draw_header(data)
+        rows = [draw_row(data, header, cells) for _ in range(data.draw(st.integers(0, 25)))]
+        ends = data.draw(st.lists(LINE_END, min_size=len(rows) + 1, max_size=len(rows) + 1))
+        lines = [line + end for line, end in zip([",".join(header), *rows], ends)]
+        path = write_drawn_text(tmp_path_factory, "".join(lines))
+        with spy_split() as split, mock.patch.object(trace_model, "_ROW_BLOCK", block):
+            assert_same_parse(path, "csv")
+        assert None not in split
+
+    # Regular rows for at least one block of 1-4, then one of these kinds of
+    # line, then regular rows again: a block the split cannot read hands it
+    # and every later row to csv.reader.
+    @given(data=st.data(), block=st.integers(1, 4),
+           kind=st.sampled_from([*HAND_OFF, "bare_cr", "nul"]))
+    @settings(max_examples=200, deadline=None)
+    def test_hand_off_to_csv_reader_matches_row_parser(self, tmp_path_factory, data, block,
+                                                       kind):
+        header, cells = draw_header(data)
+        head = [draw_row(data, header, cells) for _ in range(data.draw(st.integers(block, 3 * block)))]
+        tail = [] if kind == "no_final_newline" else [
+            draw_row(data, header, cells) for _ in range(data.draw(st.integers(0, 5)))]
+        row = draw_row(data, header, cells).split(",")
+        j = data.draw(st.integers(0, len(row) - 1))
+        if kind == "quoted":
+            row[j] = '"' + row[j] + '"'
+        elif kind == "quoted_newline":
+            row[j] = '"' + row[j] + data.draw(st.sampled_from(["\n", "\r\n", "\n7", "\r"])) + '"'
+        elif kind == "short":
+            row = row[:data.draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":  # at twice the width plus one, its line end falls in a row's place
+            row += ["7"] * data.draw(st.sampled_from([1, 2, len(row), len(row) + 1]))
+        elif kind == "nul":
+            row[j] = data.draw(st.sampled_from(["\x00", row[j] + "\x00"]))
+        odd = {"blank": "\n", "bare_cr": ",".join(row) + "\r",
+               "no_final_newline": ",".join(row)}.get(kind, ",".join(row) + "\n")
+        text = "".join(line + "\n" for line in [",".join(header), *head]) + odd
+        path = write_drawn_text(tmp_path_factory, text + "".join(line + "\n" for line in tail))
+        with spy_split() as split, mock.patch.object(trace_model, "_ROW_BLOCK", block):
+            assert_same_parse(path, "csv")
+        assert split[0] is not None
+        assert (split[-1] is None) == (kind in HAND_OFF)
+
+    @pytest.mark.parametrize("where", ["header", "split_block", "reader_block"])
+    def test_cell_past_the_field_limit_is_schema_error(self, tmp_path, monkeypatch, where):
+        # a 200 000-character cell, in the header, in a block the split hands
+        # to csv.reader, or in a row csv.reader reads after a quoted one
+        monkeypatch.setattr(trace_model, "_ROW_BLOCK", 1)
+        big = "1" * 200_000
+        lines = ["t,ax,ay,az", "0,0,0,-9.81", "0.01,0,0,-9.81", "0.02,0,0,-9.81"]
+        if where == "header":
+            lines[0] += ",note" + big
+        else:
+            lines[2] = big + lines[2]
+        if where == "reader_block":
+            lines[1] = '"0",0,0,-9.81'
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="field larger than field limit"):
+            parse_trace(path)
+        assert_same_parse(path, "csv")
+
     @pytest.mark.parametrize("line", ['"t ax ay az"', "[1, 2]", "3.5"])
     def test_jsonl_line_not_an_object_is_schema_error(self, tmp_path, line):
         # a string holds "t" etc. as substrings, so only a type check catches it
@@ -255,15 +326,21 @@ class TestParseTrace:
         assert_same_parse(path, "jsonl")
 
 
-def draw_csv(data) -> list[str]:
-    """Lines of a drawn CSV trace: optional columns left out, an extra or
-    repeated header name, blank, short and long rows, junk cells."""
+def draw_header(data) -> tuple[list[str], dict]:
+    """A drawn CSV header, with optional columns left out and an extra or
+    repeated name, and the strategy of each of its schema columns' cells."""
     header = [c for c in CSV_COLUMNS if c in REQUIRED or data.draw(PRESENT)]
     if data.draw(st.booleans()):  # a column outside the schema, or a repeated name
         extra = data.draw(st.sampled_from(["note", *header]))
         header.insert(data.draw(st.integers(0, len(header))), extra)
     dirty = draw_dirty_groups(data)
-    cells = {c: CELLS[c][dirty[c]] for c in header if c in CELLS}
+    return header, {c: CELLS[c][dirty[c]] for c in header if c in CELLS}
+
+
+def draw_csv(data) -> list[str]:
+    """Lines of a drawn CSV trace: optional columns left out, an extra or
+    repeated header name, blank, short and long rows, junk cells."""
+    header, cells = draw_header(data)
     lines = [",".join(header)]
     for _ in range(data.draw(st.integers(0, 25))):
         if data.draw(st.integers(0, 9)) == 0:
@@ -274,6 +351,24 @@ def draw_csv(data) -> list[str]:
         row = (row + ["7"] * 2)[:size]  # a short row, or a long one with extra cells
         lines.append(",".join(row))
     return lines
+
+
+def draw_row(data, header, cells) -> str:
+    """One row of the header's width."""
+    return ",".join(data.draw(cells.get(c, JUNK)) for c in header)
+
+
+@contextlib.contextmanager
+def spy_split():
+    """The results of `_split_cells` while in the block, one per block."""
+    results, split = [], trace_model._split_cells
+
+    def spy(*args):
+        results.append(split(*args))
+        return results[-1]
+
+    with mock.patch.object(trace_model, "_split_cells", spy):
+        yield results
 
 
 def draw_jsonl(data) -> list[str]:
@@ -296,6 +391,13 @@ def draw_jsonl(data) -> list[str]:
 def write_drawn(tmp_path_factory, name, lines):
     path = tmp_path_factory.mktemp("parse") / name
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def write_drawn_text(tmp_path_factory, text):
+    """A drawn CSV file, its line ends as drawn."""
+    path = tmp_path_factory.mktemp("parse") / "trace.csv"
+    path.write_bytes(text.encode())
     return path
 
 
