@@ -15,7 +15,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -183,26 +182,31 @@ def _cell_value(raw) -> float:
         return math.nan
 
 
+# An empty CSV cell, a short CSV row's missing cell, and a JSON null or
+# absent key
+_EMPTY = frozenset(("", None))
+
+
 def _column(cells, n: int) -> np.ndarray:
     """One column of cells as floats, NaN where a cell is absent, empty or
     unparsable.
 
     `float` strips the whitespace a number is padded with, so its values
-    equal `_cell_value`'s. A column with empty cells converts only its
-    other cells; one with a cell `float` rejects among those is converted
-    again cell by cell.
+    equal `_cell_value`'s. A column with empty cells (`_EMPTY`) converts
+    only its other cells; one with a cell `float` rejects among those, or
+    an unhashable JSON value, is converted again cell by cell.
     """
     try:
         return np.fromiter(map(float, cells), float, n)
     except (TypeError, ValueError, OverflowError):
         pass
-    present = np.fromiter(map(operator.ne, cells, itertools.repeat("")), bool, n)
-    out = np.full(n, math.nan)
     try:
+        present = ~np.fromiter(map(_EMPTY.__contains__, cells), bool, n)
+        out = np.full(n, math.nan)
         out[present] = np.fromiter(map(float, itertools.compress(cells, present.tolist())), float)
+        return out
     except (TypeError, ValueError, OverflowError):
         return np.fromiter(map(_cell_value, cells), float, n)
-    return out
 
 
 def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
