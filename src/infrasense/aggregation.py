@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .outputs import new_file
-from .reports import Indicator
+from .reports import JSON_NUMBER, Indicator
 
 EARTH_RADIUS = 6371000.0  # m
 _SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
@@ -282,10 +282,14 @@ class SegmentStore:
                     continue
                 try:
                     rec = json.loads(line)
-                    ind = Indicator(
-                        kind=rec["kind"], sub_kind="", lat=rec["lat"], lon=rec["lon"],
-                        t=rec["t"], severity=0, confidence=1.0, value=rec["value"],
-                    )
+                    if not isinstance(rec, dict):
+                        raise ValueError("not a JSON object")
+                    lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
+                    if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
+                            and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
+                        raise ValueError("lat, lon, t and value must be JSON numbers")
+                    ind = Indicator(kind=rec["kind"], sub_kind="", lat=lat, lon=lon,
+                                    t=t, severity=0, confidence=1.0, value=value)
                     expect = rec["anchor_id"]
                 except (KeyError, ValueError, json.JSONDecodeError) as e:
                     raise StoreError(f"corrupt store line {lineno}: {e}") from e

@@ -12,16 +12,24 @@ partial file, and no run waits for the filesystem to flush a file it
 renames over or truncates. Outputs get no ``fsync``. The store of
 ``aggregate`` alone is renamed over the old log (``SegmentStore.save``).
 
-Only the numpy-free layers (aggregation, dissemination, reports) are
-imported here. The numpy layers are registered in ``sys.modules`` by
-:func:`_lazy` and run on first attribute access, so ``aggregate``,
-``simulate``, ``encode`` and ``decode`` start without numpy.
+Only :mod:`infrasense.reports` and :mod:`infrasense.outputs` are imported
+here. Every other layer, the numpy ones and the crowd-side aggregation and
+dissemination, is registered in ``sys.modules`` by :func:`_lazy` and runs on
+first attribute access. So ``aggregate``, ``simulate``, ``encode`` and
+``decode`` start without numpy, ``analyze`` runs neither crowd layer, and
+``aggregate`` runs no dissemination. No command loads ``numpy.ma``: the
+medians go through :func:`infrasense.trace_model.median`, not ``np.median``.
+
+Run as the program (``main()`` with no `argv`), a command freezes the heap
+when it returns, so that interpreter exit skips its collection (see
+:func:`main`).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import importlib.util
 import json
 import math
@@ -33,15 +41,6 @@ import types
 from dataclasses import replace
 
 from . import __version__
-from .aggregation import AggregationError, MatchPolicy, SegmentStore, StoreError
-from .dissemination import (
-    FormatError,
-    IntegrityError,
-    SimNode,
-    decode_packet,
-    encode_packet,
-    run_simulation,
-)
 from .outputs import new_file, put_in_place, replaceable
 from .reports import indicators_from_geojson, indicators_to_geojson
 
@@ -79,6 +78,8 @@ road_analysis = _lazy("road_analysis")
 rail_analysis = _lazy("rail_analysis")
 config = _lazy("config")
 synth = _lazy("synth")
+aggregation = _lazy("aggregation")
+dissemination = _lazy("dissemination")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -216,19 +217,19 @@ def cmd_synth(args) -> int:
 def cmd_aggregate(args) -> int:
     if not (args.radius > 0 and args.half_life > 0):
         return _fail(EXIT_USAGE, "--radius and --half-life must be positive")
-    policy = MatchPolicy(radius=args.radius, half_life=args.half_life)
+    policy = aggregation.MatchPolicy(radius=args.radius, half_life=args.half_life)
     try:
         if os.path.exists(args.store):
-            store = SegmentStore.load(args.store, policy)
+            store = aggregation.SegmentStore.load(args.store, policy)
         else:
-            store = SegmentStore()
-    except (OSError, StoreError) as e:
+            store = aggregation.SegmentStore()
+    except (OSError, aggregation.StoreError) as e:
         return _fail(EXIT_INPUT, f"store: {e}")
     try:
         for path in args.indicators:
             for ind in indicators_from_geojson(path):
                 store.contribute(ind, policy)
-    except (OSError, KeyError, ValueError, AggregationError) as e:
+    except (OSError, KeyError, ValueError, aggregation.AggregationError) as e:
         return _fail(EXIT_INPUT, f"indicators: {e}")
     # The snapshot goes first: if it cannot be written, the store is left as
     # it was, and the same call can be made again.
@@ -244,7 +245,7 @@ def cmd_aggregate(args) -> int:
     return EXIT_OK
 
 
-def _load_scenario(path) -> list[SimNode]:
+def _load_scenario(path) -> list[dissemination.SimNode]:
     nodes = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -252,7 +253,7 @@ def _load_scenario(path) -> list[SimNode]:
             if not line:
                 continue
             obj = json.loads(line)
-            node = SimNode(
+            node = dissemination.SimNode(
                 id=str(obj["id"]),
                 waypoints=[tuple(w) for w in obj["waypoints"]],
                 duty=obj.get("duty", 0.5),
@@ -271,8 +272,9 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.duration < math.inf:
         return _fail(EXIT_USAGE, "--duration must be finite and non-negative")
     try:
-        log = run_simulation(_load_scenario(args.scenario), duration=args.duration,
-                             dt=args.dt, comm_range=args.range)
+        log = dissemination.run_simulation(_load_scenario(args.scenario),
+                                           duration=args.duration, dt=args.dt,
+                                           comm_range=args.range)
     except (OSError, KeyError, TypeError, ValueError) as e:
         return _fail(EXIT_INPUT, f"scenario: {e}")
     try:
@@ -287,11 +289,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    if not (abs(args.lat) <= 90.0 and abs(args.lon) <= 180.0):
+        return _fail(EXIT_USAGE, "--lat and --lon must be finite, within 90 and 180 degrees")
     try:
         indicators = indicators_from_geojson(args.indicators)
     except (OSError, KeyError, ValueError) as e:
         return _fail(EXIT_INPUT, f"indicators: {e}")
-    ssid, report = encode_packet(args.lat, args.lon, indicators)
+    ssid, report = dissemination.encode_packet(args.lat, args.lon, indicators)
     print(ssid)
     if report.truncated or report.clamped:
         print(json.dumps({"truncated": report.truncated, "clamped": report.clamped}),
@@ -301,8 +305,8 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     try:
-        packet = decode_packet(args.ssid)
-    except (FormatError, IntegrityError) as e:
+        packet = dissemination.decode_packet(args.ssid)
+    except (dissemination.FormatError, dissemination.IntegrityError) as e:
         return _fail(EXIT_INPUT, f"decode: {e}")
     lat, lon = packet.origin
     print(json.dumps({
@@ -365,9 +369,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command in `argv`, or in ``sys.argv`` when `argv` is None.
+
+    With `argv` None, ``main`` runs as the program: the console script,
+    ``python -m infrasense.cli`` and a ``python -c`` that calls ``main()``
+    all call it that way, and the interpreter exits when it returns. So it
+    then freezes the heap (``gc.freeze``) after the command: interpreter
+    exit then does not sweep every module's objects for cycles before the
+    operating system takes the memory back. atexit handlers still run and
+    stdout and stderr are still flushed; every output file is already
+    closed. A caller that passes `argv` (the tests, an embedding process)
+    may go on running, so its heap is left to the collector.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    code = args.func(args)
+    if argv is None:
+        gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .trace_model import median
+
 
 class FeatureError(Exception):
     pass
@@ -125,11 +127,11 @@ def _window_features(w: np.ndarray) -> dict[str, np.ndarray]:
     flat = sd == 0.0
     # standardized deviations, left at 0 in a zero-dispersion window
     z = np.divide(dev, sd[:, None], out=np.zeros_like(dev), where=~flat[:, None])
-    med = np.median(w, axis=1)
+    med = median(w, axis=1)
     peak = np.max(np.abs(w), axis=1)
     return {
         "mean": mean,
-        "mad": np.median(np.abs(w - med[:, None]), axis=1),
+        "mad": median(np.abs(w - med[:, None]), axis=1),
         "rms": rms,
         "var": var,
         "sd": sd,

@@ -59,18 +59,42 @@ def indicators_to_geojson(indicators, path=None) -> dict:
     return collection
 
 
+JSON_NUMBER = (int, float)  # the types json.load gives a JSON number
+
+
 def indicators_from_geojson(path) -> list[Indicator]:
+    """Indicators from a GeoJSON FeatureCollection of points.
+
+    Raises ValueError for a collection, feature, geometry or properties that
+    is not an object, for coordinates that are not a pair of JSON numbers,
+    and for properties that ``float`` and ``int`` cannot read."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("the top level is not a JSON object")
+    features = data.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError("features is not a list")
     out = []
-    for feat in data.get("features", []):
-        lon, lat = feat["geometry"]["coordinates"]
+    for i, feat in enumerate(features):
+        if not (isinstance(feat, dict) and isinstance(feat["geometry"], dict)):
+            raise ValueError(f"feature {i} or its geometry is not a JSON object")
+        coords = feat["geometry"]["coordinates"]
+        if not (type(coords) is list and len(coords) == 2
+                and type(coords[0]) in JSON_NUMBER and type(coords[1]) in JSON_NUMBER):
+            raise ValueError(f"feature {i} coordinates are not a pair of numbers")
+        lon, lat = coords
         p = feat["properties"]
-        out.append(Indicator(
-            kind=p["kind"], sub_kind=p.get("sub_kind", ""), lat=lat, lon=lon,
-            t=float(p.get("t", 0.0)), severity=int(p.get("severity", 0)),
-            confidence=float(p.get("confidence", 1.0)),
-            value=float(p.get("value", 0.0)), unit=p.get("unit", ""),
-        ))
+        if not isinstance(p, dict):
+            raise ValueError(f"feature {i} properties are not a JSON object")
+        try:
+            out.append(Indicator(
+                kind=p["kind"], sub_kind=p.get("sub_kind", ""), lat=lat, lon=lon,
+                t=float(p.get("t", 0.0)), severity=int(p.get("severity", 0)),
+                confidence=float(p.get("confidence", 1.0)),
+                value=float(p.get("value", 0.0)), unit=p.get("unit", ""),
+            ))
+        except (TypeError, OverflowError) as e:  # float(None), int(inf)
+            raise ValueError(f"feature {i} properties: {e}") from e
     return out
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .reports import Indicator, clamp_severity
-from .trace_model import CapabilityError, Fixes, Trace, cumtrapz, runs
+from .trace_model import CapabilityError, Fixes, Trace, cumtrapz, median, runs
 from .transforms import swt_bandpass
 
 DEFAULT_DETECTOR_FEATURES = ("peak2peak", "kurt", "rms")
@@ -37,8 +37,8 @@ class AnomalyResult:
 
 def robust_z(column: np.ndarray) -> tuple[np.ndarray, bool]:
     """(x - median) / (1.4826 * MAD); zero with a flag when MAD is 0."""
-    med = np.median(column)
-    mad = np.median(np.abs(column - med))
+    med = median(column)
+    mad = median(np.abs(column - med))
     if mad == 0.0:
         return np.zeros_like(column), True
     return (column - med) / (1.4826 * mad), False

@@ -140,7 +140,7 @@ def sample_rate(t) -> float:
     Raises TraceError when that interval is 0, i.e. when most samples share
     their timestamp with a neighbour.
     """
-    dt = float(np.median(np.diff(t)))
+    dt = float(median(np.diff(t)))
     if dt == 0.0:
         raise TraceError("median sample interval is 0: most samples repeat a timestamp")
     return 1.0 / dt
@@ -150,8 +150,24 @@ def sampling_gaps(t) -> dict:
     """Sample intervals longer than 1.5 times the median one: how many, and
     their summed length in seconds."""
     dt = np.diff(t)
-    long = dt[dt > 1.5 * np.median(dt)]
+    long = dt[dt > 1.5 * median(dt)]
     return {"count": len(long), "total_s": float(np.sum(long))}
+
+
+def median(a, axis: int = -1):
+    """``np.median(a, axis)`` of float input, bit for bit, without the
+    ``numpy.ma`` import that ``np.median`` makes on its first call: partition
+    at the middle index or indices and at the end, take the mean of the
+    middle values, and put the last partitioned value where it is NaN."""
+    part = np.moveaxis(np.asarray(a), axis, -1)
+    n = part.shape[-1]
+    h = n // 2
+    part = np.partition(part, [h - 1, h, -1] if n % 2 == 0 else [h, -1])
+    mid = np.mean(part[..., h - 1 + n % 2:h + 1], axis=-1)
+    if n == 0:
+        return mid
+    last = part[..., -1]
+    return np.where(np.isnan(last), last, mid)[()]
 
 
 def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import builtins
 import errno
+import gc
 import json
 import math
 import os
@@ -643,6 +644,89 @@ class TestEncodeDecodeCommands:
         assert main(["decode", "A" * 32]) == EXIT_INPUT
         assert main(["decode", "tooshort"]) == EXIT_INPUT
         capsys.readouterr()
+
+
+POINT = {"type": "Feature", "geometry": {"type": "Point", "coordinates": [7.0, 51.0]},
+         "properties": {"kind": "anomaly", "t": 0.0, "severity": 9, "value": 2.0}}
+
+
+def malformed(case: str):
+    """A GeoJSON document that `indicators_from_geojson` must refuse."""
+    if case == "top-level-list":
+        return [1, 2]
+    feat = json.loads(json.dumps(POINT))
+    if case == "scalar-coordinates":
+        feat["geometry"]["coordinates"] = 7.0
+    elif case == "text-coordinates":
+        feat["geometry"]["coordinates"] = ["7.0", "51.0"]
+    elif case == "null-properties":
+        feat["properties"] = None
+    return {"type": "FeatureCollection", "features": [feat]}
+
+
+MALFORMED = ["top-level-list", "scalar-coordinates", "text-coordinates", "null-properties"]
+
+
+class TestMalformedCrowdInput:
+    """Malformed indicators or store lines are an input error: exit 3 with
+    one JSON line, and no output."""
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_aggregate_indicators(self, tmp_path, capsys, case):
+        geo = tmp_path / "in.geojson"
+        geo.write_text(json.dumps(malformed(case)))
+        store, snap = tmp_path / "store.jsonl", tmp_path / "snap.geojson"
+        assert main(["aggregate", str(geo), "--store", str(store),
+                     "--out", str(snap)]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        assert not store.exists() and not snap.exists()
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_encode_indicators(self, tmp_path, capsys, case):
+        geo = tmp_path / "in.geojson"
+        geo.write_text(json.dumps(malformed(case)))
+        assert main(["encode", str(geo), "--lat", "51.0", "--lon", "7.0"]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+
+    @pytest.mark.parametrize("line", [
+        "[1, 2]", '"fuse"',
+        json.dumps({"op": "fuse", "anchor_id": 0, "t": 0.0, "value": 2.0, "lat": "51.0",
+                    "lon": 7.0, "kind": "anomaly"}),
+    ], ids=["list", "string", "text-latitude"])
+    def test_aggregate_store_line(self, tmp_path, capsys, line):
+        store = tmp_path / "store.jsonl"
+        store.write_text(line + "\n")
+        geo = one_indicator(tmp_path)
+        assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        assert store.read_text() == line + "\n"
+
+
+class TestEncodeOrigin:
+    @pytest.mark.parametrize("flag", [["--lat", "1000"], ["--lat", "nan"], ["--lon", "inf"],
+                                      ["--lat", "-90.5"], ["--lon", "-180.1"]],
+                             ids=["lat-1000", "lat-nan", "lon-inf", "lat-past-90", "lon-past-180"])
+    def test_bad_origin_is_usage_error(self, tmp_path, capsys, flag):
+        argv = {"--lat": "51.0", "--lon": "7.0"}
+        argv[flag[0]] = flag[1]
+        assert main(["encode", str(one_indicator(tmp_path)),
+                     *(x for kv in argv.items() for x in kv)]) == EXIT_USAGE
+        one_json_error(capsys, EXIT_USAGE)
+
+    @pytest.mark.parametrize("lat, lon", [("90", "180"), ("-90", "-180")])
+    def test_origin_on_the_bounds(self, tmp_path, capsys, lat, lon):
+        assert main(["encode", str(one_indicator(tmp_path)),
+                     "--lat", lat, "--lon", lon]) == EXIT_OK
+        assert len(capsys.readouterr().out.split()[0]) == 32
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(pothole_trace, tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert main(["analyze", str(pothole_trace), "--out", str(tmp_path / "report")]) == EXIT_OK
+    assert main(["encode", str(one_indicator(tmp_path)), "--lat", "51.0",
+                 "--lon", "7.0"]) == EXIT_OK
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
 
 
 class TestUsage:

@@ -1,7 +1,9 @@
 """What importing the package loads: the EMD names are a plain function and
 a class, while scipy loads only when EMD first runs; the CLI and its
-crowd-side commands load no numpy, and `synth` and `analyze` load no scipy;
-and which functions the benchmark's tracer finds to wrap."""
+crowd-side commands load no numpy, `synth` and `analyze` load no scipy,
+`analyze` loads no numpy.ma and runs no crowd layer; the CLI run as the
+program writes and flushes every output; and which functions the
+benchmark's tracer finds to wrap."""
 
 import importlib.util
 import os
@@ -14,7 +16,8 @@ import pytest
 
 import infrasense
 import infrasense.transforms as transforms
-from infrasense.dissemination import PacketEntry, SsidPacket
+from infrasense.cli import main
+from infrasense.dissemination import PacketEntry, SsidPacket, decode_packet
 
 SRC = str(Path(infrasense.__file__).resolve().parents[1])
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -126,6 +129,40 @@ class TestImportGraph:
         assert "infrasense.rail_analysis" in loaded
         assert not [m for m in loaded if m.split(".")[0] == "scipy"]
 
+    def test_analyze_loads_no_numpy_ma_and_no_crowd_layer(self, tmp_path):
+        spec, trace = tmp_path / "spec.json", tmp_path / "ride.csv"
+        spec.write_text('{"duration": 20.0, "speed": 10.0, "rate": 100.0, "seed": 1}')
+        assert main(["synth", "--spec", str(spec), "--out", str(trace)]) == 0
+        rail = tmp_path / "rail.cfg"
+        rail.write_text("context = rail\n")
+        runs = [["analyze", str(trace), "--out", str(tmp_path / "road")],
+                ["analyze", str(trace), "--config", str(rail), "--out", str(tmp_path / "rail")]]
+        # type() reads no attribute, so it does not run a lazy module
+        proc = run_fresh(
+            "import sys\n"
+            "from infrasense.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "for name in ('aggregation', 'dissemination'):\n"
+            "    module = sys.modules['infrasense.' + name]\n"
+            "    assert type(module).__name__ == '_LazyModule', name\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_aggregate_runs_no_dissemination(self, tmp_path):
+        geo = tmp_path / "in.geojson"
+        geo.write_text('{"type": "FeatureCollection", "features": []}')
+        argv = ["aggregate", str(geo), "--store", str(tmp_path / "s.jsonl")]
+        proc = run_fresh(
+            "import sys\n"
+            "from infrasense.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "module = sys.modules['infrasense.dissemination']\n"
+            "assert type(module).__name__ == '_LazyModule'\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("order", ["layer first", "cli first"])
     def test_one_module_object(self, order):
         imports = ["import infrasense.trace_model as tm",
@@ -149,6 +186,51 @@ class TestImportGraph:
             "assert not hasattr(infrasense.transforms, 'hht_spectrum')\n"
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def run_as_program(argv: list[str]) -> subprocess.CompletedProcess:
+    """`main()` in a fresh interpreter, with `argv` in ``sys.argv`` as the
+    console script sets it; the heap must be frozen when main returns."""
+    return run_fresh(
+        "import gc, sys\n"
+        "from infrasense.cli import main\n"
+        f"sys.argv = ['infrasense', *{argv!r}]\n"
+        "code = main()\n"
+        "assert gc.get_freeze_count() > 0\n"
+        "sys.exit(code)\n"
+    )
+
+
+class TestRunAsProgram:
+    """Frozen at exit, the program still flushes stdout and writes every output."""
+
+    def test_encode_prints_the_ssid(self, tmp_path):
+        geo = tmp_path / "in.geojson"
+        geo.write_text('{"type": "FeatureCollection", "features": [{"type": "Feature", '
+                       '"geometry": {"type": "Point", "coordinates": [7.0, 51.0]}, '
+                       '"properties": {"kind": "anomaly", "severity": 9}}]}')
+        proc = run_as_program(["encode", str(geo), "--lat", "51.0", "--lon", "7.0"])
+        assert proc.returncode == 0, proc.stderr
+        ssid, = proc.stdout.split()
+        packet = decode_packet(ssid)
+        assert (packet.lat_e6, packet.lon_e6, len(packet.entries)) == (51_000_000, 7_000_000, 1)
+
+    def test_analyze_writes_every_output(self, tmp_path):
+        spec, trace = tmp_path / "spec.json", tmp_path / "ride.csv"
+        spec.write_text('{"duration": 20.0, "speed": 10.0, "rate": 100.0, "seed": 1, '
+                        '"potholes": [{"position_m": 100.0, "depth_m": 0.05, '
+                        '"length_m": 0.5}]}')
+        assert main(["synth", "--spec", str(spec), "--out", str(trace)]) == 0
+        here, there = tmp_path / "in_process", tmp_path / "program"
+        assert main(["analyze", str(trace), "--out", str(here)]) == 0
+        proc = run_as_program(["analyze", str(trace), "--out", str(there)])
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in here.iterdir())
+        assert names == ["features.csv", "indicators.geojson", "manifest.json",
+                         "roughness.csv"]
+        assert sorted(p.name for p in there.iterdir()) == names
+        for name in names:
+            assert (there / name).read_bytes() == (here / name).read_bytes(), name
 
 
 class TestBenchmarkTracer:

@@ -17,6 +17,7 @@ from infrasense.trace_model import (
     SchemaError,
     Trace,
     gravity_split,
+    median,
     parse_trace,
     reorient,
     sampling_gaps,
@@ -626,6 +627,35 @@ def test_sampling_gaps():
     assert gaps["count"] == 2
     assert gaps["total_s"] == pytest.approx((1.99 - 0.99) + (2.5 - 2.48))
     assert sampling_gaps(np.arange(10) * 0.01) == {"count": 0, "total_s": 0.0}
+
+
+# finite values with repeats, and the values where medians are delicate
+MEDIAN_ELEMENTS = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, 1.7976931348623157e308]),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf]))
+
+
+class TestMedian:
+    """`median` is `np.median` bit for bit, without importing numpy.ma."""
+
+    @given(data=st.data(), length=st.integers(1, 40), rows=st.none() | st.integers(1, 4),
+           special=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_median(self, data, length, rows, special):
+        elements = MEDIAN_ELEMENTS if special else st.floats(-1e3, 1e3)
+        shape = (length,) if rows is None else (rows, length)
+        a = np.array(data.draw(st.lists(elements, min_size=math.prod(shape),
+                                        max_size=math.prod(shape)))).reshape(shape)
+        axis = -1 if rows is None else 1
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, max + max
+            want = np.median(a, axis=axis)
+            got = median(a, axis=axis)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, got, want)
+
+    def test_empty_reads_nan_as_np_median_does(self):
+        with pytest.warns(RuntimeWarning):
+            assert math.isnan(median(np.array([])))
 
 
 def test_gravity_split_initializes_at_first_sample(rng):
