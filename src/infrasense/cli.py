@@ -295,6 +295,8 @@ def cmd_encode(args) -> int:
         indicators = indicators_from_geojson(args.indicators)
     except (OSError, KeyError, ValueError) as e:
         return _fail(EXIT_INPUT, f"indicators: {e}")
+    if not all(abs(ind.lat) <= 90.0 and abs(ind.lon) <= 180.0 for ind in indicators):
+        return _fail(EXIT_INPUT, "indicators: a position lies off WGS84")
     ssid, report = dissemination.encode_packet(args.lat, args.lon, indicators)
     print(ssid)
     if report.truncated or report.clamped:

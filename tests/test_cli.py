@@ -702,7 +702,9 @@ class TestMalformedCrowdInput:
         assert store.read_text() == line + "\n"
 
 
-class TestEncodeOrigin:
+class TestEncodePositions:
+    """An origin off WGS84 is a usage error, an indicator off it an input error."""
+
     @pytest.mark.parametrize("flag", [["--lat", "1000"], ["--lat", "nan"], ["--lon", "inf"],
                                       ["--lat", "-90.5"], ["--lon", "-180.1"]],
                              ids=["lat-1000", "lat-nan", "lon-inf", "lat-past-90", "lon-past-180"])
@@ -712,6 +714,14 @@ class TestEncodeOrigin:
         assert main(["encode", str(one_indicator(tmp_path)),
                      *(x for kv in argv.items() for x in kv)]) == EXIT_USAGE
         one_json_error(capsys, EXIT_USAGE)
+
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, 1e300, 180.5])
+    def test_indicator_off_wgs84_is_input_error(self, tmp_path, capsys, lon):
+        geo = tmp_path / "in.geojson"
+        geo.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {**POINT, "geometry": {"type": "Point", "coordinates": [lon, 51.0]}}]}))
+        assert main(["encode", str(geo), "--lat", "51.0", "--lon", "7.0"]) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
 
     @pytest.mark.parametrize("lat, lon", [("90", "180"), ("-90", "-180")])
     def test_origin_on_the_bounds(self, tmp_path, capsys, lat, lon):
