@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .outputs import new_file
-from .reports import JSON_NUMBER, Indicator
+from .reports import EARTH_RADIUS, JSON_NUMBER, Indicator
 
-EARTH_RADIUS = 6371000.0  # m
 _SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
 _SLACK_M = 1e-6  # m, the same for radii so small that rounding is not relative
 _POLAR_LAT = 89.9  # deg; a reach past this latitude scans every point

@@ -16,9 +16,10 @@ Only :mod:`infrasense.reports` and :mod:`infrasense.outputs` are imported
 here. Every other layer, the numpy ones and the crowd-side aggregation and
 dissemination, is registered in ``sys.modules`` by :func:`_lazy` and runs on
 first attribute access. So ``aggregate``, ``simulate``, ``encode`` and
-``decode`` start without numpy, ``analyze`` runs neither crowd layer, and
-``aggregate`` runs no dissemination. No command loads ``numpy.ma``: the
-medians go through :func:`infrasense.trace_model.median`, not ``np.median``.
+``decode`` start without numpy, ``synth`` and ``analyze`` run neither crowd
+layer, and ``aggregate`` runs no dissemination. No command loads
+``numpy.ma``: the medians go through :func:`infrasense.trace_model.median`,
+not ``np.median``.
 
 Run as the program (``main()`` with no `argv`), a command freezes the heap
 when it returns, so that interpreter exit skips its collection (see
@@ -129,8 +130,7 @@ def _analyze_rail(trace, cfg: config.PipelineConfig, out: str) -> dict:
     reoriented = trace_model.reorient(trace, tau=cfg.gravity_tau)
     rt = reoriented.trace
     profile, skipped = rail_analysis.cant_from_roll(
-        rt, rail_analysis.TrackConstants(),
-        wavelength_band=(cfg.rail_wavelength_min, cfg.rail_wavelength_max))
+        rt, wavelength_band=(cfg.rail_wavelength_min, cfg.rail_wavelength_max))
     rail_analysis.geometry_to_csv(profile, os.path.join(out, "geometry.csv"),
                                   twist_bases=cfg.rail_twist_bases)
     indicators = rail_analysis.classify_curves(profile, threshold=cfg.rail_curvature_threshold)
@@ -142,7 +142,7 @@ def _analyze_rail(trace, cfg: config.PipelineConfig, out: str) -> dict:
 def cmd_analyze(args) -> int:
     try:
         cfg = config.load_config(args.config) if args.config else config.PipelineConfig()
-    except (OSError, config.ConfigError) as e:
+    except (OSError, UnicodeError, config.ConfigError) as e:
         return _fail(EXIT_INPUT, f"config: {e}")
     try:
         fmt = "jsonl" if str(args.trace).endswith(".jsonl") else "csv"

@@ -2,7 +2,8 @@
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
 Unknown keys are errors, as are keys that do not apply to the selected
-context (road vs rail).
+context (road vs rail), values outside their key's domain, and pairs of
+keys that break a rule between them (see README). Each error names its line.
 """
 
 from __future__ import annotations
@@ -20,13 +21,31 @@ class ConfigError(Exception):
     pass
 
 
+def _positive(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{value} is not a finite positive number")
+    return value
+
+
+def _fraction(raw: str) -> float:
+    value = float(raw)
+    if not 0 <= value < 1:
+        raise ValueError(f"{value} is not in [0, 1)")
+    return value
+
+
+def _features(raw: str) -> tuple[str, ...]:
+    names = tuple(v.strip() for v in raw.split(","))
+    if unknown := [name for name in names if name not in DEFAULT_FEATURES]:
+        raise ValueError(f"unknown features {unknown}")
+    return names
+
+
 def _twist_bases(raw: str) -> tuple[float, ...]:
     """Twist base lengths: finite, positive, and each naming its own column,
     whose name reads back as exactly that base."""
-    bases = tuple(float(v) for v in raw.split(","))
-    for base in bases:
-        if not (math.isfinite(base) and base > 0):
-            raise ValueError(f"base {base} is not a finite positive length")
+    bases = tuple(map(_positive, raw.split(",")))
     names = [twist_column(base) for base in bases]
     for base, name in zip(bases, names):
         if float(name.removeprefix("twist")) != base:
@@ -34,10 +53,6 @@ def _twist_bases(raw: str) -> tuple[float, ...]:
     if len(set(names)) < len(names):
         raise ValueError(f"bases repeat a column: {', '.join(names)}")
     return bases
-
-
-def _strs(raw: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in raw.split(","))
 
 
 @dataclass
@@ -64,21 +79,21 @@ class PipelineConfig:
 # file key -> (attribute, parser, context restriction or None)
 _KEYS = {
     "context": ("context", str, None),
-    "gravity.tau": ("gravity_tau", float, None),
-    "frame.window_len": ("frame_window_len", float, "road"),
-    "frame.overlap": ("frame_overlap", float, "road"),
-    "features.set": ("feature_set", _strs, "road"),
-    "detector.k": ("detector_k", float, "road"),
-    "detector.features": ("detector_features", _strs, "road"),
-    "maneuver.omega_on": ("maneuver_omega_on", float, "road"),
-    "maneuver.omega_off": ("maneuver_omega_off", float, "road"),
-    "roughness.band_min": ("roughness_band_min", float, "road"),
-    "roughness.band_max": ("roughness_band_max", float, "road"),
-    "roughness.segment_length": ("roughness_segment_length", float, "road"),
+    "gravity.tau": ("gravity_tau", _positive, None),
+    "frame.window_len": ("frame_window_len", _positive, "road"),
+    "frame.overlap": ("frame_overlap", _fraction, "road"),
+    "features.set": ("feature_set", _features, "road"),
+    "detector.k": ("detector_k", _positive, "road"),
+    "detector.features": ("detector_features", _features, "road"),
+    "maneuver.omega_on": ("maneuver_omega_on", _positive, "road"),
+    "maneuver.omega_off": ("maneuver_omega_off", _positive, "road"),
+    "roughness.band_min": ("roughness_band_min", _positive, "road"),
+    "roughness.band_max": ("roughness_band_max", _positive, "road"),
+    "roughness.segment_length": ("roughness_segment_length", _positive, "road"),
     "rail.twist_bases": ("rail_twist_bases", _twist_bases, "rail"),
-    "rail.curvature_threshold": ("rail_curvature_threshold", float, "rail"),
-    "rail.wavelength_min": ("rail_wavelength_min", float, "rail"),
-    "rail.wavelength_max": ("rail_wavelength_max", float, "rail"),
+    "rail.curvature_threshold": ("rail_curvature_threshold", _positive, "rail"),
+    "rail.wavelength_min": ("rail_wavelength_min", _positive, "rail"),
+    "rail.wavelength_max": ("rail_wavelength_max", _positive, "rail"),
 }
 
 
@@ -110,6 +125,20 @@ def parse_config_text(text: str) -> PipelineConfig:
             setattr(cfg, attr, parser(raw))
         except ValueError as e:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {e}") from e
+
+    # rules across two keys, each refused at the later line of the two
+    for keys, holds, rule in (
+            (("maneuver.omega_off", "maneuver.omega_on"),
+             cfg.maneuver_omega_off <= cfg.maneuver_omega_on, "must not exceed"),
+            (("roughness.band_min", "roughness.band_max"),
+             cfg.roughness_band_min < cfg.roughness_band_max, "must be below"),
+            (("rail.wavelength_min", "rail.wavelength_max"),
+             cfg.rail_wavelength_min < cfg.rail_wavelength_max, "must be below"),
+            (("detector.features", "features.set"),
+             set(cfg.detector_features) <= set(cfg.feature_set), "must all be in")):
+        lines = [pairs[k][0] for k in keys if k in pairs]
+        if lines and not holds:
+            raise ConfigError(f"line {max(lines)}: {keys[0]} {rule} {keys[1]}")
     return cfg
 
 

@@ -16,10 +16,11 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-from .aggregation import EARTH_RADIUS, GridIndex, great_circle
-from .reports import KINDS
+from .aggregation import GridIndex, great_circle
+from .reports import EARTH_RADIUS, KINDS
 
 SSID_CHARS = 32
+PACKET_VERSION = 1  # the version `encode_packet` writes, with no flags set
 MAX_ENTRIES = 3
 OFFSET_UNIT = 10.0  # m per LSB of the i8 offsets
 _B64_ALPHABET = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_")
@@ -137,9 +138,9 @@ def _local_offsets(origin_lat: float, origin_lon: float,
     return north, east
 
 
-def encode_packet(origin_lat: float, origin_lon: float, anomalies,
-                  version: int = 1, flags: int = 0) -> tuple[str, EncodeReport]:
-    """Encode up to 3 nearby indicators into a 32-character beacon.
+def encode_packet(origin_lat: float, origin_lon: float, anomalies) -> tuple[str, EncodeReport]:
+    """Encode up to 3 nearby indicators into a 32-character beacon of
+    version PACKET_VERSION with no flags set.
 
     Excess entries are dropped by descending severity; offsets beyond the
     +-1270 m representable range are clamped and flagged.
@@ -160,7 +161,7 @@ def encode_packet(origin_lat: float, origin_lon: float, anomalies,
             d_north=dn, d_east=de, type=TYPE_CODES.get(ind.kind, 0),
             severity=min(15, ind.severity >> 4), confidence=int(round(ind.confidence * 255)),
         ))
-    packet = SsidPacket(version, flags,
+    packet = SsidPacket(PACKET_VERSION, 0,
                         int(round(origin_lat * 1e6)), int(round(origin_lon * 1e6)),
                         tuple(entries))
     return packet.to_ssid(), EncodeReport(truncated=truncated, clamped=clamped)

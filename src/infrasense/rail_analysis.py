@@ -17,19 +17,12 @@ from .reports import Indicator, clamp_severity
 from .trace_model import CapabilityError, Trace, cumtrapz, runs, write_rows
 from .transforms import swt_bandpass
 
+RAIL_CENTER_WIDTH = 1500.0  # mm, 2*b0: the distance between the rail centres
+CANT_MIN_SPEED = 3.0  # m/s; spans no faster give no geometry
+
 
 class RailAnalysisError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class TrackConstants:
-    gauge: float = 1435.0  # mm
-    rail_center_width: float = 1500.0  # mm, 2*b0
-
-    def __post_init__(self):
-        if self.gauge <= 0 or self.rail_center_width <= 0:
-            raise ValueError("track constants must be positive")
 
 
 @dataclass(frozen=True)
@@ -48,24 +41,21 @@ class GeometryProfile:
         return len(self.s)
 
 
-def cant_angle(h_t: float, consts: TrackConstants = TrackConstants()) -> float:
+def cant_angle(h_t: float) -> float:
     """Cant angle asin(h_t / 2b0) from the rail elevation difference (mm)."""
-    w = consts.rail_center_width
-    if abs(h_t) > w:
-        raise ValueError(f"|h_t| = {abs(h_t)} exceeds the rail center width {w}")
-    return math.asin(h_t / w)
+    if abs(h_t) > RAIL_CENTER_WIDTH:
+        raise ValueError(f"|h_t| = {abs(h_t)} exceeds the rail center width {RAIL_CENTER_WIDTH}")
+    return math.asin(h_t / RAIL_CENTER_WIDTH)
 
 
-def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
-                   wavelength_band: tuple[float, float] = (10.0, 200.0),
-                   min_speed: float = 3.0,
+def cant_from_roll(trace: Trace, wavelength_band: tuple[float, float] = (10.0, 200.0),
                    ) -> tuple[GeometryProfile, list[tuple[float, float, str]]]:
     """Track geometry profile from a reoriented rail trace.
 
     Roll angle is the cumulative integral of the roll rate, band-limited by
     the SWT levels retaining the given track wavelengths (lambda = v/f); a
     span too short for any such level keeps its roll minus its mean. Spans
-    with speed <= `min_speed` are excluded and returned with reasons.
+    with speed <= CANT_MIN_SPEED are excluded and returned with reasons.
     """
     if trace.gyro is None:
         raise CapabilityError("track geometry needs a gyroscope")
@@ -74,7 +64,7 @@ def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
         raise RailAnalysisError("track geometry needs GPS speed")
     s_along = cumtrapz(speeds, trace.t)
 
-    valid = speeds > min_speed
+    valid = speeds > CANT_MIN_SPEED
     keep = np.zeros(len(trace), dtype=bool)
     roll_band = np.zeros(len(trace))
     skipped: list[tuple[float, float, str]] = []
@@ -93,7 +83,7 @@ def cant_from_roll(trace: Trace, consts: TrackConstants = TrackConstants(),
     cant = roll_band[keep]
     t_kept = trace.t[keep]
     profile = GeometryProfile(
-        s=s_along[keep], cant_angle=cant, cant_height=consts.rail_center_width * np.sin(cant),
+        s=s_along[keep], cant_angle=cant, cant_height=RAIL_CENTER_WIDTH * np.sin(cant),
         curvature=trace.gyro[keep, 2] / speeds[keep], t=t_kept,
         lat=trace.fixes.interp("lat", t_kept), lon=trace.fixes.interp("lon", t_kept),
     )

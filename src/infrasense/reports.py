@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 
 KINDS = ("anomaly", "maneuver", "roughness", "cant", "twist", "curvature")
+EARTH_RADIUS = 6371000.0  # m, of the sphere every position is taken on
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,11 @@ from .trace_model import CapabilityError, Fixes, Trace, cumtrapz, median, runs
 from .transforms import swt_bandpass
 
 DEFAULT_DETECTOR_FEATURES = ("peak2peak", "kurt", "rms")
+# Maneuver events, in seconds: yaw-rate samples less than MANEUVER_GAP apart
+# join one event, and events shorter than MANEUVER_MIN_DURATION drop.
+MANEUVER_MIN_DURATION = 0.3
+MANEUVER_GAP = 0.5
+ROUGHNESS_MIN_SPEED = 2.0  # m/s; a segment driven no faster gets no index
 
 
 class RoadAnalysisError(Exception):
@@ -83,81 +88,77 @@ def detect_anomalies(matrix: FeatureMatrix, fixes: Fixes, k: float = 3.0,
     return AnomalyResult(indicators=indicators, degenerate=degenerate)
 
 
-def _lobes(omega: np.ndarray, dead: float) -> list[int]:
-    """Signs of the successive lobes of a yaw-rate event."""
-    signs = []
-    current = 0
-    for w in omega:
-        s = 0 if abs(w) < dead else (1 if w > 0 else -1)
-        if s != 0 and s != current:
-            signs.append(s)
-            current = s
-        elif s != 0:
-            current = s
-    return signs
+def yaw_events(t: np.ndarray, wz: np.ndarray, omega_on: float,
+               omega_off: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each yaw-rate event (needs omega_off <= omega_on).
+
+    Samples with |wz| >= `omega_off` are hot. A hot sample opens a group when
+    a (cold) sample before it lies MANEUVER_GAP or more after the previous hot
+    one. An event runs from its group's first sample above `omega_on` to its
+    last hot sample, and lasts MANEUVER_MIN_DURATION or more."""
+    level = np.abs(wz)
+    hot = np.flatnonzero(level >= omega_off)
+    new = np.ones(len(hot) + 1, dtype=bool)  # new[k]: hot[k] opens a group
+    new[1:-1] = t[hot[1:] - 1] - t[hot[:-1]] >= MANEUVER_GAP  # 0 for neighbouring hot samples
+    on = np.append(np.flatnonzero(level > omega_on), len(wz))  # and a stop past the end
+    first, last = on[np.searchsorted(on, hot[new[:-1]])], hot[new[1:]]
+    found = first <= last
+    first, last = first[found], last[found]
+    keep = t[last] - t[first] >= MANEUVER_MIN_DURATION
+    return first[keep], last[keep]
+
+
+def lobe_signs(omega: np.ndarray, dead: float) -> np.ndarray:
+    """Signs of the successive lobes of a yaw-rate event: the first sign of
+    each run of signs of the samples with |omega| >= `dead` (0 counts as -1)."""
+    signs = np.where(omega > 0, 1, -1)[np.abs(omega) >= dead]
+    return signs[np.diff(signs, prepend=0) != 0]
 
 
 def classify_maneuvers(trace: Trace, linear: np.ndarray, omega_on: float = 0.06,
-                       omega_off: float = 0.03, min_duration: float = 0.3,
-                       min_gap: float = 0.5) -> list[Indicator]:
+                       omega_off: float = 0.03) -> list[Indicator]:
     """Detect yaw-rate events with hysteresis and classify them.
 
     `linear` is the trace's (n, 3) linear acceleration in the vehicle frame
     (see ``ReorientResult.linear``); its y column gives the lateral peak.
 
     An event opens when |yaw rate| exceeds `omega_on` and closes once it
-    stays below `omega_off` for `min_gap` seconds (so multi-lobe maneuvers
-    that cross zero remain one event). turn: single lobe, |net angle| in
-    [60, 150) deg; u_turn: >= 150 deg; lane_change / swerve: two opposite
-    lobes with near-zero net angle, split on peak lateral acceleration;
-    curvy_segment: >= 3 alternating lobes; anything else is `other`.
+    stays below `omega_off` for MANEUVER_GAP seconds, so multi-lobe maneuvers
+    that cross zero remain one event (`yaw_events`). turn: single lobe, |net
+    angle| in [60, 150) deg; u_turn: >= 150 deg; lane_change / swerve: two
+    (opposite) lobes with near-zero net angle, split on peak lateral
+    acceleration; curvy_segment: >= 3 lobes; anything else is `other`.
     """
+    if not omega_off <= omega_on:
+        raise ValueError(f"omega_off {omega_off} must not exceed omega_on {omega_on}")
     if trace.gyro is None:
         raise CapabilityError("maneuver classification needs a gyroscope")
     wz = trace.gyro[:, 2]
     t = trace.t
+    first, last = yaw_events(t, wz, omega_on, omega_off)
 
-    events = []
-    active = False
-    start = 0
-    last_hot = 0  # last index with |w| >= omega_off
-    for i, w in enumerate(np.abs(wz)):
-        if not active:
-            if w > omega_on:
-                active = True
-                start = i
-                last_hot = i
-        else:
-            if w >= omega_off:
-                last_hot = i
-            elif t[i] - t[last_hot] >= min_gap:
-                if t[last_hot] - t[start] >= min_duration:
-                    events.append((start, last_hot))
-                active = False
-    if active and t[last_hot] - t[start] >= min_duration:
-        events.append((start, last_hot))
-
-    t_mid = np.array([0.5 * (t[i0] + t[i1]) for i0, i1 in events])
+    t_mid = 0.5 * (t[first] + t[last])
     lats, lons = trace.fixes.interp("lat", t_mid), trace.fixes.interp("lon", t_mid)
     out = []
-    for (i0, i1), tm, lat, lon in zip(events, t_mid.tolist(), lats.tolist(), lons.tolist()):
+    for i0, i1, tm, lat, lon in zip(first.tolist(), last.tolist(), t_mid.tolist(),
+                                    lats.tolist(), lons.tolist()):
         seg_w = wz[i0:i1 + 1]
         seg_t = t[i0:i1 + 1]
         dpsi = float(np.trapezoid(seg_w, seg_t))
         deg = abs(math.degrees(dpsi))
         duration = float(seg_t[-1] - seg_t[0])
-        lobes = _lobes(seg_w, dead=omega_off)
+        lobes = len(lobe_signs(seg_w, omega_off))
         lat_peak = float(np.max(np.abs(linear[i0:i1 + 1, 1])))
 
         if deg >= 150.0:
             sub = "u_turn"
-        elif len(lobes) == 1 and 60.0 <= deg < 150.0:
+        elif lobes == 1 and 60.0 <= deg < 150.0:
             sub = "turn"
-        elif len(lobes) == 2 and lobes[0] != lobes[1] and deg < 15.0 and lat_peak > 2.0:
+        elif lobes == 2 and deg < 15.0 and lat_peak > 2.0:
             sub = "swerve"
-        elif len(lobes) == 2 and lobes[0] != lobes[1] and deg < 15.0 and duration < 6.0:
+        elif lobes == 2 and deg < 15.0 and duration < 6.0:
             sub = "lane_change"
-        elif len(lobes) >= 3:
+        elif lobes >= 3:
             sub = "curvy_segment"
         else:
             sub = "other"
@@ -199,7 +200,7 @@ def segment_bounds(s: np.ndarray, segment_length: float) -> np.ndarray:
 
 def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] = (0.5, 50.0),
                     segment_length: float = 100.0,
-                    min_speed: float = 2.0) -> tuple[list[RoughnessReport], list[tuple[int, str]]]:
+                    ) -> tuple[list[RoughnessReport], list[tuple[int, str]]]:
     """IRI-style roughness per travelled-distance segment.
 
     `linear` is the trace's (n, 3) linear acceleration in the vehicle frame
@@ -226,7 +227,7 @@ def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] 
             skipped.append((seg, "too_few_samples"))
             continue
         v_mean = float(np.mean(speeds[i:j]))
-        if v_mean <= min_speed:
+        if v_mean <= ROUGHNESS_MIN_SPEED:
             skipped.append((seg, "low_speed"))
             continue
         # frequency band of the requested wavelength band at this speed

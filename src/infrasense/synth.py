@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import EARTH_RADIUS
+from .reports import EARTH_RADIUS
 from .road_analysis import QuarterCar, simulate_quarter_car
 from .trace_model import GRAVITY, Fixes, Trace
 

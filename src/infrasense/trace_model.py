@@ -23,6 +23,7 @@ import numpy as np
 from .outputs import new_file
 
 GRAVITY = 9.81
+FORWARD_MIN_SPEED = 3.0  # m/s; faster samples are in forward motion for `reorient`
 
 CSV_COLUMNS = ("t", "ax", "ay", "az", "gx", "gy", "gz", "lat", "lon", "speed", "acc")
 _REQUIRED = ("t", "ax", "ay", "az")
@@ -502,14 +503,14 @@ class ReorientResult:
     forward_resolved: bool  # False: vertical-only reorientation
 
 
-def reorient(trace: Trace, tau: float = 1.0, speed_threshold: float = 3.0) -> ReorientResult:
+def reorient(trace: Trace, tau: float = 1.0) -> ReorientResult:
     """Rotate a trace into the vehicle frame and split off gravity.
 
     This is the one gravity split of an analysis: the result carries the
     split's linear acceleration rotated into the vehicle frame, which every
     road analysis takes as input. The time-averaged gravity estimate is
     mapped onto (0, 0, -g); the mean horizontal linear-acceleration direction
-    during forward motion (speed > `speed_threshold` m/s) is mapped onto +x.
+    during forward motion (speed > FORWARD_MIN_SPEED) is mapped onto +x.
     Without motion epochs only the vertical alignment is applied and
     `forward_resolved` is False.
     """
@@ -524,7 +525,7 @@ def reorient(trace: Trace, tau: float = 1.0, speed_threshold: float = 3.0) -> Re
     rotation = r_vert
     forward = False
     speeds = trace.fixes.interp("speed", trace.t)
-    moving = np.isfinite(speeds) & (speeds > speed_threshold)
+    moving = np.isfinite(speeds) & (speeds > FORWARD_MIN_SPEED)
     if np.any(moving):
         horiz = (r_vert @ linear[moving].T).T[:, :2]
         mean_h = horiz.mean(axis=0)

@@ -2,7 +2,7 @@
 
 Sifting subtracts the mean of cubic-spline envelopes of the local maxima
 and minima until the normalized change between sift iterates drops below
-the stop tolerance; the decomposition ends at a monotone residue or at
+`_SIFT_STOP`; the decomposition ends at a monotone residue or at
 `max_imfs`. Envelope boundaries mirror the two nearest extrema.
 """
 
@@ -15,6 +15,7 @@ import numpy as np
 from .wavelets import TransformError
 
 _MAX_SIFTS = 100
+_SIFT_STOP = 0.05
 
 
 @dataclass
@@ -70,7 +71,7 @@ def _envelope(idx: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     return CubicSpline(xs, ys, bc_type=bc)(np.arange(n))
 
 
-def _sift(residue: np.ndarray, sift_stop: float) -> np.ndarray | None:
+def _sift(residue: np.ndarray) -> np.ndarray | None:
     """Extract one IMF from `residue`, or None if it is (near) monotone."""
     n = len(residue)
     h = residue.copy()
@@ -87,12 +88,12 @@ def _sift(residue: np.ndarray, sift_stop: float) -> np.ndarray | None:
             return None
         sd = float(np.sum(mean * mean)) / denom
         h = h_new
-        if sd < sift_stop:
+        if sd < _SIFT_STOP:
             return h
     return h
 
 
-def emd(signal, max_imfs: int = 10, sift_stop: float = 0.05) -> ImfSet:
+def emd(signal, max_imfs: int = 10) -> ImfSet:
     """Decompose into intrinsic mode functions plus a residue.
 
     The sum of all IMFs and the residue reproduces the input exactly
@@ -107,7 +108,7 @@ def emd(signal, max_imfs: int = 10, sift_stop: float = 0.05) -> ImfSet:
         maxima, minima = _extrema(residue)
         if len(maxima) + len(minima) < 3 or len(maxima) < 1 or len(minima) < 1:
             break
-        imf = _sift(residue, sift_stop)
+        imf = _sift(residue)
         if imf is None:
             break
         imfs.append(imf)

@@ -13,6 +13,7 @@ import numpy as np
 from infrasense.aggregation import SegmentAnchor, SegmentState, great_circle
 from infrasense.dissemination import Delivery, decode_packet
 from infrasense.rail_analysis import CURVE_GAP, CURVE_MIN_ARC, geometry_columns
+from infrasense.road_analysis import MANEUVER_GAP, MANEUVER_MIN_DURATION
 from infrasense.trace_model import (
     CSV_COLUMNS,
     FIX_COLUMNS,
@@ -447,3 +448,44 @@ def segment_rows_mask(s, segment_length) -> list[np.ndarray]:
         s0, s1 = seg * segment_length, (seg + 1) * segment_length
         out.append(np.where((s >= s0) & (s < s1))[0])
     return out
+
+
+def lobes_loop(omega: np.ndarray, dead: float) -> list[int]:
+    """Signs of the successive lobes of a yaw-rate event."""
+    signs = []
+    current = 0
+    for w in omega:
+        s = 0 if abs(w) < dead else (1 if w > 0 else -1)
+        if s != 0 and s != current:
+            signs.append(s)
+            current = s
+        elif s != 0:
+            current = s
+    return signs
+
+
+def yaw_events_loop(t, wz, omega_on, omega_off, min_duration=MANEUVER_MIN_DURATION,
+                    min_gap=MANEUVER_GAP) -> list[tuple[int, int]]:
+    """`yaw_events` one sample at a time: an event opens when |wz| exceeds
+    `omega_on` and closes at the first sample below `omega_off` that lies
+    `min_gap` or more after the last sample at or above it."""
+    events = []
+    active = False
+    start = 0
+    last_hot = 0  # last index with |w| >= omega_off
+    for i, w in enumerate(np.abs(wz)):
+        if not active:
+            if w > omega_on:
+                active = True
+                start = i
+                last_hot = i
+        else:
+            if w >= omega_off:
+                last_hot = i
+            elif t[i] - t[last_hot] >= min_gap:
+                if t[last_hot] - t[start] >= min_duration:
+                    events.append((start, last_hot))
+                active = False
+    if active and t[last_hot] - t[start] >= min_duration:
+        events.append((start, last_hot))
+    return events

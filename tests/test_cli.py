@@ -11,9 +11,11 @@ import pytest
 from infrasense import aggregation, trace_model
 from infrasense.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 from infrasense.config import (
+    _KEYS,
     ConfigError,
     PipelineConfig,
     config_hash,
+    config_values,
     parse_config_text,
 )
 from infrasense.dissemination import SsidPacket, PacketEntry
@@ -32,9 +34,10 @@ class TestConfig:
     def test_parse_and_comments(self):
         cfg = parse_config_text(
             "# pipeline\ncontext = road\ndetector.k = 2.5  # looser\n"
-            "features.set = mean, rms\n")
+            "features.set = mean, rms\ndetector.features = rms\n")
         assert cfg.detector_k == 2.5
         assert cfg.feature_set == ("mean", "rms")
+        assert cfg.detector_features == ("rms",)
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -68,11 +71,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just words\n")
 
+    def test_defaults_load(self):
+        defaults = PipelineConfig()
+        for context, keys in (("road", [k for k, v in _KEYS.items() if v[2] != "rail"]),
+                              ("rail", [k for k, v in _KEYS.items() if v[2] != "road"])):
+            text = "".join(f"{key} = {format_value(getattr(defaults, _KEYS[key][0]))}\n"
+                           for key in keys if key != "context")
+            cfg = parse_config_text(f"context = {context}\n{text}")
+            assert config_values(cfg) == {**config_values(defaults), "context": context}
+
+    def test_cross_key_rule_names_the_later_line(self):
+        with pytest.raises(ConfigError, match="^line 3: maneuver.omega_off must not exceed"):
+            parse_config_text("maneuver.omega_off = 0.05\n\nmaneuver.omega_on = 0.04\n")
+        with pytest.raises(ConfigError, match="^line 2: detector.features must all be in"):
+            parse_config_text("features.set = rms, kurt\ndetector.features = rms, mean\n")
+        cfg = parse_config_text("maneuver.omega_on = 0.03\nmaneuver.omega_off = 0.03\n")
+        assert cfg.maneuver_omega_on == cfg.maneuver_omega_off == 0.03
+
     def test_hash_tracks_text(self):
         a = parse_config_text("detector.k = 2\n")
         b = parse_config_text("detector.k = 2\n")
         c = parse_config_text("detector.k = 3\n")
         assert config_hash(a) == config_hash(b) != config_hash(c)
+
+
+def format_value(value) -> str:
+    """A config value as its file would write it."""
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return repr(value)
 
 
 def write_spec(path, **overrides):
@@ -285,6 +312,39 @@ class TestAnalyzeCommand:
         assert code == EXIT_INPUT
         error = json.loads(capsys.readouterr().err.strip())["error"]
         assert error.startswith("config: line 2: bad value for 'rail.twist_bases'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, error", [
+        (b"context = rail\nrail.wavelength_min = 0", "line 2: bad value for 'rail.wavelength_min'"),
+        (b"context = rail\nrail.curvature_threshold = -1",
+         "line 2: bad value for 'rail.curvature_threshold'"),
+        (b"detector.k = 0", "line 1: bad value for 'detector.k'"),
+        (b"frame.overlap = 1.5", "line 1: bad value for 'frame.overlap'"),
+        (b"frame.overlap = nan", "line 1: bad value for 'frame.overlap'"),
+        (b"frame.window_len = -1", "line 1: bad value for 'frame.window_len'"),
+        (b"gravity.tau = 0", "line 1: bad value for 'gravity.tau'"),
+        (b"gravity.tau = inf", "line 1: bad value for 'gravity.tau'"),
+        (b"roughness.segment_length = 0", "line 1: bad value for 'roughness.segment_length'"),
+        (b"detector.k = -1", "line 1: bad value for 'detector.k'"),
+        (b"features.set = mean", "line 1: detector.features must all be in features.set"),
+        (b"features.set = mean, psd", "line 1: bad value for 'features.set'"),
+        (b"detector.k = nan", "line 1: bad value for 'detector.k'"),
+        (b"maneuver.omega_on = nan", "line 1: bad value for 'maneuver.omega_on'"),
+        (b"maneuver.omega_off = 0.1",
+         "line 1: maneuver.omega_off must not exceed maneuver.omega_on"),
+        (b"roughness.band_min = 60", "line 1: roughness.band_min must be below roughness.band_max"),
+        (b"roughness.band_max = inf", "line 1: bad value for 'roughness.band_max'"),
+        (b"detector.k = 3\xff", "'utf-8' codec can't decode"),
+    ])
+    def test_config_refused_as_it_loads(self, pothole_trace, tmp_path, capsys, text, error):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(text + b"\n")
+        out = tmp_path / "o"
+        code = main(["analyze", str(pothole_trace), "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"].startswith(f"config: {error}")
         assert not out.exists()
 
     def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 """What importing the package loads: the EMD names are a plain function and
 a class, while scipy loads only when EMD first runs; the CLI and its
-crowd-side commands load no numpy, `synth` and `analyze` load no scipy,
-`analyze` loads no numpy.ma and runs no crowd layer; the CLI run as the
+crowd-side commands load no numpy, `synth` and `analyze` load no scipy and
+run no crowd layer, and `analyze` loads no numpy.ma; the CLI run as the
 program writes and flushes every output; and which functions the
 benchmark's tracer finds to wrap."""
 
@@ -144,6 +144,20 @@ class TestImportGraph:
             f"for argv in {runs!r}:\n"
             "    assert main(argv) == 0, argv\n"
             "assert 'numpy.ma' not in sys.modules\n"
+            "for name in ('aggregation', 'dissemination'):\n"
+            "    module = sys.modules['infrasense.' + name]\n"
+            "    assert type(module).__name__ == '_LazyModule', name\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_synth_runs_no_crowd_layer(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"duration": 5.0, "speed": 10.0, "rate": 100.0, "seed": 1}')
+        argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "ride.csv")]
+        proc = run_fresh(
+            "import sys\n"
+            "from infrasense.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
             "for name in ('aggregation', 'dissemination'):\n"
             "    module = sys.modules['infrasense.' + name]\n"
             "    assert type(module).__name__ == '_LazyModule', name\n"

@@ -14,7 +14,6 @@ from infrasense.cli import EXIT_OK, main
 from infrasense.rail_analysis import (
     GeometryProfile,
     RailAnalysisError,
-    TrackConstants,
     cant_angle,
     cant_from_roll,
     classify_curves,
@@ -52,14 +51,6 @@ class TestCantAngle:
 
     def test_full_range_boundary(self):
         assert cant_angle(1500.0) == pytest.approx(math.pi / 2)
-
-    def test_custom_constants(self):
-        consts = TrackConstants(rail_center_width=3000.0)
-        assert cant_angle(150.0, consts) == pytest.approx(math.asin(0.05))
-
-    def test_bad_constants(self):
-        with pytest.raises(ValueError):
-            TrackConstants(gauge=0.0)
 
 
 def rail_trace(duration=120.0, rate=100.0, speed=30.0, roll_rate=None, yaw_rate=None):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.signal import detrend
 
 from conftest import make_trace
@@ -14,15 +14,17 @@ from infrasense.road_analysis import (
     classify_maneuvers,
     detect_anomalies,
     detrend_linear,
+    lobe_signs,
     quarter_car_states,
     robust_z,
     roughness_index,
     segment_bounds,
     simulate_quarter_car,
+    yaw_events,
 )
 from infrasense.synth import PROFILE_SPACING, Pothole, Sinusoid, SynthSpec, generate_trace
 from infrasense.trace_model import CapabilityError, cumtrapz, gravity_split
-from oracles import segment_rows_mask
+from oracles import lobes_loop, segment_rows_mask, yaw_events_loop
 
 
 def maneuvers(trace):
@@ -193,6 +195,49 @@ class TestClassifyManeuvers:
         out = maneuvers(gyro_trace(wz))
         assert out[0].t == pytest.approx(10.5, abs=0.5)
         assert out[0].severity == pytest.approx(86, abs=3)
+
+    def test_omega_off_above_omega_on_refused(self):
+        wz = np.zeros(2001)
+        with pytest.raises(ValueError, match="omega_off"):
+            classify_maneuvers(gyro_trace(wz), np.zeros((len(wz), 3)), omega_on=0.03,
+                               omega_off=0.06)
+
+
+# sample times on a 0.05 s grid, written as decimals; some pairs of them lie
+# exactly MANEUVER_MIN_DURATION or MANEUVER_GAP apart, e.g. (0.05, 0.35), (0.35, 0.85)
+TIME_GRID = np.array([float(f"{k * 0.05:.2f}") for k in range(601)])  # 60 steps of 10
+
+
+@st.composite
+def yaw_series(draw):
+    """Thresholds with omega_off <= omega_on (equal or zero at times) and a
+    yaw-rate series that often sits exactly on either one, sampled at times
+    with repeated stamps and with steps of the gap and the minimum duration."""
+    omega_off = draw(st.sampled_from([0.0, 0.03, 0.05]))
+    omega_on = omega_off + draw(st.sampled_from([0.0, 0.01, 0.03]))
+    level = st.sampled_from([0.0, omega_off, omega_on])
+    value = st.one_of(st.builds(lambda v, sign: sign * v, level, st.sampled_from([1, -1])),
+                      st.floats(-0.1, 0.1))
+    n = draw(st.integers(1, 60))
+    wz = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    steps = draw(st.lists(st.sampled_from([0, 1, 2, 6, 10]), min_size=n, max_size=n))
+    return TIME_GRID[np.cumsum(steps)], wz, omega_on, omega_off
+
+
+class TestYawEventsOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(yaw_series())
+    # an event of exactly MANEUVER_MIN_DURATION, then a cold sample exactly
+    # MANEUVER_GAP after it
+    @example((TIME_GRID[[1, 7, 17, 18, 24]], np.array([0.1, 0.03, 0.0, 0.1, 0.06]), 0.05, 0.03))
+    def test_events_and_lobes_match_the_loops(self, series):
+        t, wz, omega_on, omega_off = series
+        first, last = yaw_events(t, wz, omega_on, omega_off)
+        events = list(zip(first.tolist(), last.tolist()))
+        assert events == yaw_events_loop(t, wz, omega_on, omega_off)
+        for i0, i1 in [*events, (0, len(wz) - 1)]:
+            seg = wz[i0:i1 + 1]
+            assert lobe_signs(seg, omega_off).tolist() == lobes_loop(seg, omega_off)
 
 
 def synth_trace(amp=0.005, wavelength=4.0, duration=65.0, speed=10.0, seed=0):
