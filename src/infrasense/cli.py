@@ -93,20 +93,20 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _analyze_road(trace, cfg: config.PipelineConfig, out: str) -> dict:
-    reoriented = trace_model.reorient(trace, tau=cfg.gravity_tau)
+def _analyze_road(reoriented, plan, cfg: config.PipelineConfig, out: str) -> tuple[list, dict]:
     rt, linear = reoriented.trace, reoriented.linear
-    plan = features.FramePlan(cfg.frame_window_len, cfg.frame_overlap, rt.rate)
     matrix = features.feature_matrix(linear[:, 2], plan, cfg.feature_set, t=rt.t)
     matrix.to_csv(os.path.join(out, "features.csv"))
 
     result = road_analysis.detect_anomalies(matrix, rt.fixes, k=cfg.detector_k,
                                             feature_subset=cfg.detector_features)
     indicators = list(result.indicators)
-    if rt.gyro is not None:
+    counts = {"anomalies": len(result.indicators)}
+    try:
         indicators += road_analysis.classify_maneuvers(
             rt, linear, cfg.maneuver_omega_on, cfg.maneuver_omega_off)
-    indicators_to_geojson(indicators, os.path.join(out, "indicators.geojson"))
+    except trace_model.CapabilityError as e:
+        counts["maneuvers_skipped"] = str(e)
 
     reports, skipped = road_analysis.roughness_index(
         rt, linear, band=(cfg.roughness_band_min, cfg.roughness_band_max),
@@ -117,26 +117,16 @@ def _analyze_road(trace, cfg: config.PipelineConfig, out: str) -> dict:
                     "band_min", "band_max"])
         for r in reports:
             w.writerow([r.s_start, r.segment_length, r.index, r.mean_speed, *r.band])
-    return {
-        "indicators": len(indicators),
-        "anomalies": len(result.indicators),
-        "roughness_segments": len(reports),
-        "roughness_skipped": skipped,
-        "forward_resolved": reoriented.forward_resolved,
-    }
+    return indicators, {**counts, "roughness_segments": len(reports), "roughness_skipped": skipped}
 
 
-def _analyze_rail(trace, cfg: config.PipelineConfig, out: str) -> dict:
-    reoriented = trace_model.reorient(trace, tau=cfg.gravity_tau)
-    rt = reoriented.trace
+def _analyze_rail(reoriented, cfg: config.PipelineConfig, out: str) -> tuple[list, dict]:
     profile, skipped = rail_analysis.cant_from_roll(
-        rt, wavelength_band=(cfg.rail_wavelength_min, cfg.rail_wavelength_max))
+        reoriented.trace, wavelength_band=(cfg.rail_wavelength_min, cfg.rail_wavelength_max))
     rail_analysis.geometry_to_csv(profile, os.path.join(out, "geometry.csv"),
                                   twist_bases=cfg.rail_twist_bases)
     indicators = rail_analysis.classify_curves(profile, threshold=cfg.rail_curvature_threshold)
-    indicators_to_geojson(indicators, os.path.join(out, "indicators.geojson"))
-    return {"indicators": len(indicators), "geometry_points": len(profile),
-            "spans_skipped": skipped, "forward_resolved": reoriented.forward_resolved}
+    return indicators, {"geometry_points": len(profile), "spans_skipped": skipped}
 
 
 def cmd_analyze(args) -> int:
@@ -149,6 +139,12 @@ def cmd_analyze(args) -> int:
         trace, report = trace_model.parse_trace(args.trace, fmt)
     except (OSError, trace_model.TraceError, ValueError) as e:
         return _fail(EXIT_INPUT, f"trace: {e}")
+    if cfg.context == "road":
+        try:
+            plan = features.FramePlan(cfg.frame_window_len, cfg.frame_overlap, trace.rate)
+        except ValueError:
+            return _fail(EXIT_INPUT, f"config: frame.window_len = {cfg.frame_window_len:g} s "
+                         f"holds fewer than 2 samples at the trace's {trace.rate:g} Hz")
 
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -156,10 +152,12 @@ def cmd_analyze(args) -> int:
     except OSError as e:
         return _fail(EXIT_INPUT, f"out: {e}")
     try:
+        reoriented = trace_model.reorient(trace, tau=cfg.gravity_tau)
         if cfg.context == "road":
-            counts = _analyze_road(trace, cfg, tmp)
+            indicators, counts = _analyze_road(reoriented, plan, cfg, tmp)
         else:
-            counts = _analyze_rail(trace, cfg, tmp)
+            indicators, counts = _analyze_rail(reoriented, cfg, tmp)
+        indicators_to_geojson(indicators, os.path.join(tmp, "indicators.geojson"))
         manifest = {
             "tool": "infrasense",
             "version": __version__,
@@ -171,7 +169,8 @@ def cmd_analyze(args) -> int:
                              "reorders": report.reorders,
                              "drops": report.drops},
             "gaps": trace_model.sampling_gaps(trace.t),
-            "counts": counts,
+            "counts": {"indicators": len(indicators), **counts,
+                       "forward_resolved": reoriented.forward_resolved},
         }
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, default=str)

@@ -39,6 +39,8 @@ def _features(raw: str) -> tuple[str, ...]:
     names = tuple(v.strip() for v in raw.split(","))
     if unknown := [name for name in names if name not in DEFAULT_FEATURES]:
         raise ValueError(f"unknown features {unknown}")
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise ValueError(f"repeated features {repeated}")
     return names
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .reports import Indicator, clamp_severity
-from .trace_model import CapabilityError, Trace, cumtrapz, runs, write_rows
+from .trace_model import CapabilityError, Trace, along_track, cumtrapz, runs, write_rows
 from .transforms import swt_bandpass
 
 RAIL_CENTER_WIDTH = 1500.0  # mm, 2*b0: the distance between the rail centres
@@ -55,14 +55,12 @@ def cant_from_roll(trace: Trace, wavelength_band: tuple[float, float] = (10.0, 2
     Roll angle is the cumulative integral of the roll rate, band-limited by
     the SWT levels retaining the given track wavelengths (lambda = v/f); a
     span too short for any such level keeps its roll minus its mean. Spans
-    with speed <= CANT_MIN_SPEED are excluded and returned with reasons.
+    with speed <= CANT_MIN_SPEED are excluded and returned with reasons. A
+    trace without a gyro or without GPS fixes raises CapabilityError.
     """
     if trace.gyro is None:
         raise CapabilityError("track geometry needs a gyroscope")
-    speeds = trace.fixes.interp("speed", trace.t)
-    if not np.all(np.isfinite(speeds)):
-        raise RailAnalysisError("track geometry needs GPS speed")
-    s_along = cumtrapz(speeds, trace.t)
+    speeds, s_along = along_track(trace, "track geometry")
 
     valid = speeds > CANT_MIN_SPEED
     keep = np.zeros(len(trace), dtype=bool)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .reports import Indicator, clamp_severity
-from .trace_model import CapabilityError, Fixes, Trace, cumtrapz, median, runs
+from .trace_model import CapabilityError, Fixes, Trace, along_track, cumtrapz, median, runs
 from .transforms import swt_bandpass
 
 DEFAULT_DETECTOR_FEATURES = ("peak2peak", "kurt", "rms")
@@ -208,15 +208,12 @@ def roughness_index(trace: Trace, linear: np.ndarray, band: tuple[float, float] 
     band maps into the wavelength band (lambda = v/f) reconstruct the
     band-limited vertical acceleration, which is double-integrated (linear
     detrend after each pass); the index is the rectified elevation increment
-    sum per length, in m/km.
+    sum per length, in m/km. A trace without GPS fixes raises CapabilityError.
     """
     if segment_length <= 0:
         raise ValueError("segment_length must be positive")
-    speeds = trace.fixes.interp("speed", trace.t)
-    if not np.all(np.isfinite(speeds)):
-        raise RoadAnalysisError("roughness needs GPS speed")
+    speeds, s = along_track(trace, "roughness")
     az = linear[:, 2]
-    s = cumtrapz(speeds, trace.t)
 
     reports = []
     skipped = []

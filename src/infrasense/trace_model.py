@@ -178,6 +178,16 @@ def cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def along_track(trace: Trace, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """GPS speed at each sample, and the distance travelled (its cumulative
+    trapezoid over t); CapabilityError "`what` needs GPS speed" when the
+    trace has no fixes."""
+    if not len(trace.fixes):
+        raise CapabilityError(f"{what} needs GPS speed")
+    speeds = trace.fixes.interp("speed", trace.t)
+    return speeds, cumtrapz(speeds, trace.t)
+
+
 def runs(mask) -> list[tuple[int, int]]:
     """(start, stop) of each maximal run of equal values in a boolean array,
     in order; `stop` is exclusive and the run's value is ``mask[start]``."""

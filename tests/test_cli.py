@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from infrasense import aggregation, trace_model
-from infrasense.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from infrasense.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from infrasense.config import (
     _KEYS,
     ConfigError,
@@ -187,6 +187,7 @@ class TestAnalyzeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["counts"]["anomalies"] == 3
         assert manifest["counts"]["roughness_segments"] >= 5
+        assert "maneuvers_skipped" not in manifest["counts"]
         geo = json.loads((out / "indicators.geojson").read_text())
         anomalies = [f for f in geo["features"]
                      if f["properties"]["kind"] == "anomaly"]
@@ -328,6 +329,10 @@ class TestAnalyzeCommand:
         (b"detector.k = -1", "line 1: bad value for 'detector.k'"),
         (b"features.set = mean", "line 1: detector.features must all be in features.set"),
         (b"features.set = mean, psd", "line 1: bad value for 'features.set'"),
+        (b"features.set = rms, rms, kurt, peak2peak",
+         "line 1: bad value for 'features.set': repeated features ['rms']"),
+        (b"detector.features = rms, kurt, rms",
+         "line 1: bad value for 'detector.features': repeated features ['rms']"),
         (b"detector.k = nan", "line 1: bad value for 'detector.k'"),
         (b"maneuver.omega_on = nan", "line 1: bad value for 'maneuver.omega_on'"),
         (b"maneuver.omega_off = 0.1",
@@ -374,6 +379,79 @@ class TestAnalyzeCommand:
         counts = json.loads((out / "manifest.json").read_text())["counts"]
         want = reorient(parse_trace(trace)[0], tau=PipelineConfig().gravity_tau)
         assert counts["forward_resolved"] is want.forward_resolved
+
+
+    def test_window_under_two_samples_is_config_error(self, pothole_trace, tmp_path, capsys):
+        # refused once the trace's rate is known, before anything is written
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("frame.window_len = 0.01\n")
+        out = tmp_path / "o"
+        code = main(["analyze", str(pothole_trace), "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        error = json.loads(err[0])["error"]
+        assert error.startswith("config: frame.window_len = 0.01 s") and "100 Hz" in error
+        assert not out.exists()
+
+
+GYRO = ("gx", "gy", "gz")
+GEO = ("lat", "lon", "speed", "acc")
+
+
+def blanked(trace, path, columns):
+    """The CSV `trace` written to `path` with every cell of `columns` empty."""
+    lines = trace.read_text().splitlines()
+    header = lines[0].split(",")
+    drop = [header.index(name) for name in columns]
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        for j in drop:
+            cells[j] = ""
+        rows.append(",".join(cells))
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+    return path
+
+
+class TestMissingSensor:
+    """A ride without a gyro or without GPS: maneuvers are skipped and noted
+    in the manifest; roughness and track geometry fail the run (exit 4)."""
+
+    @pytest.fixture(scope="class")
+    def rail_trace(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("rail")
+        spec = write_spec(tmp / "spec.json", potholes=[], duration=20.0, speed=30.0,
+                          noise_sigma=0.01)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp / "rail.csv")]) == EXIT_OK
+        return tmp / "rail.csv"
+
+    @pytest.mark.parametrize("context, columns, error", [
+        ("road", GEO, "roughness needs GPS speed"),
+        ("rail", GYRO, "track geometry needs a gyroscope"),
+        ("rail", GEO, "track geometry needs GPS speed"),
+    ])
+    def test_run_fails(self, pothole_trace, rail_trace, tmp_path, capsys, context, columns,
+                       error):
+        ride = pothole_trace if context == "road" else rail_trace
+        trace = blanked(ride, tmp_path / "ride.csv", columns)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"context = {context}\n")
+        out = tmp_path / "o"
+        code = main(["analyze", str(trace), "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.splitlines() == [
+            json.dumps({"error": f"analysis: {error}", "exit": EXIT_NUMERIC})]
+        assert list(out.iterdir()) == []
+
+    def test_road_without_gyro_skips_maneuvers(self, pothole_trace, tmp_path, capsys):
+        trace = blanked(pothole_trace, tmp_path / "ride.csv", GYRO)
+        out = tmp_path / "o"
+        assert main(["analyze", str(trace), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        counts = json.loads((out / "manifest.json").read_text())["counts"]
+        assert counts["anomalies"] == counts["indicators"] == 3
+        assert counts["maneuvers_skipped"] == "maneuver classification needs a gyroscope"
 
 
 class TestAggregateCommand:

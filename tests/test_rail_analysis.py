@@ -70,7 +70,7 @@ class TestCantFromRoll:
 
     def test_needs_speed(self):
         trace = make_trace(gyro=np.zeros((1001, 3)), with_fixes=False)
-        with pytest.raises(RailAnalysisError):
+        with pytest.raises(CapabilityError, match="^track geometry needs GPS speed$"):
             cant_from_roll(trace)
 
     def test_straight_quiet_track_small_cant(self, rng):

@@ -271,7 +271,7 @@ class TestRoughnessIndex:
 
     def test_needs_speed(self):
         trace = make_trace(with_fixes=False)
-        with pytest.raises(RoadAnalysisError):
+        with pytest.raises(CapabilityError, match="^roughness needs GPS speed$"):
             roughness(trace)
 
     def test_bad_segment_length(self):
