@@ -145,6 +145,13 @@ def cmd_analyze(args) -> int:
         except ValueError:
             return _fail(EXIT_INPUT, f"config: frame.window_len = {cfg.frame_window_len:g} s "
                          f"holds fewer than 2 samples at the trace's {trace.rate:g} Hz")
+        n = len(trace.t)
+        windows = plan.n_windows(n)
+        if windows < road_analysis.MIN_WINDOWS:
+            return _fail(EXIT_INPUT, f"config: frame.window_len = {cfg.frame_window_len:g} s "
+                         f"gives {windows} windows on the trace's {n} samples at "
+                         f"{trace.rate:g} Hz; the detector needs at least "
+                         f"{road_analysis.MIN_WINDOWS}")
 
     try:
         os.makedirs(args.out, exist_ok=True)

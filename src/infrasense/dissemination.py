@@ -179,6 +179,8 @@ class SimNode:
     inbox: dict[int, str] = field(default_factory=dict)  # checksum -> ssid
     # checksum -> the packet's highest entry severity, recorded by `receive`
     severities: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the SSID strings `receive` has put in the inbox, refused again undecoded
+    _held: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.duty <= 1.0 and 0 < self.period < math.inf
@@ -207,12 +209,19 @@ class SimNode:
         return "hotspot" if ((t - self.phase) % self.period) < self.duty * self.period else "client"
 
     def receive(self, ssid: str) -> bool:
-        """Deduplicated insert; True when the packet is new to this node."""
+        """Deduplicated insert; True when the packet is new to this node.
+
+        Packets are told apart by checksum. An SSID the node already holds
+        is refused before it is decoded; any other is decoded, so a
+        malformed one raises on every call."""
+        if isinstance(ssid, str) and ssid in self._held:
+            return False
         packet = decode_packet(ssid)
         checksum = packet.checksum
         if checksum in self.inbox:
             return False
         self.inbox[checksum] = ssid
+        self._held.add(ssid)
         self.severities[checksum] = packet.max_severity()
         return True
 

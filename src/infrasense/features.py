@@ -44,6 +44,10 @@ class FramePlan:
     def hop(self) -> int:
         return max(1, int(round(self.size * (1.0 - self.overlap))))
 
+    def n_windows(self, n: int) -> int:
+        """Whole windows cut from `n` samples; trailing samples are dropped."""
+        return (n - self.size) // self.hop + 1 if n >= self.size else 0
+
 
 DEFAULT_FEATURES = ("mean", "mad", "rms", "var", "sd", "energy", "skew", "kurt",
                     "peak2peak", "peak2rms")
@@ -160,8 +164,9 @@ def feature_matrix(signal, plan: FramePlan, names=DEFAULT_FEATURES,
     if len(x) < m:
         raise FeatureError(f"signal length {len(x)} shorter than window {m}")
     _check_names(names)
-    windows = sliding_window_view(x, m)[::hop]
-    starts = np.arange(len(windows)) * hop
+    k = plan.n_windows(len(x))
+    windows = sliding_window_view(x, m)[:k * hop:hop]
+    starts = np.arange(k) * hop
     if t is None:
         stamps = np.arange(len(x) + 1) / plan.rate
     else:
@@ -169,8 +174,8 @@ def feature_matrix(signal, plan: FramePlan, names=DEFAULT_FEATURES,
     feats = _window_features(windows)
     return FeatureMatrix(
         names=tuple(names),
-        values=np.reshape([feats[n] for n in names], (len(names), len(windows))).T,
-        window_index=np.arange(len(windows)),
+        values=np.reshape([feats[n] for n in names], (len(names), k)).T,
+        window_index=np.arange(k),
         t_start=stamps[starts],
         t_end=stamps[starts + m],
         degenerate=feats["degenerate"],

@@ -19,6 +19,7 @@ from .trace_model import CapabilityError, Fixes, Trace, along_track, cumtrapz, m
 from .transforms import swt_bandpass
 
 DEFAULT_DETECTOR_FEATURES = ("peak2peak", "kurt", "rms")
+MIN_WINDOWS = 8  # feature windows the anomaly detector needs
 # Maneuver events, in seconds: yaw-rate samples less than MANEUVER_GAP apart
 # join one event, and events shorter than MANEUVER_MIN_DURATION drop.
 MANEUVER_MIN_DURATION = 0.3
@@ -57,8 +58,8 @@ def detect_anomalies(matrix: FeatureMatrix, fixes: Fixes, k: float = 3.0,
     subset exceeds `k`; contiguous anomalous windows merge into a single
     indicator placed at the peak-score window.
     """
-    if matrix.n_windows < 8:
-        raise RoadAnalysisError("need at least 8 windows")
+    if matrix.n_windows < MIN_WINDOWS:
+        raise RoadAnalysisError(f"need at least {MIN_WINDOWS} windows")
     missing = [f for f in feature_subset if f not in matrix.names]
     if missing:
         raise RoadAnalysisError(f"matrix lacks features: {missing}")

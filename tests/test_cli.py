@@ -353,12 +353,15 @@ class TestAnalyzeCommand:
         assert not out.exists()
 
     def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys):
-        # too-short trace fails mid-pipeline; out dir must stay empty
-        spec = write_spec(tmp_path / "spec.json", duration=2.0, potholes=[])
+        # a trace with windows enough for the detector but too short to
+        # reorient fails mid-pipeline; out dir must stay empty
+        spec = write_spec(tmp_path / "spec.json", duration=1.5, potholes=[])
         trace = tmp_path / "short.csv"
         main(["synth", "--spec", str(spec), "--out", str(trace)])
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("frame.window_len = 0.2\n")
         out = tmp_path / "report"
-        code = main(["analyze", str(trace), "--out", str(out)])
+        code = main(["analyze", str(trace), "--config", str(cfg), "--out", str(out)])
         assert code != EXIT_OK
         assert list(out.iterdir()) == []
         capsys.readouterr()
@@ -393,6 +396,31 @@ class TestAnalyzeCommand:
         error = json.loads(err[0])["error"]
         assert error.startswith("config: frame.window_len = 0.01 s") and "100 Hz" in error
         assert not out.exists()
+
+    @pytest.mark.parametrize("window_len,overlap,windows", [
+        (1000.0, 0.5, 0), (8.0, 0.0, 7)])  # 6001 samples: (6001 - 800) // 800 + 1 = 7
+    def test_too_few_windows_is_config_error(self, pothole_trace, tmp_path, capsys,
+                                              window_len, overlap, windows):
+        # refused right after the parse, before anything is written
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"frame.window_len = {window_len}\nframe.overlap = {overlap}\n")
+        out = tmp_path / "o"
+        code = main(["analyze", str(pothole_trace), "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == (
+            f"config: frame.window_len = {window_len:g} s gives {windows} windows on the "
+            f"trace's 6001 samples at 100 Hz; the detector needs at least 8")
+        assert not out.exists()
+
+    def test_eight_windows_pass(self, pothole_trace, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("frame.window_len = 7.5\nframe.overlap = 0\n")
+        out = tmp_path / "o"
+        assert main(["analyze", str(pothole_trace), "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        assert len((out / "features.csv").read_text().splitlines()) == 1 + 8
 
 
 GYRO = ("gx", "gy", "gz")

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -222,6 +223,67 @@ class TestSimNode:
         assert node.best_packet() == hi != lo
 
 
+class TestReceive:
+    """De-duplication by checksum; a held SSID is refused without decoding."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        decoded = []
+        monkeypatch.setattr(dissemination, "decode_packet",
+                            lambda ssid: decoded.append(ssid) or decode_packet(ssid))
+        return decoded
+
+    def test_held_beacon_refused_undecoded(self, monkeypatch):
+        node = SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)])
+        ssid = seed_packet(node, severity=7)
+        held = (dict(node.inbox), dict(node.severities))
+        decoded = self.counted(monkeypatch)
+        assert not node.receive(ssid)
+        assert not node.receive(ssid)
+        assert decoded == []
+        assert (node.inbox, node.severities) == held
+
+    def test_same_checksum_other_ssid_is_duplicate(self):
+        # search the entry fields for two beacons whose CRC-16 collides
+        first = {}
+        for confidence, d_north in itertools.product(range(256), range(-128, 128)):
+            packet = SsidPacket(1, 0, 51_000_000, 7_000_000,
+                                (PacketEntry(d_north, 0, 1, 5, confidence),))
+            other = first.setdefault(packet.checksum, packet)
+            if other is not packet:
+                break
+        a, b = other.to_ssid(), packet.to_ssid()
+        assert a != b and decode_packet(a).checksum == decode_packet(b).checksum
+        node = SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)])
+        assert node.receive(a)
+        assert not node.receive(b)
+        assert not node.receive(b)
+        assert node.inbox == {other.checksum: a}
+        assert node.severities == {other.checksum: 5}
+        assert node.best_packet() == a
+
+    def test_bad_beacon_raises_every_time(self):
+        node = SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)])
+        held = seed_packet(node)
+        seed_packet(node, severity=3)
+        flipped = held[:-1] + ("A" if held[-1] != "A" else "B")  # CRC bits changed
+        bad = [(FormatError, "A" * 31), (FormatError, "!" + held[1:]),
+               (FormatError, held[:-1] + "+"), (FormatError, [held]), (FormatError, None),
+               (IntegrityError, flipped)]
+        for error, ssid in bad:
+            for _ in range(3):
+                with pytest.raises(error):
+                    node.receive(ssid)
+        assert sorted(node.severities.values()) == [3, 10] and len(node.inbox) == 2
+
+    def test_benchmark_scenario_decodes_each_delivery_once(self, tmp_path, monkeypatch):
+        inputs = perfbench_module("inputs", monkeypatch)
+        nodes = benchmark_nodes(inputs, 120, tmp_path)
+        decoded = self.counted(monkeypatch)
+        log = run_simulation(nodes, inputs.SIM_DURATION, 1.0, 50.0)
+        assert log and len(decoded) == len(log)
+
+
 class TestSimulation:
     def test_two_nodes_complementary_phases(self):
         a, b = grid_nodes(2, spacing_m=30.0)
@@ -244,8 +306,9 @@ class TestSimulation:
                             lambda ssid: decoded.append(ssid) or decode_packet(ssid))
         log = run_simulation([a, b], duration=10.0)
         assert [(d.src, d.dst, d.checksum) for d in log] == [("n0", "n1", best)]
-        # ten receipts: a to b at t = 0..4, then b to a at t = 5..9
-        assert len(decoded) == 10
+        # ten receipts: a to b at t = 0..4, then b to a at t = 5..9; only the
+        # first is new to its receiver, and a held beacon is refused undecoded
+        assert len(decoded) == 1
 
     def test_aligned_phases_never_deliver(self):
         a, b = grid_nodes(2, spacing_m=30.0)

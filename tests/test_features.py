@@ -90,6 +90,13 @@ class TestFrameSignal:
         got = feature_matrix(np.zeros(n), plan, ())
         assert got.n_windows == (n - plan.size) // plan.hop + 1
 
+    @given(n=st.integers(0, 400), m=st.integers(2, 200), overlap=st.floats(0.0, 0.9))
+    @settings(max_examples=50)
+    def test_n_windows_counts_whole_windows(self, n, m, overlap):
+        plan = FramePlan(window_len=m, overlap=overlap, rate=1.0)
+        starts = range(0, n - plan.size + 1, plan.hop)  # each start a whole window fits after
+        assert plan.n_windows(n) == len(starts)
+
 
 class TestExtractFeatures:
     def test_alternating_window_fixed_values(self):
