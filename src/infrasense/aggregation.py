@@ -20,7 +20,6 @@ from .reports import EARTH_RADIUS, JSON_NUMBER, Indicator
 
 _SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
 _SLACK_M = 1e-6  # m, the same for radii so small that rounding is not relative
-_POLAR_LAT = 89.9  # deg; a reach past this latitude scans every point
 
 
 class AggregationError(Exception):
@@ -40,35 +39,44 @@ def great_circle(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2 * EARTH_RADIUS * math.asin(math.sqrt(a))
 
 
-class GridIndex:
-    """Points keyed by id in a dict of lat/lon cells about `radius` wide.
+def _embed(lat: float, lon: float) -> tuple[float, float, float]:
+    """(lat, lon) as a point on the sphere of radius R in 3-D, in meters."""
+    phi, lmb = math.radians(lat), math.radians(lon)
+    r = EARTH_RADIUS * math.cos(phi)
+    return r * math.cos(lmb), r * math.sin(lmb), EARTH_RADIUS * math.sin(phi)
 
-    `candidates(lat, lon)` returns, in ascending id, a superset of the ids
-    whose great-circle distance to (lat, lon) can be at most `radius`; it
-    drops only points that are provably farther. Latitude: d >= R*|dphi|.
-    Longitude: the haversine gives sin(d/2R) >= cos(phi_max)*|sin(dlmb/2)|,
-    with phi_max the largest |lat| within the latitude reach; longitude
-    differences wrap at +-180 deg as the haversine's do. Both reaches are
-    widened by a relative and an absolute slack. Points outside the WGS84
-    range sit in one cell that every query visits. A query off that range,
-    one whose latitude reach passes `_POLAR_LAT`, and one whose cells
-    outnumber the points get every id.
+
+class GridIndex:
+    """Points keyed by id in a dict of cubes of the sphere's 3-D embedding.
+
+    (lat, lon) embeds as R(cos lat cos lon, cos lat sin lon, sin lat). For
+    every finite lat/lon, the haversine distance is 2R*asin(c/2R), with c
+    the chord between the two embedded points, so a point within `radius`
+    lies within the chord `reach` = 2R*sin(min(radius/2R, pi/2)), widened
+    by a relative and an absolute slack. The cubes are `cell` = 2*reach
+    wide, and `candidates(lat, lon)` returns, in ascending id, the points
+    of the at most 8 cubes that [coordinate - reach, coordinate + reach]
+    touches on each axis: a superset of the ids within `radius` that drops
+    only points provably farther. Points with a non-finite coordinate sit
+    in one cell that every query visits; a non-finite query gets every id.
     """
 
     def __init__(self, radius: float):
-        reach = radius * (1.0 + _SLACK) + _SLACK_M
-        self.cell = math.degrees(reach / EARTH_RADIUS)  # deg, also the latitude reach
-        self._half = reach / (2.0 * EARTH_RADIUS)  # rad, half the central angle
-        self._cells: dict[tuple[int, int] | None, set[int]] = {}
-        self._where: dict[int, tuple[int, int] | None] = {}
+        chord = 2.0 * EARTH_RADIUS * math.sin(min(radius / (2.0 * EARTH_RADIUS), math.pi / 2))
+        self.reach = chord * (1.0 + _SLACK) + _SLACK_M  # m
+        self.cell = 2.0 * self.reach  # m, the side of a cube
+        self._cells: dict[tuple[int, int, int] | None, set[int]] = {}
+        self._where: dict[int, tuple[int, int, int] | None] = {}
 
     def __len__(self) -> int:
         return len(self._where)
 
-    def _key(self, lat: float, lon: float) -> tuple[int, int] | None:
-        if abs(lat) <= 90.0 and abs(lon) <= 180.0:
-            return math.floor(lat / self.cell), math.floor(lon / self.cell)
-        return None
+    def _key(self, lat: float, lon: float) -> tuple[int, int, int] | None:
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            return None
+        x, y, z = _embed(lat, lon)
+        c = self.cell
+        return math.floor(x / c), math.floor(y / c), math.floor(z / c)
 
     def add(self, key: int, lat: float, lon: float) -> None:
         cell = self._where[key] = self._key(lat, lon)
@@ -85,36 +93,18 @@ class GridIndex:
             self._where[key] = new
             self._cells.setdefault(new, set()).add(key)
 
-    def _lon_reach(self, lat: float) -> float | None:
-        """Longitude reach (deg) from `lat`, or None where the bound fails
-        or spans a quarter turn."""
-        phi_max = abs(lat) + self.cell
-        if phi_max >= _POLAR_LAT or self._half >= math.pi / 2:
-            return None
-        s = math.sin(self._half) / math.cos(math.radians(phi_max))
-        if s >= 1.0:
-            return None
-        reach = math.degrees(2.0 * math.asin(s)) * (1.0 + _SLACK)
-        return reach if reach < 90.0 else None
-
     def candidates(self, lat: float, lon: float) -> list[int]:
-        if self._key(lat, lon) is None or (dlon := self._lon_reach(lat)) is None:
+        if not (math.isfinite(lat) and math.isfinite(lon)):
             return sorted(self._where)
-        c = self.cell
-        rows = range(math.floor((lat - c) / c), math.floor((lat + c) / c) + 1)
-        cols = []
-        for shift in (-360.0, 0.0, 360.0):
-            lo, hi = max(lon - dlon + shift, -180.0), min(lon + dlon + shift, 180.0)
-            if lo <= hi:
-                cols.append(range(math.floor(lo / c), math.floor(hi / c) + 1))
-        if len(rows) * sum(map(len, cols)) >= len(self._where):
-            return sorted(self._where)
+        c, reach = self.cell, self.reach
+        xs, ys, zs = (range(math.floor((v - reach) / c), math.floor((v + reach) / c) + 1)
+                      for v in _embed(lat, lon))
         cells = self._cells
         out = list(cells.get(None, ()))
-        for i in rows:
-            for span in cols:
-                for j in span:
-                    members = cells.get((i, j))
+        for i in xs:
+            for j in ys:
+                for k in zs:
+                    members = cells.get((i, j, k))
                     if members:
                         out.extend(members)
         out.sort()

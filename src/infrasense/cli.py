@@ -252,22 +252,31 @@ def cmd_aggregate(args) -> int:
 
 
 def _load_scenario(path) -> list[dissemination.SimNode]:
+    """One node per non-blank JSONL line; a line that does not make a node
+    raises ValueError naming its line number."""
     nodes = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            node = dissemination.SimNode(
-                id=str(obj["id"]),
-                waypoints=[tuple(w) for w in obj["waypoints"]],
-                duty=obj.get("duty", 0.5),
-                period=obj.get("period", 10.0),
-                phase=obj.get("phase", 0.0),
-            )
-            for ssid in obj.get("packets", []):
-                node.receive(ssid)
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("not a JSON object")
+                node = dissemination.SimNode(
+                    id=str(obj["id"]),
+                    waypoints=[tuple(w) for w in obj["waypoints"]],
+                    duty=obj.get("duty", 0.5),
+                    period=obj.get("period", 10.0),
+                    phase=obj.get("phase", 0.0),
+                )
+                for ssid in obj.get("packets", []):
+                    node.receive(ssid)
+            except KeyError as e:
+                raise ValueError(f"line {lineno}: missing key {e}") from e
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"line {lineno}: {e}") from e
             nodes.append(node)
     return nodes
 

@@ -176,7 +176,8 @@ class SimNode:
     duty: float = 0.5  # hotspot fraction per period
     period: float = 10.0  # s
     phase: float = 0.0  # s offset of the duty schedule
-    inbox: dict[int, str] = field(default_factory=dict)  # checksum -> ssid
+    # checksum -> ssid, filled only by `receive`
+    inbox: dict[int, str] = field(default_factory=dict, init=False)
     # checksum -> the packet's highest entry severity, recorded by `receive`
     severities: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     # the SSID strings `receive` has put in the inbox, refused again undecoded

@@ -78,7 +78,7 @@ def _sift(residue: np.ndarray) -> np.ndarray | None:
     for _ in range(_MAX_SIFTS):
         maxima, minima = _extrema(h)
         if len(maxima) + len(minima) < 3 or len(maxima) < 1 or len(minima) < 1:
-            return None if np.array_equal(h, residue) else h
+            return None if np.array_equal(h, residue, equal_nan=True) else h
         upper = _envelope(maxima, h[maxima], h)
         lower = _envelope(minima, h[minima], h)
         mean = 0.5 * (upper + lower)
@@ -105,9 +105,6 @@ def emd(signal, max_imfs: int = 10) -> ImfSet:
     imfs: list[np.ndarray] = []
     residue = x.copy()
     for _ in range(max_imfs):
-        maxima, minima = _extrema(residue)
-        if len(maxima) + len(minima) < 3 or len(maxima) < 1 or len(minima) < 1:
-            break
         imf = _sift(residue)
         if imf is None:
             break

@@ -152,27 +152,25 @@ def swt(signal, wavelet: str = "haar", levels: int = 1) -> WaveletDecomposition:
                                 scheme="stationary", original_length=orig)
 
 
-def swt_band_reconstruct(dec: WaveletDecomposition, levels=None,
-                         include_approx: bool = False) -> np.ndarray:
+def swt_band_reconstruct(dec: WaveletDecomposition, levels=None) -> np.ndarray:
     """Reconstruct from a subset of detail levels (1-based).
 
-    `levels=None` with `include_approx=True` reproduces the input exactly.
+    `levels=None` takes every level and the approximation, which
+    reproduces the input exactly.
     For orthonormal filter pairs |H|^2 + |G|^2 = 2 at every frequency, so the
     synthesis step is half the sum of the two circular correlations.
     """
     if dec.scheme != "stationary":
         raise TransformError("expected a stationary decomposition")
-    if levels is None:
-        levels = set(range(1, dec.levels + 1))
-        include_approx = True
-    levels = set(levels)
-    bad = levels - set(range(1, dec.levels + 1))
+    every = set(range(1, dec.levels + 1))
+    keep = every if levels is None else set(levels)
+    bad = keep - every
     if bad:
         raise TransformError(f"levels out of range: {sorted(bad)}")
     h, g = filter_pair(dec.wavelet)
-    a = dec.approx if include_approx else np.zeros_like(dec.approx)
+    a = dec.approx if levels is None else np.zeros_like(dec.approx)
     for j in range(dec.levels, 0, -1):
-        d = dec.details[j - 1] if j in levels else np.zeros_like(dec.details[j - 1])
+        d = dec.details[j - 1] if j in keep else np.zeros_like(dec.details[j - 1])
         step = -(2 ** (j - 1))
         a = 0.5 * _add_taps(_add_taps(np.zeros(len(a)), a, h, step), d, g, step)
     return a[:dec.original_length]

@@ -19,7 +19,7 @@ from infrasense.aggregation import (
     fuse,
     great_circle,
 )
-from infrasense.reports import Indicator
+from infrasense.reports import EARTH_RADIUS, Indicator
 from oracles import match_segment_scan
 
 DAY = 86400.0
@@ -438,7 +438,7 @@ def anchor_bits(store):
 
 def background(store):
     """Anchors on a 9 x 18 deg lattice put into `states` directly, so that
-    each kind's index holds more points than a query visits cells."""
+    each kind's index holds far points that a query must skip."""
     aid = 0
     for lat in range(-81, 82, 9):
         for lon in range(-180, 180, 18):
@@ -462,10 +462,28 @@ def assert_matches_scan(contributions, prefill=None):
     return indexed
 
 
-# places to draw around: mid-latitude, both sides of +-180 deg, above 85 deg
-# (still indexed) and above 89.9 deg (every anchor scanned)
+# places to draw around: mid-latitude, both sides of +-180 deg, and near
+# both poles
 BASES = [(51.0, 7.0), (0.0, 179.9999), (-33.0, -180.0), (12.0, 180.0),
          (86.5, -179.99), (-88.0, 45.0), (89.95, 10.0), (-89.99, -120.0)]
+
+
+def onto_cube_face(lat, lon, cell):
+    """A point near (lat, lon) whose embedding lies on a face of the index's
+    cubes `cell` m wide: a z face, reached along the meridian, away from the
+    poles; near them an x or y face, reached along the parallel, whichever
+    moves the point least."""
+    phi, lmb = math.radians(lat), math.radians(lon)
+    if abs(math.cos(phi)) >= 0.5:
+        z = round(EARTH_RADIUS * math.sin(phi) / cell) * cell
+        return math.degrees(math.asin(z / EARTH_RADIUS)), lon
+    rc = EARTH_RADIUS * math.cos(phi)
+    if abs(math.sin(lmb)) >= abs(math.cos(lmb)):  # x = rc*cos(lon) changes fastest
+        x = round(rc * math.cos(lmb) / cell) * cell
+        return lat, math.copysign(math.degrees(math.acos(max(-1.0, min(1.0, x / rc)))), lon)
+    y = round(rc * math.sin(lmb) / cell) * cell
+    s = math.degrees(math.asin(max(-1.0, min(1.0, y / rc))))
+    return lat, s if math.cos(lmb) >= 0.0 else wrap_lon(180.0 - s)
 
 
 @st.composite
@@ -485,11 +503,10 @@ def contributions(draw):
             lat = max(-90.0, min(90.0, base_lat + north / METERS_PER_DEG))
             cos = max(math.cos(math.radians(lat)), 1e-3)
             lon = wrap_lon(base_lon + east / (METERS_PER_DEG * cos))
-            if draw(st.booleans()):  # onto a cell border of one radius's grid
-                cell = GridIndex(draw(st.sampled_from(radii))).cell
-                lat = max(-90.0, min(90.0, round(lat / cell) * cell))
-                lon = max(-180.0, min(180.0, round(lon / cell) * cell))
-                lat += draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+            if draw(st.booleans()):  # onto a cube face of one radius's index
+                lat, lon = onto_cube_face(lat, lon, GridIndex(draw(st.sampled_from(radii))).cell)
+                nudge = draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+                lat, lon = lat + nudge, lon + nudge
         out.append((ind(lat=lat, lon=lon, kind=kind), radius))
     return out
 
@@ -531,8 +548,8 @@ class TestMatchIndex:
         assert store.match_segment(ind(lat=lat, lon=lon), policy) == aid != first
 
     def test_points_off_the_wgs84_range(self):
-        # the haversine is periodic in longitude, so lon 367 is lon 7; such
-        # points and NaN ones are visited by every query
+        # the haversine is periodic in longitude, so lon 367 is lon 7 and
+        # embeds where lon 7 does; NaN points are visited by every query
         lat, lon = offset(51.0, 3.0)
         assert_matches_scan([(ind(lon=367.0), 15.0), (ind(lat=lat, lon=lon), 15.0),
                              (ind(lat=math.nan), 15.0), (ind(lat=95.0), 15.0),
@@ -564,12 +581,16 @@ def destination(lat, lon, bearing, distance):
 
 
 class TestGridIndex:
-    @given(lat=st.floats(-89.99, 89.99), lon=st.floats(-180.0, 180.0),
-           radius=st.floats(1.0, 2e6))
+    @given(lat=st.one_of(st.sampled_from([90.0, -90.0]), st.floats(-1e4, 1e4)),
+           lon=st.floats(-1e4, 1e4), radius=st.floats(1.0, 3e7))
     @settings(max_examples=150, deadline=None)
     def test_candidates_hold_every_point_in_range(self, lat, lon, radius):
         # points on circles just inside and at the radius, at every 5 deg of
-        # bearing, among fillers far away that outnumber the visited cells
+        # bearing, among fillers far away; queries from the poles, past
+        # them, around the sphere in longitude many times, and radii past
+        # half the circumference. Within 1e4 deg, the rounding of
+        # great_circle's degree difference stays far below the index's
+        # 1e-6 m slack; near 1e16 deg great_circle itself raises.
         grid = GridIndex(radius)
         points = {}
         for k in range(72):

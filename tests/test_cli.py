@@ -784,6 +784,23 @@ class TestSimulateCommand:
         assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_INPUT
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"waypoints": [[0.0, 51.0, 7.0]]}', "line 2: missing key 'id'"),
+        ('[1, 2]', "line 2: not a JSON object"),
+        ('{"id": "b", "waypoints": [[0.0, 51.0', "line 2: Expecting "),
+        ('{"id": "b", "waypoints": [[0.0, 51.0]]}', "line 2: waypoints must be finite"),
+    ], ids=["missing-key", "not-an-object", "invalid-json", "bad-waypoint"])
+    def test_scenario_error_names_its_line(self, tmp_path, capsys, text, message):
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text(scenario_line("a", 51.0, 7.0) + "\n" + text + "\n")
+        out = tmp_path / "log.csv"
+        assert main(["simulate", "--scenario", str(scenario),
+                     "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_INPUT
+        assert json.loads(err[0])["error"].startswith("scenario: " + message)
+        assert not out.exists()
+
     def test_bad_scenario(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.jsonl"
         scenario.write_text('{"id": "a"}\n')  # no waypoints

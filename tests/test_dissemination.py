@@ -216,6 +216,13 @@ class TestSimNode:
         assert not node.receive(ssid)
         assert len(node.inbox) == 1
 
+    def test_inbox_is_filled_only_by_receive(self):
+        # an inbox given at construction would hold packets whose severity
+        # `best_packet` never recorded
+        ssid = SsidPacket(1, 0, 51_000_000, 7_000_000).to_ssid()
+        with pytest.raises(TypeError):
+            SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)], inbox={123: ssid})
+
     def test_best_packet_highest_severity(self):
         node = SimNode(id="a", waypoints=[(0.0, 51.0, 7.0)])
         lo = seed_packet(node, severity=3)
