@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .outputs import new_file
-from .reports import EARTH_RADIUS, JSON_NUMBER, Indicator
+from .reports import EARTH_RADIUS, JSON_NUMBER, KINDS, Indicator, json_line
 
 _SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
 _SLACK_M = 1e-6  # m, the same for radii so small that rounding is not relative
@@ -55,10 +56,11 @@ class GridIndex:
     lies within the chord `reach` = 2R*sin(min(radius/2R, pi/2)), widened
     by a relative and an absolute slack. The cubes are `cell` = 2*reach
     wide, and `candidates(lat, lon)` returns, in ascending id, the points
-    of the at most 8 cubes that [coordinate - reach, coordinate + reach]
-    touches on each axis: a superset of the ids within `radius` that drops
-    only points provably farther. Points with a non-finite coordinate sit
-    in one cell that every query visits; a non-finite query gets every id.
+    of the 8 cubes at floor((coordinate - reach)/cell) + {0, 1} on each
+    axis, which hold [coordinate - reach, coordinate + reach]: a superset
+    of the ids within `radius` that drops only points provably farther.
+    Points with a non-finite coordinate sit in one cell that every query
+    visits; a non-finite query gets every id.
     """
 
     def __init__(self, radius: float):
@@ -97,16 +99,17 @@ class GridIndex:
         if not (math.isfinite(lat) and math.isfinite(lon)):
             return sorted(self._where)
         c, reach = self.cell, self.reach
-        xs, ys, zs = (range(math.floor((v - reach) / c), math.floor((v + reach) / c) + 1)
-                      for v in _embed(lat, lon))
+        x, y, z = _embed(lat, lon)
+        # a cube is 2*reach wide: [v - reach, v + reach] ends at the latest
+        # in the cube after the one it starts in (the slack covers rounding)
+        i, j, k = (math.floor((x - reach) / c), math.floor((y - reach) / c),
+                   math.floor((z - reach) / c))
         cells = self._cells
         out = list(cells.get(None, ()))
-        for i in xs:
-            for j in ys:
-                for k in zs:
-                    members = cells.get((i, j, k))
-                    if members:
-                        out.extend(members)
+        for key in product((i, i + 1), (j, j + 1), (k, k + 1)):
+            members = cells.get(key)
+            if members:
+                out.extend(members)
         out.sort()
         return out
 
@@ -163,6 +166,44 @@ def fuse(state: SegmentState, t: float, value: float, policy: MatchPolicy) -> Se
     )
 
 
+_STRING_JSON = {k: json.dumps(k) for k in ("fuse", *KINDS)}
+
+
+def _num(x) -> str:
+    """json.dumps(x) for a number: a finite float by float.__repr__ and an int
+    by int.__repr__, as json writes them; anything else (NaN, +-inf, bools,
+    subclasses) by json itself."""
+    if type(x) is float and x - x == 0.0:
+        return float.__repr__(x)
+    return int.__repr__(x) if type(x) is int else json.dumps(x)
+
+
+def _str(x) -> str:
+    """json.dumps(x) for a record's string, from a table for the usual ones."""
+    return _STRING_JSON.get(x) or json.dumps(x)
+
+
+def _record_line(rec: dict) -> str:
+    """json.dumps(rec) + "\n" for a record of `SegmentStore.contribute`."""
+    return (f'{{"op": {_str(rec["op"])}, "anchor_id": {_num(rec["anchor_id"])}, '
+            f'"t": {_num(rec["t"])}, "value": {_num(rec["value"])}, '
+            f'"lat": {_num(rec["lat"])}, "lon": {_num(rec["lon"])}, '
+            f'"kind": {_str(rec["kind"])}}}\n')
+
+
+def _feature_text(st: SegmentState) -> str:
+    """json.dump(collection, fh, indent=2)'s text of one snapshot feature."""
+    a = st.anchor
+    return (f'    {{\n      "type": "Feature",\n      "geometry": {{\n'
+            f'        "type": "Point",\n        "coordinates": [\n'
+            f'          {_num(a.lon)},\n          {_num(a.lat)}\n        ]\n      }},\n'
+            f'      "properties": {{\n        "anchor_id": {_num(a.id)},\n'
+            f'        "kind": {_str(a.kind)},\n        "value": {_num(st.value)},\n'
+            f'        "weight_sum": {_num(st.weight_sum)},\n'
+            f'        "last_update": {_num(st.last_update)},\n'
+            f'        "contribution_count": {_num(a.contribution_count)}\n      }}\n    }}')
+
+
 class SegmentStore:
     """In-memory anchor store with a JSONL event log for persistence."""
 
@@ -173,6 +214,7 @@ class SegmentStore:
         self.rejected = 0
         self._grids: dict[str, GridIndex] = {}  # per kind, over self.states
         self._grid_radius: float | None = None
+        self._indexed = 0  # anchors in self._grids
 
     def __len__(self) -> int:
         return len(self.states)
@@ -181,12 +223,13 @@ class SegmentStore:
         """The kind's index, rebuilt when the radius changes or when anchors
         were put into `states` from outside (its size differs from the
         index's)."""
-        if radius != self._grid_radius or sum(map(len, self._grids.values())) != len(self.states):
+        if radius != self._grid_radius or self._indexed != len(self.states):
             self._grids = {}
             for aid, st in self.states.items():
                 a = st.anchor
                 self._grids.setdefault(a.kind, GridIndex(radius)).add(aid, a.lat, a.lon)
             self._grid_radius = radius
+            self._indexed = len(self.states)
         grid = self._grids.get(kind)
         if grid is None:
             grid = self._grids[kind] = GridIndex(radius)
@@ -214,6 +257,7 @@ class SegmentStore:
                                    kind=indicator.kind)
             self.states[aid] = SegmentState(anchor=anchor)
             grid.add(aid, anchor.lat, anchor.lon)
+            self._indexed += 1
             return aid
         anchor = self.states[best_id].anchor
         n = anchor.contribution_count
@@ -256,9 +300,14 @@ class SegmentStore:
         unlinked first: it is the one file that cannot be rebuilt, and the
         rename over it is what makes ext4 write the new log's data before
         the rename commits, so a crash leaves the old log or the new one,
-        never an empty file."""
+        never an empty file.
+
+        Each line holds the bytes of ``json.dumps(record)``, written by a
+        fixed template (`_record_line`) rather than by a json call per
+        record. The whole log is rewritten on every save; nothing is
+        appended."""
         with new_file(path, rename_over=True) as fh:
-            fh.writelines(json.dumps(rec) + "\n" for rec in self.records)
+            fh.writelines(map(_record_line, self.records))
 
     @classmethod
     def load(cls, path, policy: MatchPolicy) -> "SegmentStore":
@@ -270,7 +319,7 @@ class SegmentStore:
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = json_line(line)
                     if not isinstance(rec, dict):
                         raise ValueError("not a JSON object")
                     lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
@@ -291,8 +340,15 @@ class SegmentStore:
         return store
 
     def snapshot_geojson(self, path=None) -> dict:
+        """The anchors as a GeoJSON FeatureCollection of points, sorted by id;
+        with `path`, also written there.
+
+        The file holds the bytes of ``json.dump(collection, fh, indent=2)``,
+        written by a fixed template per feature (`_feature_text`): with
+        `indent`, json leaves its C encoder for a much slower Python one."""
+        states = self.snapshot()
         features = []
-        for st in self.snapshot():
+        for st in states:
             features.append({
                 "type": "Feature",
                 "geometry": {"type": "Point",
@@ -308,6 +364,8 @@ class SegmentStore:
             })
         collection = {"type": "FeatureCollection", "features": features}
         if path is not None:
+            body = ",\n".join(map(_feature_text, states))
             with new_file(path) as fh:
-                json.dump(collection, fh, indent=2)
+                fh.write('{\n  "type": "FeatureCollection",\n  "features": '
+                         + (f"[\n{body}\n  ]" if states else "[]") + "\n}")
         return collection

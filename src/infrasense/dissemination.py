@@ -191,6 +191,8 @@ class SimNode:
             raise ValueError("node needs at least one waypoint")
         if not all(len(w) == 3 and all(map(math.isfinite, w)) for w in self.waypoints):
             raise ValueError("waypoints must be finite (t, lat, lon) triples")
+        if not all(abs(w[1]) <= 90.0 and abs(w[2]) <= 180.0 for w in self.waypoints):
+            raise ValueError("waypoint positions must lie within 90 and 180 degrees")
         if any(b[0] < a[0] for a, b in zip(self.waypoints, self.waypoints[1:])):
             raise ValueError("waypoint times must not decrease")
 

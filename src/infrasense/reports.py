@@ -62,6 +62,24 @@ def indicators_to_geojson(indicators, path=None) -> dict:
 
 JSON_NUMBER = (int, float)  # the types json.load gives a JSON number
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def json_line(line: str):
+    """``json.loads(line)`` for one line of a JSONL file, with the same value
+    or the same error for every string.
+
+    A line holding just one JSON value with no whitespace around it is
+    decoded by the decoder's ``raw_decode`` alone, which skips the wrapper
+    work of ``json.loads``; any other line goes to ``json.loads``."""
+    try:
+        value, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(line):
+        return json.loads(line)
+    return value
+
 
 def indicators_from_geojson(path) -> list[Indicator]:
     """Indicators from a GeoJSON FeatureCollection of points.

@@ -21,12 +21,14 @@ from functools import cached_property
 import numpy as np
 
 from .outputs import new_file
+from .reports import json_line
 
 GRAVITY = 9.81
 FORWARD_MIN_SPEED = 3.0  # m/s; faster samples are in forward motion for `reorient`
 
 CSV_COLUMNS = ("t", "ax", "ay", "az", "gx", "gy", "gz", "lat", "lon", "speed", "acc")
 _REQUIRED = ("t", "ax", "ay", "az")
+_REQUIRED_KEYS = frozenset(_REQUIRED)
 
 
 class TraceError(Exception):
@@ -358,10 +360,10 @@ def _jsonl_objects(fh):
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = json_line(line)
         except json.JSONDecodeError as e:
             raise SchemaError(f"line {lineno}: invalid JSON ({e})") from e
-        if not isinstance(obj, dict) or not all(k in obj for k in _REQUIRED):
+        if not (isinstance(obj, dict) and obj.keys() >= _REQUIRED_KEYS):
             raise SchemaError(f"line {lineno}: missing required keys")
         yield obj
 

@@ -19,7 +19,7 @@ from infrasense.aggregation import (
     fuse,
     great_circle,
 )
-from infrasense.reports import EARTH_RADIUS, Indicator
+from infrasense.reports import EARTH_RADIUS, KINDS, Indicator
 from oracles import match_segment_scan
 
 DAY = 86400.0
@@ -425,6 +425,91 @@ class TestStoreLog:
                     assert fh.read() == rewrite(store)
                 if reload:
                     store = SegmentStore.load(path, MatchPolicy())
+
+
+def json_number(lo, hi, extra=()):
+    """A JSON number in [lo, hi]: an int, a float, -0.0, or a float that repr
+    writes in exponent form."""
+    tiny = st.sampled_from([1e-07, -2.5e-05, 5e-324, -1.5e-300, 3.0e-16, *extra])
+    return st.one_of(st.integers(int(lo), int(hi)), st.floats(lo, hi), st.just(-0.0), tiny)
+
+
+@st.composite
+def stores(draw):
+    """A store fed up to eight contributions near one place or anywhere, of
+    every kind, with int and float positions and values and any `t`, a
+    bool among them."""
+    store = SegmentStore()
+    near = draw(st.booleans())  # most contributions then match an anchor
+    for _ in range(draw(st.integers(0, 8))):
+        if near:
+            lat = draw(st.sampled_from([51, 51.0, 51.00001, -0.0, 0]))
+            lon = draw(st.sampled_from([7, 7.0, 7.00001, 180, -180.0]))
+        else:
+            lat, lon = draw(json_number(-90, 90)), draw(json_number(-180, 180))
+        t = draw(st.one_of(st.floats(), st.integers(-10**6, 10**6), st.booleans(),
+                           st.sampled_from([math.inf, -math.inf, math.nan, 1e16, 1e22])))
+        value = draw(json_number(-1e6, 1e6, extra=(1e300, -1e-200)))
+        store.contribute(Indicator(kind=draw(st.sampled_from(KINDS)), sub_kind="", lat=lat,
+                                   lon=lon, t=t, severity=0, confidence=1.0, value=value),
+                         MatchPolicy())
+    return store
+
+
+class TestStoreText:
+    """The log and the snapshot hold json's own bytes for what they hold."""
+
+    @given(stores())
+    @settings(max_examples=300, deadline=None)
+    def test_log_lines_are_json_dumps(self, store):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "store.jsonl")
+            store.save(path)
+            with open(path, "rb") as fh:
+                assert fh.read() == rewrite(store)
+
+    @given(stores())
+    @settings(max_examples=300, deadline=None)
+    def test_snapshot_is_json_dump_with_indent_2(self, store):
+        expect = {"type": "FeatureCollection", "features": [
+            {"type": "Feature",
+             "geometry": {"type": "Point", "coordinates": [s.anchor.lon, s.anchor.lat]},
+             "properties": {"anchor_id": s.anchor.id, "kind": s.anchor.kind,
+                            "value": s.value, "weight_sum": s.weight_sum,
+                            "last_update": s.last_update,
+                            "contribution_count": s.anchor.contribution_count}}
+            for s in store.snapshot()]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snapshot.geojson")
+            collection = store.snapshot_geojson(path)
+            with open(path) as fh:
+                text = fh.read()
+        assert collection == expect
+        assert text == json.dumps(expect, indent=2)
+
+    def test_empty_store(self, tmp_path):
+        store = SegmentStore()
+        store.save(tmp_path / "store.jsonl")
+        collection = store.snapshot_geojson(tmp_path / "snapshot.geojson")
+        assert (tmp_path / "store.jsonl").read_bytes() == b""
+        assert collection == {"type": "FeatureCollection", "features": []}
+        assert ((tmp_path / "snapshot.geojson").read_text()
+                == json.dumps(collection, indent=2)
+                == '{\n  "type": "FeatureCollection",\n  "features": []\n}')
+
+    def test_non_finite_and_int_fields(self, tmp_path):
+        store = SegmentStore()
+        for t in (math.nan, math.inf, 3):
+            store.contribute(ind(lat=51, lon=7, t=t, value=2), MatchPolicy())
+        store.states[7] = SegmentState(SegmentAnchor(7, -0.0, 1e-07, "twist"))
+        store.save(tmp_path / "store.jsonl")
+        store.snapshot_geojson(tmp_path / "snapshot.geojson")
+        text = (tmp_path / "snapshot.geojson").read_text()
+        assert (tmp_path / "store.jsonl").read_bytes() == rewrite(store)
+        log = rewrite(store).decode()
+        assert '"t": NaN' in log and '"t": Infinity' in log and '"lat": 51,' in log
+        assert '"last_update": -Infinity' in text and '1e-07,\n          -0.0\n' in text
+        assert text == json.dumps(store.snapshot_geojson(), indent=2)
 
 
 def wrap_lon(lon):

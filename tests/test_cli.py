@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import errno
 import gc
 import json
@@ -20,6 +21,8 @@ from infrasense.config import (
 )
 from infrasense.dissemination import SsidPacket, PacketEntry
 from infrasense.trace_model import parse_trace, reorient
+
+from conftest import perfbench_module
 
 METERS_PER_DEG = math.pi / 180.0 * 6371000.0
 
@@ -514,6 +517,32 @@ class TestAggregateCommand:
         assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_INPUT
         capsys.readouterr()
 
+    def test_crowd_batch_files_are_json_encodings(self, tmp_path, monkeypatch):
+        """The benchmark's crowd batch (seed 1) fused into an empty store, then
+        reopened with one more file: the store and both snapshots hold the
+        bytes json itself gives for what they hold."""
+        inputs = perfbench_module("inputs", monkeypatch)
+        batch = inputs.crowd_batch(1, 30, 100, 450)
+        files = []
+        for i, contributions in enumerate(batch.files):
+            files.append(tmp_path / f"ride{i:03d}.geojson")
+            inputs.write_geojson(contributions, files[-1])
+        inputs.write_geojson(batch.replay_file, tmp_path / "replay.geojson")
+        store, snap1, snap2 = (tmp_path / n for n in ("store.jsonl", "s1.geojson", "s2.geojson"))
+        assert main(["aggregate", *map(str, files), "--store", str(store),
+                     "--out", str(snap1)]) == EXIT_OK
+        written = store.read_text()
+        assert main(["aggregate", str(tmp_path / "replay.geojson"), "--store", str(store),
+                     "--out", str(snap2)]) == EXIT_OK
+        lines = store.read_text().splitlines(keepends=True)
+        assert len(lines) == sum(map(len, batch.files)) + len(batch.replay_file)
+        assert "".join(lines).startswith(written)
+        assert lines == [json.dumps(json.loads(line)) + "\n" for line in lines]
+        for snap in (snap1, snap2):
+            text = snap.read_text()
+            assert text == json.dumps(json.loads(text), indent=2)
+        assert len(json.loads(snap2.read_text())["features"]) > 400
+
     @pytest.mark.parametrize("flag", [["--radius", "0"], ["--radius", "-5"],
                                       ["--radius", "nan"], ["--half-life", "-1"],
                                       ["--half-life", "0"]])
@@ -627,11 +656,21 @@ class TestFailedWriteKeepsOldFile:
         args = ["aggregate", str(geo), "--store", str(store), "--out", str(snap)]
         assert main(args) == EXIT_OK
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_new_file = aggregation.new_file
 
-        def dump(obj, fh, **kwargs):
-            fh.write('{"type": ')
-            no_space()
-        monkeypatch.setattr(aggregation.json, "dump", dump)
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[:9])
+                no_space()
+
+        @contextlib.contextmanager
+        def new_file(path, *args, **kwargs):
+            with real_new_file(path, *args, **kwargs) as fh:
+                yield FullDisk(fh)
+        monkeypatch.setattr(aggregation, "new_file", new_file)
         assert main(args) == EXIT_INPUT
         one_json_error(capsys, EXIT_INPUT)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -789,7 +828,9 @@ class TestSimulateCommand:
         ('[1, 2]', "line 2: not a JSON object"),
         ('{"id": "b", "waypoints": [[0.0, 51.0', "line 2: Expecting "),
         ('{"id": "b", "waypoints": [[0.0, 51.0]]}', "line 2: waypoints must be finite"),
-    ], ids=["missing-key", "not-an-object", "invalid-json", "bad-waypoint"])
+        ('{"id": "b", "waypoints": [[0.0, 1.0, -424063994666.381]]}',
+         "line 2: waypoint positions must lie within 90 and 180 degrees"),
+    ], ids=["missing-key", "not-an-object", "invalid-json", "bad-waypoint", "off-wgs84"])
     def test_scenario_error_names_its_line(self, tmp_path, capsys, text, message):
         scenario = tmp_path / "scenario.jsonl"
         scenario.write_text(scenario_line("a", 51.0, 7.0) + "\n" + text + "\n")

@@ -427,6 +427,16 @@ class TestSimulation:
         with pytest.raises(ValueError, match="finite"):
             SimNode(id="a", waypoints=[(5.0, 51.0, 7.0), waypoint])
 
+    @pytest.mark.parametrize("lat, lon", [
+        (1.0, -424063994666.381), (90.5, 7.0), (-91.0, 7.0), (51.0, 180.01), (51.0, -360.0)])
+    def test_waypoint_off_wgs84(self, lat, lon):
+        with pytest.raises(ValueError, match="within 90 and 180 degrees"):
+            SimNode(id="a", waypoints=[(0.0, 51.0, 7.0), (5.0, lat, lon)])
+
+    def test_waypoints_at_the_wgs84_bounds(self):
+        node = SimNode(id="a", waypoints=[(0.0, 90.0, 180.0), (5.0, -90.0, -180.0)])
+        assert node.position(5.0) == (-90.0, -180.0)
+
     def test_decreasing_waypoint_times(self):
         with pytest.raises(ValueError, match="must not decrease"):
             SimNode(id="a", waypoints=[(10.0, 51.0, 7.0), (0.0, 51.001, 7.0)])

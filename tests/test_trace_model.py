@@ -23,6 +23,7 @@ from infrasense.trace_model import (
     sampling_gaps,
     write_trace_csv,
 )
+from infrasense.reports import json_line
 
 from conftest import make_trace
 from oracles import gravity_split_loop, parse_trace_rows, write_trace_csv_writer
@@ -325,6 +326,37 @@ class TestParseTrace:
         with pytest.raises(SchemaError, match="line 2"):
             parse_trace(path, "jsonl")
         assert_same_parse(path, "jsonl")
+
+
+JSON_TEXT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6).map(json.dumps)
+# around or after the value: JSON and non-JSON whitespace, a BOM, a second
+# value, junk, or nothing
+_EDGES = st.sampled_from(["", "", " ", "\t", "\x1c", "\ufeff", " 1", "{}", "x", "]", "\\"])
+
+
+class TestJsonLine:
+    """`json_line` gives what json.loads gives: the same value or an error
+    of the same type and text."""
+
+    @given(st.one_of(st.tuples(_EDGES, JSON_TEXT, _EDGES).map("".join),
+                     st.tuples(JSON_TEXT, st.integers(0, 40)).map(lambda p: p[0][:p[1]]),
+                     st.text(max_size=12)))
+    @settings(max_examples=400, deadline=None)
+    def test_same_value_or_error_as_json_loads(self, line):
+        try:
+            expect = json.loads(line)
+        except ValueError as e:
+            with pytest.raises(type(e)) as got:
+                json_line(line)
+            assert str(got.value) == str(e)
+            return
+        got = json_line(line)
+        assert type(got) is type(expect)
+        assert json.dumps(got) == json.dumps(expect)
 
 
 def draw_header(data) -> tuple[list[str], dict]:
