@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .outputs import new_file
 from .reports import EARTH_RADIUS, JSON_NUMBER, KINDS, Indicator, json_line
@@ -204,13 +205,23 @@ def _feature_text(st: SegmentState) -> str:
             f'        "contribution_count": {_num(a.contribution_count)}\n      }}\n    }}')
 
 
+class _Spot(NamedTuple):
+    """Where a replayed log record lies, as `SegmentStore.match_segment` reads it."""
+
+    kind: str
+    lat: float
+    lon: float
+
+
 class SegmentStore:
     """In-memory anchor store with a JSONL event log for persistence."""
 
     def __init__(self):
         self.states: dict[int, SegmentState] = {}
         self._next_id = 0
-        self.records: list[dict] = []
+        self.records: list[dict] = []  # the log's, then each contributed one
+        self.replayed = 0  # records that `load` read from the log
+        self._log = ""  # the log text that `load` read, written again by `save`
         self.rejected = 0
         self._grids: dict[str, GridIndex] = {}  # per kind, over self.states
         self._grid_radius: float | None = None
@@ -235,57 +246,66 @@ class SegmentStore:
             grid = self._grids[kind] = GridIndex(radius)
         return grid
 
-    def match_segment(self, indicator: Indicator, policy: MatchPolicy) -> int:
-        """Nearest same-kind anchor within the policy radius, or a new one.
+    def match_segment(self, spot, policy: MatchPolicy) -> int:
+        """Nearest anchor of `spot.kind` to (`spot.lat`, `spot.lon`) within the
+        policy radius, or a new one; `spot` is an `Indicator` or any object
+        with those three fields.
 
         Ties break toward the smaller anchor id; the matched anchor centroid
         moves to the contribution-count-weighted mean, taken across +-180 deg
         when the report lies over the antimeridian. The index hands over
         candidates in ascending id, so the result is the exhaustive scan's.
         """
-        grid = self._grid(indicator.kind, policy.radius)
+        kind, lat, lon = spot.kind, spot.lat, spot.lon
+        grid = self._grid(kind, policy.radius)
         best_id, best_d = None, None
-        for aid in grid.candidates(indicator.lat, indicator.lon):
+        for aid in grid.candidates(lat, lon):
             anchor = self.states[aid].anchor
-            d = great_circle(anchor.lat, anchor.lon, indicator.lat, indicator.lon)
+            d = great_circle(anchor.lat, anchor.lon, lat, lon)
             if d <= policy.radius and (best_d is None or d < best_d):
                 best_id, best_d = aid, d
         if best_id is None:
             aid = self._next_id
             self._next_id += 1
-            anchor = SegmentAnchor(id=aid, lat=indicator.lat, lon=indicator.lon,
-                                   kind=indicator.kind)
+            anchor = SegmentAnchor(id=aid, lat=lat, lon=lon, kind=kind)
             self.states[aid] = SegmentState(anchor=anchor)
             grid.add(aid, anchor.lat, anchor.lon)
             self._indexed += 1
             return aid
         anchor = self.states[best_id].anchor
         n = anchor.contribution_count
-        anchor.lat = (anchor.lat * n + indicator.lat) / (n + 1)
-        dlon = indicator.lon - anchor.lon
+        anchor.lat = (anchor.lat * n + lat) / (n + 1)
+        dlon = lon - anchor.lon
         if abs(dlon) > 180.0:  # across +-180 deg: average the wrapped difference
             lon = anchor.lon + (dlon - math.copysign(360.0, dlon)) / (n + 1)
             anchor.lon = (lon + 180.0) % 360.0 - 180.0
         else:
-            anchor.lon = (anchor.lon * n + indicator.lon) / (n + 1)
+            anchor.lon = (anchor.lon * n + lon) / (n + 1)
         anchor.contribution_count = n + 1
         grid.move(best_id, anchor.lat, anchor.lon)
         return best_id
 
+    def _fold(self, spot, t, value, policy: MatchPolicy) -> int:
+        """Match `spot` and fuse `value` at `t` into its anchor. Returns the
+        anchor id, or -1 (counted in `rejected`) for a non-finite value or a
+        position off WGS84."""
+        if not (math.isfinite(value) and abs(spot.lat) <= 90.0 and abs(spot.lon) <= 180.0):
+            self.rejected += 1
+            return -1
+        aid = self.match_segment(spot, policy)
+        self.states[aid] = fuse(self.states[aid], t, value, policy)
+        return aid
+
     def contribute(self, indicator: Indicator, policy: MatchPolicy) -> int:
         """Match then fuse one indicator; logs the event. Returns anchor id, or
         -1 (counted in `rejected`) for a non-finite value or a position off WGS84."""
-        if not (math.isfinite(indicator.value) and abs(indicator.lat) <= 90.0
-                and abs(indicator.lon) <= 180.0):
-            self.rejected += 1
-            return -1
-        aid = self.match_segment(indicator, policy)
-        self.states[aid] = fuse(self.states[aid], indicator.t, indicator.value, policy)
-        self.records.append({
-            "op": "fuse", "anchor_id": aid, "t": indicator.t,
-            "value": indicator.value, "lat": indicator.lat, "lon": indicator.lon,
-            "kind": indicator.kind,
-        })
+        aid = self._fold(indicator, indicator.t, indicator.value, policy)
+        if aid >= 0:
+            self.records.append({
+                "op": "fuse", "anchor_id": aid, "t": indicator.t,
+                "value": indicator.value, "lat": indicator.lat, "lon": indicator.lon,
+                "kind": indicator.kind,
+            })
         return aid
 
     def snapshot(self) -> list[SegmentState]:
@@ -302,41 +322,55 @@ class SegmentStore:
         the rename commits, so a crash leaves the old log or the new one,
         never an empty file.
 
-        Each line holds the bytes of ``json.dumps(record)``, written by a
-        fixed template (`_record_line`) rather than by a json call per
-        record. The whole log is rewritten on every save; nothing is
-        appended."""
+        A store from `load` writes the text it read, as it was (with a final
+        newline if it lacked one), then one line per record contributed
+        since; any other store writes one line per record. Each new line
+        holds the bytes of ``json.dumps(record)``, written by a fixed
+        template (`_record_line`) rather than by a json call per record."""
+        log = self._log
         with new_file(path, rename_over=True) as fh:
-            fh.writelines(map(_record_line, self.records))
+            if log:
+                fh.write(log if log.endswith("\n") else log + "\n")
+            fh.writelines(map(_record_line, self.records[self.replayed:]))
 
     @classmethod
     def load(cls, path, policy: MatchPolicy) -> "SegmentStore":
-        """Rebuild deterministically by replaying the event log."""
+        """Rebuild deterministically by replaying the event log.
+
+        The log's text is read once and kept for `save`. Each line is
+        checked, then folded through the matching and fusion of
+        `contribute`; its decoded record joins `records` as it is."""
         store = cls()
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json_line(line)
-                    if not isinstance(rec, dict):
-                        raise ValueError("not a JSON object")
-                    lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
-                    if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
-                            and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
-                        raise ValueError("lat, lon, t and value must be JSON numbers")
-                    ind = Indicator(kind=rec["kind"], sub_kind="", lat=lat, lon=lon,
-                                    t=t, severity=0, confidence=1.0, value=value)
-                    expect = rec["anchor_id"]
-                except (KeyError, ValueError, json.JSONDecodeError) as e:
-                    raise StoreError(f"corrupt store line {lineno}: {e}") from e
-                aid = store.contribute(ind, policy)
-                if aid != expect:
-                    raise StoreError(
-                        f"store line {lineno}: replay assigned anchor {aid}, "
-                        f"log says {expect} (policy mismatch?)"
-                    )
+            store._log = fh.read()
+        records = store.records
+        # split("\n"), not splitlines(): lines end where file iteration ends them
+        for lineno, line in enumerate(store._log.split("\n"), 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json_line(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
+                lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
+                if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
+                        and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
+                    raise ValueError("lat, lon, t and value must be JSON numbers")
+                kind = rec["kind"]
+                if kind not in KINDS:  # as `Indicator` checks it
+                    raise ValueError(f"unknown indicator kind {kind!r}")
+                expect = rec["anchor_id"]
+            except (KeyError, ValueError, json.JSONDecodeError) as e:
+                raise StoreError(f"corrupt store line {lineno}: {e}") from e
+            aid = store._fold(_Spot(kind, lat, lon), t, value, policy)
+            if aid != expect:
+                raise StoreError(
+                    f"store line {lineno}: replay assigned anchor {aid}, "
+                    f"log says {expect} (policy mismatch?)"
+                )
+            records.append(rec)
+        store.replayed = len(records)
         return store
 
     def snapshot_geojson(self, path=None) -> dict:

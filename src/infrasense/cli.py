@@ -231,6 +231,7 @@ def cmd_aggregate(args) -> int:
             store = aggregation.SegmentStore()
     except (OSError, aggregation.StoreError) as e:
         return _fail(EXIT_INPUT, f"store: {e}")
+    rejected = store.rejected  # by the replay
     try:
         for path in args.indicators:
             for ind in indicators_from_geojson(path):
@@ -248,6 +249,9 @@ def cmd_aggregate(args) -> int:
         store.save(args.store)
     except OSError as e:
         return _fail(EXIT_INPUT, f"store: {e}")
+    print(json.dumps({"replayed": store.replayed,
+                      "contributed": len(store.records) - store.replayed,
+                      "rejected": store.rejected - rejected, "anchors": len(store)}))
     return EXIT_OK
 
 
@@ -287,8 +291,8 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.duration < math.inf:
         return _fail(EXIT_USAGE, "--duration must be finite and non-negative")
     try:
-        log = dissemination.run_simulation(_load_scenario(args.scenario),
-                                           duration=args.duration, dt=args.dt,
+        nodes = _load_scenario(args.scenario)
+        log = dissemination.run_simulation(nodes, duration=args.duration, dt=args.dt,
                                            comm_range=args.range)
     except (OSError, KeyError, TypeError, ValueError) as e:
         return _fail(EXIT_INPUT, f"scenario: {e}")
@@ -300,6 +304,9 @@ def cmd_simulate(args) -> int:
                 w.writerow([d.t, d.src, d.dst, d.checksum])
     except OSError as e:
         return _fail(EXIT_INPUT, f"out: {e}")
+    print(json.dumps({"nodes": len(nodes),
+                      "steps": dissemination.step_count(args.duration, args.dt),
+                      "deliveries": len(log)}))
     return EXIT_OK
 
 

@@ -182,6 +182,8 @@ class SimNode:
     severities: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     # the SSID strings `receive` has put in the inbox, refused again undecoded
     _held: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
+    # the waypoint times, taken once the waypoints are checked (they stay fixed)
+    _times: tuple[float, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.duty <= 1.0 and 0 < self.period < math.inf
@@ -195,9 +197,10 @@ class SimNode:
             raise ValueError("waypoint positions must lie within 90 and 180 degrees")
         if any(b[0] < a[0] for a, b in zip(self.waypoints, self.waypoints[1:])):
             raise ValueError("waypoint times must not decrease")
+        self._times = tuple(w[0] for w in self.waypoints)
 
     def position(self, t: float) -> tuple[float, float]:
-        ts = [w[0] for w in self.waypoints]
+        ts = self._times
         if t <= ts[0]:
             return self.waypoints[0][1], self.waypoints[0][2]
         if t >= ts[-1]:
@@ -273,6 +276,11 @@ def step_simulation(nodes: list[SimNode], t: float,
     return log
 
 
+def step_count(duration: float, dt: float) -> int:
+    """The steps `run_simulation` takes over [0, duration)."""
+    return int(round(duration / dt))
+
+
 def run_simulation(nodes: list[SimNode], duration: float, dt: float = 1.0,
                    comm_range: float = 50.0) -> list[Delivery]:
     """Step the simulation over [0, duration). Deterministic given the
@@ -287,7 +295,6 @@ def run_simulation(nodes: list[SimNode], duration: float, dt: float = 1.0,
             raise ValueError(f"repeated node id {node.id!r}")
         seen.add(node.id)
     log = []
-    steps = int(round(duration / dt))
-    for i in range(steps):
+    for i in range(step_count(duration, dt)):
         log.extend(step_simulation(nodes, i * dt, comm_range))
     return log

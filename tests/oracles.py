@@ -10,9 +10,16 @@ import math
 
 import numpy as np
 
-from infrasense.aggregation import SegmentAnchor, SegmentState, great_circle
+from infrasense.aggregation import (
+    SegmentAnchor,
+    SegmentState,
+    SegmentStore,
+    StoreError,
+    great_circle,
+)
 from infrasense.dissemination import Delivery, decode_packet
 from infrasense.rail_analysis import CURVE_GAP, CURVE_MIN_ARC, geometry_columns
+from infrasense.reports import JSON_NUMBER, Indicator, json_line
 from infrasense.road_analysis import MANEUVER_GAP, MANEUVER_MIN_DURATION
 from infrasense.trace_model import (
     CSV_COLUMNS,
@@ -345,6 +352,37 @@ def match_segment_scan(store, indicator, policy) -> int:
         anchor.lon = (anchor.lon * n + indicator.lon) / (n + 1)
     anchor.contribution_count = n + 1
     return best_id
+
+
+def load_replay(path, policy) -> SegmentStore:
+    """`SegmentStore.load` as a replay through `contribute`: the file read
+    line by line, and an `Indicator` built for every record."""
+    store = SegmentStore()
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json_line(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
+                lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
+                if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
+                        and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
+                    raise ValueError("lat, lon, t and value must be JSON numbers")
+                ind = Indicator(kind=rec["kind"], sub_kind="", lat=lat, lon=lon,
+                                t=t, severity=0, confidence=1.0, value=value)
+                expect = rec["anchor_id"]
+            except (KeyError, ValueError, json.JSONDecodeError) as e:
+                raise StoreError(f"corrupt store line {lineno}: {e}") from e
+            aid = store.contribute(ind, policy)
+            if aid != expect:
+                raise StoreError(
+                    f"store line {lineno}: replay assigned anchor {aid}, "
+                    f"log says {expect} (policy mismatch?)"
+                )
+    return store
 
 
 def best_packet_sorted(node):

@@ -20,7 +20,7 @@ from infrasense.aggregation import (
     great_circle,
 )
 from infrasense.reports import EARTH_RADIUS, KINDS, Indicator
-from oracles import match_segment_scan
+from oracles import load_replay, match_segment_scan
 
 DAY = 86400.0
 METERS_PER_DEG = math.pi / 180.0 * 6371000.0
@@ -319,6 +319,13 @@ def rewrite(store) -> bytes:
     return "".join(json.dumps(rec) + "\n" for rec in store.records).encode()
 
 
+def state_bits(store):
+    """Every state of the store by repr, so that NaN equals NaN and 0 differs
+    from 0.0."""
+    return repr([(aid, vars(s.anchor), s.value, s.weight_sum, s.last_update)
+                 for aid, s in sorted(store.states.items())])
+
+
 def add(store, n, start=0, policy=MatchPolicy()):
     for i in range(start, start + n):
         lat, lon = offset(51.0, 37.0 * (i % 7), 11.0 * (i % 3))
@@ -326,8 +333,9 @@ def add(store, n, start=0, policy=MatchPolicy()):
 
 
 class TestStoreLog:
-    """`save` leaves in the file the bytes a full rewrite writes, or, if the
-    write fails, the log that was there before."""
+    """`save` leaves in the file, for a log this program wrote, the bytes a
+    full rewrite writes, or, if the write fails, the log that was there
+    before."""
 
     def test_reopened_store_saves_a_full_rewrite(self, tmp_path):
         path, full = tmp_path / "store.jsonl", tmp_path / "full.jsonl"
@@ -342,17 +350,19 @@ class TestStoreLog:
         assert len(path.read_bytes().splitlines()) == 40
         assert sorted(p.name for p in tmp_path.iterdir()) == ["full.jsonl", "store.jsonl"]
 
-    def test_log_in_another_layout_is_rewritten(self, tmp_path):
+    def test_log_in_another_layout_keeps_its_bytes(self, tmp_path):
         path = tmp_path / "store.jsonl"
         source = SegmentStore()
         add(source, 5)
-        path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n\n"
-                                for r in source.records))
+        foreign = "".join(json.dumps(r, separators=(",", ":")) + "\n\n"
+                          for r in source.records)
+        path.write_text(foreign)
         store = SegmentStore.load(path, MatchPolicy())
         add(store, 3, start=5)
         store.save(path)
-        assert path.read_bytes() == rewrite(store)
-        assert SegmentStore.load(path, MatchPolicy()).records == store.records
+        assert path.read_text() == foreign + "".join(
+            json.dumps(rec) + "\n" for rec in store.records[5:])
+        assert state_bits(SegmentStore.load(path, MatchPolicy())) == state_bits(store)
 
     def test_last_line_without_newline(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -510,6 +520,96 @@ class TestStoreText:
         assert '"t": NaN' in log and '"t": Infinity' in log and '"lat": 51,' in log
         assert '"last_update": -Infinity' in text and '1e-07,\n          -0.0\n' in text
         assert text == json.dumps(store.snapshot_geojson(), indent=2)
+
+
+def edit_line(line: str, data) -> str:
+    """One saved log line, kept or edited in one of the ways a log written by
+    hand or by another tool can differ."""
+    rec = json.loads(line)
+    how = data.draw(st.sampled_from(
+        ["keep"] * 6 + ["compact", "odd-break", "blank", "crlf", "corrupt", "text-lat",
+                        "unknown-kind", "wrong-id", "missing-key", "not-object", "rejected"]))
+    if how == "compact":
+        return json.dumps(rec, separators=(",", ":"))
+    if how == "odd-break":  # a character that str.splitlines breaks at, in a string
+        char = data.draw(st.sampled_from(["\u2028", "\x85", "\x1c", "\x0b", "\x1e"]))
+        return line[:-1] + f', "note": "a{char}b"}}'
+    if how == "blank":
+        return line + "\n" + data.draw(st.sampled_from(["", "  ", "\t"]))
+    if how == "crlf":
+        return line + "\r"
+    if how == "corrupt":
+        return line[:data.draw(st.integers(0, len(line) - 1))]
+    if how == "text-lat":
+        rec["lat"] = str(rec["lat"])
+    elif how == "unknown-kind":
+        rec["kind"] = data.draw(st.sampled_from(["pothole", "Anomaly", 1, None]))
+    elif how == "wrong-id":
+        rec["anchor_id"] += 1
+    elif how == "missing-key":
+        del rec[data.draw(st.sampled_from(sorted(rec)))]
+    elif how == "not-object":
+        return json.dumps(list(rec))
+    elif how == "rejected":  # refused by the replay, at the id it logs for that
+        return line + "\n" + json.dumps({**rec, "anchor_id": -1, "value": math.nan})
+    return json.dumps(rec)
+
+
+def replay_outcome(load, path, policy):
+    """What a loader makes of a log: its states, rejections and next id, or
+    its error."""
+    try:
+        store = load(path, policy)
+    except Exception as e:  # any error: its type and text are compared
+        return "refused", type(e).__name__, str(e)
+    return "loaded", state_bits(store), store.rejected, store._next_id
+
+
+class TestReplay:
+    """`load` folds each record without an `Indicator` and gives what the
+    replay of each line through `contribute` gives."""
+
+    @given(stores(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_load_is_the_replay_through_contribute(self, store, data):
+        radius = data.draw(st.sampled_from([15.0, 1.0, 1e6]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = os.path.join(tmp, "store.jsonl"), os.path.join(tmp, "again.jsonl")
+            store.save(path)
+            with open(path) as fh:
+                lines = fh.read().split("\n")[:-1]
+            text = "\n".join(edit_line(line, data) for line in lines)
+            if data.draw(st.booleans()):
+                text += "\n"
+            with open(path, "w") as fh:
+                fh.write(text)
+            expect = replay_outcome(load_replay, path, MatchPolicy(radius=radius))
+            assert replay_outcome(SegmentStore.load, path, MatchPolicy(radius=radius)) == expect
+            if expect[0] == "loaded":  # then saved as it was read
+                SegmentStore.load(path, MatchPolicy(radius=radius)).save(again)
+                with open(path) as fh, open(again) as fh_again:
+                    read, saved = fh.read(), fh_again.read()
+                assert saved == (read if read.endswith("\n") or not read else read + "\n")
+                assert replay_outcome(SegmentStore.load, again,
+                                      MatchPolicy(radius=radius)) == expect
+
+    def test_load_builds_no_indicator(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.jsonl"
+        store = SegmentStore()
+        add(store, 20)
+        store.save(path)
+        calls = []
+        real = Indicator.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            real(self)
+        monkeypatch.setattr(Indicator, "__post_init__", counted)
+        loaded = SegmentStore.load(path, MatchPolicy())
+        assert calls == []
+        assert state_bits(loaded) == state_bits(store) and len(loaded.records) == 20
+        add(loaded, 1, start=20)  # the count works: contribute takes an Indicator
+        assert len(calls) == 1
 
 
 def wrap_lon(lon):

@@ -543,6 +543,41 @@ class TestAggregateCommand:
             assert text == json.dumps(json.loads(text), indent=2)
         assert len(json.loads(snap2.read_text())["features"]) > 400
 
+    def test_reopen_keeps_the_store_bytes_and_adds_the_new_lines(self, tmp_path):
+        first = points_file(tmp_path / "first.geojson", [(51.0, 7.0, 1.0), (51.001, 7.0, 2.0)])
+        second = points_file(tmp_path / "second.geojson",
+                             [(51.00001, 7.0, 3.0), (52.0, 8.0, 4.0)])
+        third = points_file(tmp_path / "third.geojson",
+                            [(52.00001, 8.0, 5.0), (53.0, 9.0, 6.0), (51.0, 7.0, 7.0)])
+        store = tmp_path / "store.jsonl"
+        assert main(["aggregate", str(first), str(second), "--store", str(store)]) == EXIT_OK
+        written = store.read_bytes()
+        assert main(["aggregate", str(third), "--store", str(store)]) == EXIT_OK
+        reopened = store.read_bytes()
+        assert reopened.startswith(written)
+        new = reopened[len(written):].decode().splitlines(keepends=True)
+        assert new == [json.dumps(json.loads(line)) + "\n" for line in new]
+        assert [(r["anchor_id"], r["lat"], r["lon"], r["value"])
+                for r in map(json.loads, new)] == [
+            (2, 52.00001, 8.0, 5.0), (3, 53.0, 9.0, 6.0), (0, 51.0, 7.0, 7.0)]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "first.geojson", "second.geojson", "store.jsonl", "third.geojson"]
+
+    def test_summary_line(self, tmp_path, capsys):
+        geo = points_file(tmp_path / "in.geojson",
+                          [(51.0, 7.0, 1.0), (51.00001, 7.0, 2.0), (95.0, 7.0, 3.0),
+                           (52.0, 8.0, 4.0)])
+        store = tmp_path / "store.jsonl"
+        for replayed in (0, 3):
+            assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == ""
+            assert [json.loads(line) for line in out.splitlines()] == [
+                {"replayed": replayed, "contributed": 3, "rejected": 1, "anchors": 2}]
+        store.write_text("{broken\n")
+        assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("flag", [["--radius", "0"], ["--radius", "-5"],
                                       ["--radius", "nan"], ["--half-life", "-1"],
                                       ["--half-life", "0"]])
@@ -560,6 +595,15 @@ class TestAggregateCommand:
 def one_json_error(capsys, code):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["exit"] == code, err
+
+
+def points_file(path, points):
+    """An indicator GeoJSON file of anomalies at (lat, lon, value)."""
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+        "type": "Feature", "geometry": {"type": "Point", "coordinates": [lon, lat]},
+        "properties": {"kind": "anomaly", "sub_kind": "", "t": 0.0, "severity": 9,
+                       "confidence": 0.5, "value": value}} for lat, lon, value in points]}))
+    return path
 
 
 def one_indicator(tmp_path):
@@ -784,6 +828,25 @@ class TestSimulateCommand:
         rows = out1.read_text().splitlines()
         assert rows[0] == "t,src,dst,checksum"
         assert len(rows) == 2 and ",a,b," in rows[1]
+
+    def test_summary_line(self, tmp_path, capsys):
+        ssid = SsidPacket(1, 0, 51_000_000, 7_000_000,
+                          (PacketEntry(0, 0, 1, 9, 200),)).to_ssid()
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text(
+            scenario_line("a", 51.0, 7.0, packets=[ssid]) + "\n"
+            + scenario_line("b", 51.0002, 7.0, phase=5.0) + "\n")
+        out = tmp_path / "log.csv"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out),
+                     "--duration", "30", "--dt", "0.5"]) == EXIT_OK
+        stdout, err = capsys.readouterr()
+        assert err == ""
+        assert [json.loads(line) for line in stdout.splitlines()] == [
+            {"nodes": 2, "steps": 60, "deliveries": 1}]
+        assert len(out.read_text().splitlines()) == 2
+        scenario.write_text("[1]\n")
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().out == ""
 
     def test_empty_scenario(self, tmp_path):
         scenario = tmp_path / "scenario.jsonl"
