@@ -1,7 +1,9 @@
 """Command-line orchestration.
 
 Subcommands: analyze, synth, aggregate, simulate, encode, decode.
-Exit codes: 0 success, 2 usage, 3 input error, 4 numeric failure.
+Exit codes: 0 success, 2 usage, 3 input error, 4 numeric failure. A failure
+prints one JSON error line to stderr; a successful ``aggregate`` or
+``simulate`` prints one JSON summary line to stdout.
 
 Every output is written as a new file and then put in place
 (:mod:`infrasense.outputs`): ``analyze`` writes into a temporary directory
