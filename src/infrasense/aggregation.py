@@ -192,19 +192,6 @@ def _record_line(rec: dict) -> str:
             f'"kind": {_str(rec["kind"])}}}\n')
 
 
-def _feature_text(st: SegmentState) -> str:
-    """json.dump(collection, fh, indent=2)'s text of one snapshot feature."""
-    a = st.anchor
-    return (f'    {{\n      "type": "Feature",\n      "geometry": {{\n'
-            f'        "type": "Point",\n        "coordinates": [\n'
-            f'          {_num(a.lon)},\n          {_num(a.lat)}\n        ]\n      }},\n'
-            f'      "properties": {{\n        "anchor_id": {_num(a.id)},\n'
-            f'        "kind": {_str(a.kind)},\n        "value": {_num(st.value)},\n'
-            f'        "weight_sum": {_num(st.weight_sum)},\n'
-            f'        "last_update": {_num(st.last_update)},\n'
-            f'        "contribution_count": {_num(a.contribution_count)}\n      }}\n    }}')
-
-
 class _Spot(NamedTuple):
     """Where a replayed log record lies, as `SegmentStore.match_segment` reads it."""
 
@@ -326,7 +313,9 @@ class SegmentStore:
         newline if it lacked one), then one line per record contributed
         since; any other store writes one line per record. Each new line
         holds the bytes of ``json.dumps(record)``, written by a fixed
-        template (`_record_line`) rather than by a json call per record."""
+        template (`_record_line`) rather than by a json call per record:
+        in paired crowd runs, a ``json.dumps`` per record made `aggregate`
+        slower in every pair."""
         log = self._log
         with new_file(path, rename_over=True) as fh:
             if log:
@@ -342,7 +331,10 @@ class SegmentStore:
         `contribute`; its decoded record joins `records` as it is."""
         store = cls()
         with open(path) as fh:
-            store._log = fh.read()
+            try:
+                store._log = fh.read()
+            except UnicodeDecodeError as e:
+                raise StoreError(f"not UTF-8 text: {e}") from e
         records = store.records
         # split("\n"), not splitlines(): lines end where file iteration ends them
         for lineno, line in enumerate(store._log.split("\n"), 1):
@@ -361,7 +353,8 @@ class SegmentStore:
                 if kind not in KINDS:  # as `Indicator` checks it
                     raise ValueError(f"unknown indicator kind {kind!r}")
                 expect = rec["anchor_id"]
-            except (KeyError, ValueError, json.JSONDecodeError) as e:
+                float(t), float(value)  # an int beyond float range raises OverflowError
+            except (KeyError, ValueError, OverflowError, json.JSONDecodeError) as e:
                 raise StoreError(f"corrupt store line {lineno}: {e}") from e
             aid = store._fold(_Spot(kind, lat, lon), t, value, policy)
             if aid != expect:
@@ -377,12 +370,11 @@ class SegmentStore:
         """The anchors as a GeoJSON FeatureCollection of points, sorted by id;
         with `path`, also written there.
 
-        The file holds the bytes of ``json.dump(collection, fh, indent=2)``,
-        written by a fixed template per feature (`_feature_text`): with
-        `indent`, json leaves its C encoder for a much slower Python one."""
-        states = self.snapshot()
+        The file holds ``json.dumps(collection)``: one compact line with
+        json's default separators. ``json.dumps`` and not ``json.dump``,
+        which streams through json's pure-Python encoder."""
         features = []
-        for st in states:
+        for st in self.snapshot():
             features.append({
                 "type": "Feature",
                 "geometry": {"type": "Point",
@@ -398,8 +390,6 @@ class SegmentStore:
             })
         collection = {"type": "FeatureCollection", "features": features}
         if path is not None:
-            body = ",\n".join(map(_feature_text, states))
             with new_file(path) as fh:
-                fh.write('{\n  "type": "FeatureCollection",\n  "features": '
-                         + (f"[\n{body}\n  ]" if states else "[]") + "\n}")
+                fh.write(json.dumps(collection))
         return collection

@@ -182,7 +182,7 @@ def cmd_analyze(args) -> int:
                        "forward_resolved": reoriented.forward_resolved},
         }
         with open(os.path.join(tmp, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, default=str)
+            json.dump(manifest, fh, indent=2)
     except (trace_model.TraceError, features.FeatureError, transforms.TransformError,
             road_analysis.RoadAnalysisError, rail_analysis.RailAnalysisError,
             ValueError) as e:

@@ -480,7 +480,7 @@ class TestStoreText:
 
     @given(stores())
     @settings(max_examples=300, deadline=None)
-    def test_snapshot_is_json_dump_with_indent_2(self, store):
+    def test_snapshot_is_json_dumps(self, store):
         expect = {"type": "FeatureCollection", "features": [
             {"type": "Feature",
              "geometry": {"type": "Point", "coordinates": [s.anchor.lon, s.anchor.lat]},
@@ -495,7 +495,8 @@ class TestStoreText:
             with open(path) as fh:
                 text = fh.read()
         assert collection == expect
-        assert text == json.dumps(expect, indent=2)
+        assert text == json.dumps(expect)
+        assert repr(json.loads(text)) == repr(expect)
 
     def test_empty_store(self, tmp_path):
         store = SegmentStore()
@@ -504,8 +505,8 @@ class TestStoreText:
         assert (tmp_path / "store.jsonl").read_bytes() == b""
         assert collection == {"type": "FeatureCollection", "features": []}
         assert ((tmp_path / "snapshot.geojson").read_text()
-                == json.dumps(collection, indent=2)
-                == '{\n  "type": "FeatureCollection",\n  "features": []\n}')
+                == json.dumps(collection)
+                == '{"type": "FeatureCollection", "features": []}')
 
     def test_non_finite_and_int_fields(self, tmp_path):
         store = SegmentStore()
@@ -518,8 +519,10 @@ class TestStoreText:
         assert (tmp_path / "store.jsonl").read_bytes() == rewrite(store)
         log = rewrite(store).decode()
         assert '"t": NaN' in log and '"t": Infinity' in log and '"lat": 51,' in log
-        assert '"last_update": -Infinity' in text and '1e-07,\n          -0.0\n' in text
-        assert text == json.dumps(store.snapshot_geojson(), indent=2)
+        assert '"last_update": -Infinity' in text and '"coordinates": [1e-07, -0.0]' in text
+        collection = store.snapshot_geojson()
+        assert text == json.dumps(collection)
+        assert repr(json.loads(text)) == repr(collection)
 
 
 def edit_line(line: str, data) -> str:

@@ -520,7 +520,8 @@ class TestAggregateCommand:
     def test_crowd_batch_files_are_json_encodings(self, tmp_path, monkeypatch):
         """The benchmark's crowd batch (seed 1) fused into an empty store, then
         reopened with one more file: the store and both snapshots hold the
-        bytes json itself gives for what they hold."""
+        bytes json itself gives for what they hold, each snapshot that of
+        its store's collection."""
         inputs = perfbench_module("inputs", monkeypatch)
         batch = inputs.crowd_batch(1, 30, 100, 450)
         files = []
@@ -532,15 +533,20 @@ class TestAggregateCommand:
         assert main(["aggregate", *map(str, files), "--store", str(store),
                      "--out", str(snap1)]) == EXIT_OK
         written = store.read_text()
+        first = tmp_path / "first.jsonl"
+        first.write_text(written)
         assert main(["aggregate", str(tmp_path / "replay.geojson"), "--store", str(store),
                      "--out", str(snap2)]) == EXIT_OK
         lines = store.read_text().splitlines(keepends=True)
         assert len(lines) == sum(map(len, batch.files)) + len(batch.replay_file)
         assert "".join(lines).startswith(written)
         assert lines == [json.dumps(json.loads(line)) + "\n" for line in lines]
-        for snap in (snap1, snap2):
+        for snap, log in ((snap1, first), (snap2, store)):
+            collection = aggregation.SegmentStore.load(
+                log, aggregation.MatchPolicy()).snapshot_geojson()
             text = snap.read_text()
-            assert text == json.dumps(json.loads(text), indent=2)
+            assert text == json.dumps(collection)
+            assert repr(json.loads(text)) == repr(collection)
         assert len(json.loads(snap2.read_text())["features"]) > 400
 
     def test_reopen_keeps_the_store_bytes_and_adds_the_new_lines(self, tmp_path):
@@ -577,6 +583,38 @@ class TestAggregateCommand:
         store.write_text("{broken\n")
         assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_INPUT
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("line", [
+        '{"op": "fuse", "anchor_id": 0, "t": 0.0, "value": 1%s, "lat": 51.0, "lon": 7.0, '
+        '"kind": "anomaly"}' % ("0" * 400),
+        '{"op": "fuse", "anchor_id": 0, "t": 1%s, "value": 2.0, "lat": 51.0, "lon": 7.0, '
+        '"kind": "anomaly"}' % ("0" * 400)], ids=["value", "t"])
+    def test_int_beyond_float_range_is_input_error(self, tmp_path, capsys, line):
+        first = ('{"op": "fuse", "anchor_id": 0, "t": 0.0, "value": 2.0, "lat": 51.0, '
+                 '"lon": 7.0, "kind": "anomaly"}')
+        store = tmp_path / "store.jsonl"
+        store.write_text(f"{first}\n{line}\n")
+        before = store.read_bytes()
+        assert main(["aggregate", str(one_indicator(tmp_path)), "--store", str(store),
+                     "--out", str(tmp_path / "snap.geojson")]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_INPUT
+        assert "corrupt store line 2: int too large to convert to float" in err[0]
+        assert store.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.geojson", "store.jsonl"]
+
+    def test_store_not_utf8_is_input_error(self, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        store.write_bytes(b'{"op": "fu\xffse", "anchor_id": 0, "t": 0.0, "value": 2.0, '
+                          b'"lat": 51.0, "lon": 7.0, "kind": "anomaly"}\n')
+        before = store.read_bytes()
+        assert main(["aggregate", str(one_indicator(tmp_path)), "--store", str(store),
+                     "--out", str(tmp_path / "snap.geojson")]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_INPUT
+        assert "can't decode byte 0xff in position 10" in json.loads(err[0])["error"]
+        assert store.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.geojson", "store.jsonl"]
 
     @pytest.mark.parametrize("flag", [["--radius", "0"], ["--radius", "-5"],
                                       ["--radius", "nan"], ["--half-life", "-1"],
