@@ -18,7 +18,8 @@ from itertools import product
 from typing import NamedTuple
 
 from .outputs import new_file
-from .reports import EARTH_RADIUS, JSON_NUMBER, KINDS, Indicator, json_line
+from .reports import (EARTH_RADIUS, JSON_NUMBER, KINDS, Indicator, json_objects,
+                      point_collection)
 
 _SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
 _SLACK_M = 1e-6  # m, the same for radii so small that rounding is not relative
@@ -326,9 +327,10 @@ class SegmentStore:
     def load(cls, path, policy: MatchPolicy) -> "SegmentStore":
         """Rebuild deterministically by replaying the event log.
 
-        The log's text is read once and kept for `save`. Each line is
-        checked, then folded through the matching and fusion of
-        `contribute`; its decoded record joins `records` as it is."""
+        The log's text is read once and kept for `save`. Each line is read
+        by `json_objects`, checked, then folded through the matching and
+        fusion of `contribute`; its decoded record joins `records` as it is.
+        A line that cannot be replayed raises StoreError("line N: ...")."""
         store = cls()
         with open(path) as fh:
             try:
@@ -337,14 +339,8 @@ class SegmentStore:
                 raise StoreError(f"not UTF-8 text: {e}") from e
         records = store.records
         # split("\n"), not splitlines(): lines end where file iteration ends them
-        for lineno, line in enumerate(store._log.split("\n"), 1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, rec in json_objects(store._log.split("\n"), StoreError):
             try:
-                rec = json_line(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("not a JSON object")
                 lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
                 if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
                         and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
@@ -354,42 +350,22 @@ class SegmentStore:
                     raise ValueError(f"unknown indicator kind {kind!r}")
                 expect = rec["anchor_id"]
                 float(t), float(value)  # an int beyond float range raises OverflowError
-            except (KeyError, ValueError, OverflowError, json.JSONDecodeError) as e:
-                raise StoreError(f"corrupt store line {lineno}: {e}") from e
-            aid = store._fold(_Spot(kind, lat, lon), t, value, policy)
+                # so can the difference of two int `t` within it, in `fuse`
+                aid = store._fold(_Spot(kind, lat, lon), t, value, policy)
+            except (KeyError, ValueError, OverflowError) as e:
+                raise StoreError(f"line {lineno}: {e}") from e
             if aid != expect:
-                raise StoreError(
-                    f"store line {lineno}: replay assigned anchor {aid}, "
-                    f"log says {expect} (policy mismatch?)"
-                )
+                raise StoreError(f"line {lineno}: replay assigned anchor {aid}, "
+                                 f"log says {expect} (policy mismatch?)")
             records.append(rec)
         store.replayed = len(records)
         return store
 
     def snapshot_geojson(self, path=None) -> dict:
         """The anchors as a GeoJSON FeatureCollection of points, sorted by id;
-        with `path`, also written there.
-
-        The file holds ``json.dumps(collection)``: one compact line with
-        json's default separators. ``json.dumps`` and not ``json.dump``,
-        which streams through json's pure-Python encoder."""
-        features = []
-        for st in self.snapshot():
-            features.append({
-                "type": "Feature",
-                "geometry": {"type": "Point",
-                             "coordinates": [st.anchor.lon, st.anchor.lat]},
-                "properties": {
-                    "anchor_id": st.anchor.id,
-                    "kind": st.anchor.kind,
-                    "value": st.value,
-                    "weight_sum": st.weight_sum,
-                    "last_update": st.last_update,
-                    "contribution_count": st.anchor.contribution_count,
-                },
-            })
-        collection = {"type": "FeatureCollection", "features": features}
-        if path is not None:
-            with new_file(path) as fh:
-                fh.write(json.dumps(collection))
-        return collection
+        with `path`, also written there (`point_collection`)."""
+        return point_collection(((st.anchor.lon, st.anchor.lat, {
+            "anchor_id": st.anchor.id, "kind": st.anchor.kind, "value": st.value,
+            "weight_sum": st.weight_sum, "last_update": st.last_update,
+            "contribution_count": st.anchor.contribution_count,
+        }) for st in self.snapshot()), path)

@@ -7,12 +7,15 @@ prints one JSON error line to stderr; a successful ``aggregate`` or
 
 Every output is written as a new file and then put in place
 (:mod:`infrasense.outputs`): ``analyze`` writes into a temporary directory
-inside ``--out``, the other commands into a temporary file beside their
-``--out``; on success the old file is unlinked and the new one renamed to
-its name. So a failed run leaves the old outputs as they were and no
-partial file, and no run waits for the filesystem to flush a file it
-renames over or truncates. Outputs get no ``fsync``. The store of
-``aggregate`` alone is renamed over the old log (``SegmentStore.save``).
+inside ``--out`` (``new_dir``), the other commands into a temporary file
+beside their ``--out`` (``new_file``); on success the old file is unlinked
+and the new one renamed to its name. So a failed run, a failed write
+included, leaves the old outputs as they were and no partial file, and no
+run waits for the filesystem to flush a file it renames over or truncates.
+Outputs get no ``fsync``. The store of ``aggregate`` alone is renamed over
+the old log (``SegmentStore.save``). Every JSON-lines input (a JSONL trace,
+the store, a scenario) is read by ``reports.json_objects``, so a bad line is
+reported as ``<input>: line N: <reason>``.
 
 Only :mod:`infrasense.reports` and :mod:`infrasense.outputs` are imported
 here. Every other layer, the numpy ones and the crowd-side aggregation and
@@ -37,15 +40,13 @@ import importlib.util
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 import types
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
-from .outputs import new_file, put_in_place, replaceable
-from .reports import indicators_from_geojson, indicators_to_geojson
+from .outputs import new_dir, new_file
+from .reports import indicators_from_geojson, indicators_to_geojson, json_objects
 
 
 def _lazy(name: str, *submodules: str) -> types.ModuleType:
@@ -156,51 +157,32 @@ def cmd_analyze(args) -> int:
                          f"{road_analysis.MIN_WINDOWS}")
 
     try:
-        os.makedirs(args.out, exist_ok=True)
-        tmp = tempfile.mkdtemp(prefix=".infrasense-", dir=args.out)
-    except OSError as e:
-        return _fail(EXIT_INPUT, f"out: {e}")
-    try:
-        reoriented = trace_model.reorient(trace, tau=cfg.gravity_tau)
-        if cfg.context == "road":
-            indicators, counts = _analyze_road(reoriented, plan, cfg, tmp)
-        else:
-            indicators, counts = _analyze_rail(reoriented, cfg, tmp)
-        indicators_to_geojson(indicators, os.path.join(tmp, "indicators.geojson"))
-        manifest = {
-            "tool": "infrasense",
-            "version": __version__,
-            "config_hash": config.config_hash(cfg),
-            "config": config.config_values(cfg),
-            "trace": str(args.trace),
-            "parse_report": {"rows_read": report.rows_read,
-                             "rows_dropped": report.rows_dropped,
-                             "reorders": report.reorders,
-                             "drops": report.drops},
-            "gaps": trace_model.sampling_gaps(trace.t),
-            "counts": {"indicators": len(indicators), **counts,
-                       "forward_resolved": reoriented.forward_resolved},
-        }
-        with open(os.path.join(tmp, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2)
+        with new_dir(args.out) as tmp:
+            reoriented = trace_model.reorient(trace, tau=cfg.gravity_tau)
+            if cfg.context == "road":
+                indicators, counts = _analyze_road(reoriented, plan, cfg, tmp)
+            else:
+                indicators, counts = _analyze_rail(reoriented, cfg, tmp)
+            indicators_to_geojson(indicators, os.path.join(tmp, "indicators.geojson"))
+            manifest = {
+                "tool": "infrasense",
+                "version": __version__,
+                "config_hash": config.config_hash(cfg),
+                "config": config.config_values(cfg),
+                "trace": str(args.trace),
+                "parse_report": asdict(report),
+                "gaps": trace_model.sampling_gaps(trace.t),
+                "counts": {"indicators": len(indicators), **counts,
+                           "forward_resolved": reoriented.forward_resolved},
+            }
+            with open(os.path.join(tmp, "manifest.json"), "w") as fh:
+                json.dump(manifest, fh, indent=2)
     except (trace_model.TraceError, features.FeatureError, transforms.TransformError,
             road_analysis.RoadAnalysisError, rail_analysis.RailAnalysisError,
             ValueError) as e:
-        shutil.rmtree(tmp, ignore_errors=True)
         return _fail(EXIT_NUMERIC, f"analysis: {e}")
-    except Exception:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-
-    moves = [(os.path.join(tmp, name), os.path.join(args.out, name))
-             for name in sorted(os.listdir(tmp))]
-    blocked = [dst for _, dst in moves if not replaceable(dst)]
-    if blocked:
-        shutil.rmtree(tmp, ignore_errors=True)
-        return _fail(EXIT_INPUT, f"out: {blocked[0]} is not a regular file")
-    for src, dst in moves:
-        put_in_place(src, dst)
-    os.rmdir(tmp)
+    except OSError as e:
+        return _fail(EXIT_INPUT, f"out: {e}")
     return EXIT_OK
 
 
@@ -258,18 +240,12 @@ def cmd_aggregate(args) -> int:
 
 
 def _load_scenario(path) -> list[dissemination.SimNode]:
-    """One node per non-blank JSONL line; a line that does not make a node
-    raises ValueError naming its line number."""
+    """One node per non-blank JSONL line (`json_objects`); a line that does
+    not make a node raises ValueError naming its line number."""
     nodes = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, obj in json_objects(fh, ValueError):
             try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("not a JSON object")
                 node = dissemination.SimNode(
                     id=str(obj["id"]),
                     waypoints=[tuple(w) for w in obj["waypoints"]],

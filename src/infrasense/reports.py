@@ -1,9 +1,13 @@
-"""Maintenance indicator records and their GeoJSON export and import."""
+"""Maintenance indicator records and their GeoJSON export and import, and
+the two file formats every layer shares: JSON lines (:func:`json_objects`)
+and GeoJSON points (:func:`point_collection`)."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+from .outputs import new_file
 
 KINDS = ("anomaly", "maneuver", "roughness", "cant", "twist", "curvature")
 EARTH_RADIUS = 6371000.0  # m, of the sphere every position is taken on
@@ -36,28 +40,27 @@ def clamp_severity(score: float) -> int:
     return int(min(255, max(0, round(score))))
 
 
+def point_collection(points, path=None) -> dict:
+    """A GeoJSON FeatureCollection of one Point per (lon, lat, properties) in
+    `points`; with `path`, also written there as ``json.dumps(collection)``,
+    one compact line (``json.dump`` would stream through json's pure-Python
+    encoder)."""
+    collection = {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "geometry": {"type": "Point", "coordinates": [lon, lat]},
+         "properties": properties}
+        for lon, lat, properties in points]}
+    if path is not None:
+        with new_file(path) as fh:
+            fh.write(json.dumps(collection))
+    return collection
+
+
 def indicators_to_geojson(indicators, path=None) -> dict:
     """Export indicators as a GeoJSON FeatureCollection of points."""
-    features = []
-    for ind in indicators:
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "Point", "coordinates": [ind.lon, ind.lat]},
-            "properties": {
-                "kind": ind.kind,
-                "sub_kind": ind.sub_kind,
-                "t": ind.t,
-                "severity": ind.severity,
-                "confidence": ind.confidence,
-                "value": ind.value,
-                "unit": ind.unit,
-            },
-        })
-    collection = {"type": "FeatureCollection", "features": features}
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(collection, fh, indent=2)
-    return collection
+    return point_collection(((ind.lon, ind.lat, {
+        "kind": ind.kind, "sub_kind": ind.sub_kind, "t": ind.t, "severity": ind.severity,
+        "confidence": ind.confidence, "value": ind.value, "unit": ind.unit,
+    }) for ind in indicators), path)
 
 
 JSON_NUMBER = (int, float)  # the types json.load gives a JSON number
@@ -79,6 +82,24 @@ def json_line(line: str):
     if end != len(line):
         return json.loads(line)
     return value
+
+
+def json_objects(lines, error):
+    """(line number, object) for each non-blank line of a JSON-lines text.
+
+    Each line is stripped and decoded by `json_line`; a line that is not JSON
+    or not a JSON object raises ``error("line N: ...")``."""
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json_line(line)
+        except ValueError as e:  # JSONDecodeError, or an int past the digit limit
+            raise error(f"line {lineno}: invalid JSON ({e})") from e
+        if not isinstance(obj, dict):
+            raise error(f"line {lineno}: not a JSON object")
+        yield lineno, obj
 
 
 def indicators_from_geojson(path) -> list[Indicator]:

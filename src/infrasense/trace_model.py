@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .outputs import new_file
-from .reports import json_line
+from .reports import json_objects
 
 GRAVITY = 9.81
 FORWARD_MIN_SPEED = 3.0  # m/s; faster samples are in forward motion for `reorient`
@@ -352,18 +351,11 @@ def _csv_blocks(fh, width: int, index: dict):
         yield cells, len(lines)
 
 
-def _jsonl_objects(fh):
-    """The JSON object of each non-blank line; SchemaError on a line that is
-    no object or lacks a required key."""
-    for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json_line(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"line {lineno}: invalid JSON ({e})") from e
-        if not (isinstance(obj, dict) and obj.keys() >= _REQUIRED_KEYS):
+def _jsonl_rows(fh):
+    """The JSON object of each non-blank line (`json_objects`); SchemaError
+    on a line that is no object or lacks a required key."""
+    for lineno, obj in json_objects(fh, SchemaError):
+        if not obj.keys() >= _REQUIRED_KEYS:
             raise SchemaError(f"line {lineno}: missing required keys")
         yield obj
 
@@ -398,7 +390,7 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
                 raise SchemaError(f"unreadable CSV: {e}") from e
     elif format == "jsonl":
         with open(path) as fh:
-            cols, n = _read_blocks(_row_blocks(_jsonl_objects(fh), lambda objs: {
+            cols, n = _read_blocks(_row_blocks(_jsonl_rows(fh), lambda objs: {
                 k: [obj.get(k) for obj in objs] for k in CSV_COLUMNS}))
     else:
         raise ValueError(f"unknown format {format!r}")

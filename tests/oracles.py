@@ -118,7 +118,9 @@ def parse_trace_rows(path, format: str = "csv"):
                     obj = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise SchemaError(f"line {lineno}: invalid JSON ({e})") from e
-                if not isinstance(obj, dict) or not all(k in obj for k in REQUIRED):
+                if not isinstance(obj, dict):
+                    raise SchemaError(f"line {lineno}: not a JSON object")
+                if not all(k in obj for k in REQUIRED):
                     raise SchemaError(f"line {lineno}: missing required keys")
                 rows.append(obj)
     return _rows_to_trace(rows)
@@ -365,6 +367,9 @@ def load_replay(path, policy) -> SegmentStore:
                 continue
             try:
                 rec = json_line(line)
+            except ValueError as e:
+                raise StoreError(f"line {lineno}: invalid JSON ({e})") from e
+            try:
                 if not isinstance(rec, dict):
                     raise ValueError("not a JSON object")
                 lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
@@ -374,12 +379,12 @@ def load_replay(path, policy) -> SegmentStore:
                 ind = Indicator(kind=rec["kind"], sub_kind="", lat=lat, lon=lon,
                                 t=t, severity=0, confidence=1.0, value=value)
                 expect = rec["anchor_id"]
-            except (KeyError, ValueError, json.JSONDecodeError) as e:
-                raise StoreError(f"corrupt store line {lineno}: {e}") from e
+            except (KeyError, ValueError) as e:
+                raise StoreError(f"line {lineno}: {e}") from e
             aid = store.contribute(ind, policy)
             if aid != expect:
                 raise StoreError(
-                    f"store line {lineno}: replay assigned anchor {aid}, "
+                    f"line {lineno}: replay assigned anchor {aid}, "
                     f"log says {expect} (policy mismatch?)"
                 )
     return store

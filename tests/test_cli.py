@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from infrasense import aggregation, trace_model
+from infrasense import aggregation, rail_analysis, reports, trace_model
 from infrasense.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from infrasense.config import (
     _KEYS,
@@ -599,7 +599,22 @@ class TestAggregateCommand:
                      "--out", str(tmp_path / "snap.geojson")]) == EXIT_INPUT
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_INPUT
-        assert "corrupt store line 2: int too large to convert to float" in err[0]
+        assert "store: line 2: int too large to convert to float" in err[0]
+        assert store.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.geojson", "store.jsonl"]
+
+    def test_int_t_difference_beyond_float_range_is_input_error(self, tmp_path, capsys):
+        # each t is within float range, the difference that `fuse` decays by is not
+        lines = ['{"op": "fuse", "anchor_id": 0, "t": %s1%s, "value": 2.0, "lat": 51.0, '
+                 '"lon": 7.0, "kind": "anomaly"}' % (sign, "0" * 308) for sign in ("", "-")]
+        store = tmp_path / "store.jsonl"
+        store.write_text("\n".join(lines) + "\n")
+        before = store.read_bytes()
+        assert main(["aggregate", str(one_indicator(tmp_path)), "--store", str(store),
+                     "--out", str(tmp_path / "snap.geojson")]) == EXIT_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_INPUT
+        assert json.loads(err[0])["error"].startswith("store: line 2: ")
         assert store.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.geojson", "store.jsonl"]
 
@@ -738,7 +753,7 @@ class TestFailedWriteKeepsOldFile:
         args = ["aggregate", str(geo), "--store", str(store), "--out", str(snap)]
         assert main(args) == EXIT_OK
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        real_new_file = aggregation.new_file
+        real_new_file = reports.new_file
 
         class FullDisk:
             def __init__(self, fh):
@@ -752,7 +767,7 @@ class TestFailedWriteKeepsOldFile:
         def new_file(path, *args, **kwargs):
             with real_new_file(path, *args, **kwargs) as fh:
                 yield FullDisk(fh)
-        monkeypatch.setattr(aggregation, "new_file", new_file)
+        monkeypatch.setattr(reports, "new_file", new_file)
         assert main(args) == EXIT_INPUT
         one_json_error(capsys, EXIT_INPUT)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
@@ -772,6 +787,26 @@ class TestFailedWriteKeepsOldFile:
         one_json_error(capsys, EXIT_INPUT)
         assert out.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json", "t.csv"]
+
+    def test_analyze(self, tmp_path, capsys, monkeypatch):
+        spec = write_spec(tmp_path / "spec.json", potholes=[], duration=20.0, speed=30.0,
+                          noise_sigma=0.01)
+        trace, cfg, out = tmp_path / "rail.csv", tmp_path / "rail.cfg", tmp_path / "report"
+        assert main(["synth", "--spec", str(spec), "--out", str(trace)]) == EXIT_OK
+        cfg.write_text("context = rail\n")
+        args = ["analyze", str(trace), "--config", str(cfg), "--out", str(out)]
+        assert main(args) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert "geometry.csv" in before
+
+        def write_rows(fh, n, block_rows):
+            fh.write("0.0,")
+            no_space()
+        monkeypatch.setattr(rail_analysis, "write_rows", write_rows)
+        assert main(args) == EXIT_INPUT
+        one_json_error(capsys, EXIT_INPUT)
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no .infrasense-*
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_symlink_out_becomes_a_file(self, tmp_path):
         scenario = tmp_path / "scenario.jsonl"
@@ -927,7 +962,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("text, message", [
         ('{"waypoints": [[0.0, 51.0, 7.0]]}', "line 2: missing key 'id'"),
         ('[1, 2]', "line 2: not a JSON object"),
-        ('{"id": "b", "waypoints": [[0.0, 51.0', "line 2: Expecting "),
+        ('{"id": "b", "waypoints": [[0.0, 51.0', "line 2: invalid JSON (Expecting "),
         ('{"id": "b", "waypoints": [[0.0, 51.0]]}', "line 2: waypoints must be finite"),
         ('{"id": "b", "waypoints": [[0.0, 1.0, -424063994666.381]]}',
          "line 2: waypoint positions must lie within 90 and 180 degrees"),

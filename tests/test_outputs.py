@@ -3,7 +3,7 @@ import threading
 
 import pytest
 
-from infrasense.outputs import new_file
+from infrasense.outputs import new_dir, new_file
 
 
 def written(path, text, **kwargs):
@@ -56,3 +56,41 @@ class TestNewFile:
         reader.join(timeout=10)
         assert received == ["through"]
         assert path.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+class TestNewDir:
+    def test_success_moves_every_file(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.txt").write_text("old a")
+        (out / "kept.txt").write_text("kept")
+        with new_dir(out) as tmp:
+            for name in ("a.txt", "b.txt"):
+                with open(os.path.join(tmp, name), "w") as fh:
+                    fh.write("new " + name)
+        assert {p.name: p.read_text() for p in out.iterdir()} == {
+            "a.txt": "new a.txt", "b.txt": "new b.txt", "kept.txt": "kept"}
+
+    def test_exception_keeps_the_old_files(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.txt").write_text("old a")
+        with pytest.raises(RuntimeError):
+            with new_dir(out) as tmp:
+                with open(os.path.join(tmp, "a.txt"), "w") as fh:
+                    fh.write("partial")
+                raise RuntimeError("stop")
+        assert {p.name: p.read_text() for p in out.iterdir()} == {"a.txt": "old a"}
+
+    def test_directory_namesake_fails_and_nothing_moves(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "b.txt" / "kept").mkdir(parents=True)
+        (out / "a.txt").write_text("old a")
+        with pytest.raises(IsADirectoryError):
+            with new_dir(out) as tmp:
+                for name in ("a.txt", "b.txt"):
+                    with open(os.path.join(tmp, name), "w") as fh:
+                        fh.write("new " + name)
+        assert sorted(p.name for p in out.iterdir()) == ["a.txt", "b.txt"]
+        assert (out / "a.txt").read_text() == "old a"
+        assert [p.name for p in (out / "b.txt").iterdir()] == ["kept"]

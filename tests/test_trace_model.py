@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from infrasense import trace_model
 from infrasense.trace_model import (
@@ -52,13 +52,21 @@ PRESENT = st.sampled_from([True] * 7 + [False])  # an optional column or key
 JUNK = st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "1e999", "junk", "1..2", "--1"])
 # str.strip removes \x1c but float() rejects it, so its column is read cell by cell
 _PAD = st.sampled_from(["", "", " ", "\t ", "\x1c"])
+# A CSV column's cells share one padding, drawn with the header: a cell is
+# then one or two choices, which keeps a failing test's shrink short.
+_PADS = st.tuples(_PAD, _PAD)
 
 
 def _cells(values):
-    """Two kinds of column: numbers as written or padded with whitespace,
-    and the same numbers mixed with junk cells."""
-    number = st.tuples(_PAD, values.map(repr), _PAD).map("".join)
+    """Two kinds of column: numbers as written, and the same numbers mixed
+    with junk cells."""
+    number = values.map(repr)
     return number, st.one_of(*[number] * 6, JUNK)
+
+
+def _padded(cells, pads):
+    left, right = pads
+    return cells.map(lambda cell: left + cell + right)
 
 
 # t takes few values, so rows repeat and fall out of order; the geo ranges
@@ -81,36 +89,38 @@ JSON_VALUES = st.one_of(
 )
 
 
+# Rows per drawn file. Every cell is a few choices, and a failing test's
+# shrinker replays and caches thousands of examples, so its time and memory
+# grow with the choices per example. Eight rows keep a failure quick to
+# shrink and still span several blocks of 1-4.
+ROWS = st.integers(0, 8)
 LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+# The parse tests skip Hypothesis's explain phase, which after shrinking a
+# failure reruns the test up to 500 times per argument to mark the parts of
+# the example that do not matter: that was most of a failing run's time.
+PARSE = settings(deadline=None, phases=[p for p in Phase if p is not Phase.explain])
 # the kinds of line the split cannot read
 HAND_OFF = ("quoted", "quoted_newline", "blank", "short", "long", "no_final_newline")
 
 
 def _parse_outcome(parse, path, fmt):
+    """What `parse` makes of a file, as one value: its error's type and text,
+    or each array's shape and bytes, the report and the rate."""
     try:
-        return parse(path, fmt)
+        trace, report = parse(path, fmt)
     except Exception as e:  # both parsers must fail alike
         return type(e).__name__, str(e)
+    arrays = {"t": trace.t, "accel": trace.accel, "gyro": trace.gyro,
+              **{f"fixes.{k}": getattr(trace.fixes, k) for k in FIX_COLUMNS}}
+    return ({k: None if a is None else (a.shape, a.tobytes()) for k, a in arrays.items()},
+            report, trace.rate)
 
 
 def assert_same_parse(path, fmt):
-    """parse_trace equals the row parser bit for bit, or fails the same way."""
-    got = _parse_outcome(parse_trace, path, fmt)
-    want = _parse_outcome(parse_trace_rows, path, fmt)
-    if isinstance(want[0], str) or isinstance(got[0], str):
-        assert got == want
-        return
-    (trace, report), (want_trace, want_report) = got, want
-    for name in ("t", "accel", "gyro"):
-        a, b = getattr(trace, name), getattr(want_trace, name)
-        assert (a is None) == (b is None), name
-        if a is not None:
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    for name in FIX_COLUMNS:
-        a, b = getattr(trace.fixes, name), getattr(want_trace.fixes, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert report == want_report
-    assert trace.rate == want_trace.rate
+    """parse_trace equals the row parser bit for bit, or fails the same way.
+
+    One assert: Hypothesis shrinks each failing line as a bug of its own."""
+    assert _parse_outcome(parse_trace, path, fmt) == _parse_outcome(parse_trace_rows, path, fmt)
 
 
 class TestParseTrace:
@@ -228,37 +238,37 @@ class TestParseTrace:
         assert report.drops == {"required_nonfinite": 1, "invalid_fix": 0}
 
     @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(PARSE, max_examples=100)
     def test_csv_matches_row_parser(self, tmp_path_factory, data):
         assert_same_parse(write_drawn(tmp_path_factory, "trace.csv", draw_csv(data)), "csv")
 
     @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(PARSE, max_examples=100)
     def test_jsonl_matches_row_parser(self, tmp_path_factory, data):
         assert_same_parse(write_drawn(tmp_path_factory, "trace.jsonl", draw_jsonl(data)), "jsonl")
 
-    # Blocks of 1-4 rows over files of up to 25: blocks of short rows only,
+    # Blocks of 1-4 rows over files of up to 8: blocks of short rows only,
     # a junk cell in one block of a column, blank lines between blocks.
     @given(data=st.data(), block=st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
+    @settings(PARSE, max_examples=100)
     def test_csv_matches_row_parser_in_small_blocks(self, tmp_path_factory, data, block):
         path = write_drawn(tmp_path_factory, "trace.csv", draw_csv(data))
         with mock.patch.object(trace_model, "_ROW_BLOCK", block):
             assert_same_parse(path, "csv")
 
     @given(data=st.data(), block=st.integers(1, 4))
-    @settings(max_examples=100, deadline=None)
+    @settings(PARSE, max_examples=100)
     def test_jsonl_matches_row_parser_in_small_blocks(self, tmp_path_factory, data, block):
         path = write_drawn(tmp_path_factory, "trace.jsonl", draw_jsonl(data))
         with mock.patch.object(trace_model, "_ROW_BLOCK", block):
             assert_same_parse(path, "jsonl")
 
     # Rows of the header's width only: every block is split as text.
-    @given(data=st.data(), block=st.integers(1, 30))
-    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 10))
+    @settings(PARSE, max_examples=100)
     def test_split_rows_match_row_parser(self, tmp_path_factory, data, block):
         header, cells = draw_header(data)
-        rows = [draw_row(data, header, cells) for _ in range(data.draw(st.integers(0, 25)))]
+        rows = [draw_row(data, header, cells) for _ in range(data.draw(ROWS))]
         ends = data.draw(st.lists(LINE_END, min_size=len(rows) + 1, max_size=len(rows) + 1))
         lines = [line + end for line, end in zip([",".join(header), *rows], ends)]
         path = write_drawn_text(tmp_path_factory, "".join(lines))
@@ -271,13 +281,13 @@ class TestParseTrace:
     # and every later row to csv.reader.
     @given(data=st.data(), block=st.integers(1, 4),
            kind=st.sampled_from([*HAND_OFF, "bare_cr", "nul"]))
-    @settings(max_examples=200, deadline=None)
+    @settings(PARSE, max_examples=200)
     def test_hand_off_to_csv_reader_matches_row_parser(self, tmp_path_factory, data, block,
                                                        kind):
         header, cells = draw_header(data)
-        head = [draw_row(data, header, cells) for _ in range(data.draw(st.integers(block, 3 * block)))]
+        head = [draw_row(data, header, cells) for _ in range(data.draw(st.integers(block, 2 * block)))]
         tail = [] if kind == "no_final_newline" else [
-            draw_row(data, header, cells) for _ in range(data.draw(st.integers(0, 5)))]
+            draw_row(data, header, cells) for _ in range(data.draw(st.integers(0, 3)))]
         row = draw_row(data, header, cells).split(",")
         j = data.draw(st.integers(0, len(row) - 1))
         if kind == "quoted":
@@ -361,13 +371,15 @@ class TestJsonLine:
 
 def draw_header(data) -> tuple[list[str], dict]:
     """A drawn CSV header, with optional columns left out and an extra or
-    repeated name, and the strategy of each of its schema columns' cells."""
+    repeated name, and the strategy of each of its schema columns' cells,
+    padded with whitespace or not."""
     header = [c for c in CSV_COLUMNS if c in REQUIRED or data.draw(PRESENT)]
     if data.draw(st.booleans()):  # a column outside the schema, or a repeated name
         extra = data.draw(st.sampled_from(["note", *header]))
         header.insert(data.draw(st.integers(0, len(header))), extra)
     dirty = draw_dirty_groups(data)
-    return header, {c: CELLS[c][dirty[c]] for c in header if c in CELLS}
+    return header, {c: _padded(CELLS[c][dirty[c]], data.draw(_PADS))
+                    for c in header if c in CELLS}
 
 
 def draw_csv(data) -> list[str]:
@@ -375,20 +387,26 @@ def draw_csv(data) -> list[str]:
     repeated header name, blank, short and long rows, junk cells."""
     header, cells = draw_header(data)
     lines = [",".join(header)]
-    for _ in range(data.draw(st.integers(0, 25))):
+    for _ in range(data.draw(ROWS)):
         if data.draw(st.integers(0, 9)) == 0:
             lines.append("")  # blank line
             continue
-        row = [data.draw(cells.get(c, JUNK)) for c in header]
+        row = list(draw_cells(data, header, cells))
         size = data.draw(st.sampled_from([len(row)] * 10 + [1, len(row) - 1, len(row) + 2]))
         row = (row + ["7"] * 2)[:size]  # a short row, or a long one with extra cells
         lines.append(",".join(row))
     return lines
 
 
+def draw_cells(data, header, cells) -> tuple[str, ...]:
+    """The cells of one row of the header's width, in one draw: each
+    ``data.draw`` call costs more than the choices it makes."""
+    return data.draw(st.tuples(*(cells.get(c, JUNK) for c in header)))
+
+
 def draw_row(data, header, cells) -> str:
     """One row of the header's width."""
-    return ",".join(data.draw(cells.get(c, JUNK)) for c in header)
+    return ",".join(draw_cells(data, header, cells))
 
 
 @contextlib.contextmanager
@@ -411,13 +429,14 @@ def draw_jsonl(data) -> list[str]:
     values = {c: JSON_VALUES if dirty[c] else JSON_NUMBER for c in CSV_COLUMNS}
     partial = data.draw(st.booleans())  # rows may leave out optional keys
     lines = []
-    for _ in range(data.draw(st.integers(0, 25))):
+    for _ in range(data.draw(ROWS)):
         if data.draw(st.integers(0, 9)) == 0:
             lines.append("  ")  # blank line
             continue
         keys = [c for c in CSV_COLUMNS
                 if c in REQUIRED or not partial or data.draw(PRESENT)]
-        lines.append(json.dumps({k: data.draw(values[k]) for k in keys}))
+        row = data.draw(st.tuples(*(values[k] for k in keys)))
+        lines.append(json.dumps(dict(zip(keys, row))))
     return lines
 
 
