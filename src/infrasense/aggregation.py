@@ -13,16 +13,19 @@ from __future__ import annotations
 
 import json
 import math
+import zlib
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
-from .outputs import new_file
+from .outputs import new_file, replaceable
 from .reports import (EARTH_RADIUS, JSON_NUMBER, KINDS, Indicator, json_objects,
                       point_collection)
 
 _SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
 _SLACK_M = 1e-6  # m, the same for radii so small that rounding is not relative
+CHECKPOINT_VERSION = 1  # of the `<store>.state` layout that `save` writes
+_MIXED = "mixed"  # `SegmentStore._policy` once records were folded under two policies
 
 
 class AggregationError(Exception):
@@ -202,14 +205,17 @@ class _Spot(NamedTuple):
 
 
 class SegmentStore:
-    """In-memory anchor store with a JSONL event log for persistence."""
+    """In-memory anchor store with a JSONL event log for persistence and a
+    checkpoint of its states beside the log, to reopen it without a replay."""
 
     def __init__(self):
         self.states: dict[int, SegmentState] = {}
         self._next_id = 0
-        self.records: list[dict] = []  # the log's, then each contributed one
-        self.replayed = 0  # records that `load` read from the log
-        self._log = ""  # the log text that `load` read, written again by `save`
+        self.records: list[dict] = []  # each record contributed since `load`
+        self.replayed = 0  # records of the log that `load` read
+        self.from_checkpoint = False  # `load` took the states from the checkpoint
+        self._log = b""  # the log that `load` read, written again by `save`
+        self._policy = None  # that of every fold and of `load`, or _MIXED
         self.rejected = 0
         self._grids: dict[str, GridIndex] = {}  # per kind, over self.states
         self._grid_radius: float | None = None
@@ -280,20 +286,32 @@ class SegmentStore:
         if not (math.isfinite(value) and abs(spot.lat) <= 90.0 and abs(spot.lon) <= 180.0):
             self.rejected += 1
             return -1
+        if policy is not self._policy:
+            self._policy = policy if self._policy in (None, policy) else _MIXED
         aid = self.match_segment(spot, policy)
         self.states[aid] = fuse(self.states[aid], t, value, policy)
         return aid
 
     def contribute(self, indicator: Indicator, policy: MatchPolicy) -> int:
         """Match then fuse one indicator; logs the event. Returns anchor id, or
-        -1 (counted in `rejected`) for a non-finite value or a position off WGS84."""
-        aid = self._fold(indicator, indicator.t, indicator.value, policy)
+        -1 (counted in `rejected`) for a non-finite value, a position off
+        WGS84, or a record that `load` would refuse: a position, `t` or value
+        that is no int or float (a bool, say), or an int `t` or value beyond
+        float range. So the log always replays, and the checkpoint `save`
+        writes is always the replay's."""
+        lat, lon, t, value = indicator.lat, indicator.lon, indicator.t, indicator.value
+        try:
+            if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
+                    and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
+                raise ValueError
+            float(t), float(value)  # an int beyond float range raises OverflowError
+        except (ValueError, OverflowError):
+            self.rejected += 1
+            return -1
+        aid = self._fold(indicator, t, value, policy)
         if aid >= 0:
-            self.records.append({
-                "op": "fuse", "anchor_id": aid, "t": indicator.t,
-                "value": indicator.value, "lat": indicator.lat, "lon": indicator.lon,
-                "kind": indicator.kind,
-            })
+            self.records.append({"op": "fuse", "anchor_id": aid, "t": t, "value": value,
+                                 "lat": lat, "lon": lon, "kind": indicator.kind})
         return aid
 
     def snapshot(self) -> list[SegmentState]:
@@ -301,45 +319,103 @@ class SegmentStore:
         return [self.states[aid] for aid in sorted(self.states)]
 
     def save(self, path) -> None:
-        """Write the event log to a temporary file beside `path` and rename it
-        over `path`, so that a write that stops part-way leaves the old log.
+        """Write the checkpoint to `<path>.state`, then the event log to a
+        temporary file beside `path` renamed over `path`, so that a write
+        that stops part-way leaves the old log.
 
         Unlike the outputs that a run can make again, the old log is not
         unlinked first: it is the one file that cannot be rebuilt, and the
         rename over it is what makes ext4 write the new log's data before
         the rename commits, so a crash leaves the old log or the new one,
-        never an empty file.
+        never an empty file. The checkpoint (`_checkpoint`) is only a cache
+        of the log's replay: one that describes a log that never landed
+        fails `load`'s checks and costs a replay. None is written when
+        there is no one policy to record (a store that folded nothing, or
+        one whose records were folded under two policies, whose states are
+        then the replay of its log under neither) or when `path` is a
+        device or a pipe (not `replaceable`), written to as it is; an old
+        checkpoint then stays, valid only for the log it describes.
 
-        A store from `load` writes the text it read, as it was (with a final
-        newline if it lacked one), then one line per record contributed
-        since; any other store writes one line per record. Each new line
-        holds the bytes of ``json.dumps(record)``, written by a fixed
-        template (`_record_line`) rather than by a json call per record:
-        in paired crowd runs, a ``json.dumps`` per record made `aggregate`
-        slower in every pair."""
+        A store from `load` writes the bytes it read, as they were (with a
+        final newline if they lacked one), then one line per record
+        contributed since; any other store writes one line per record. Each
+        new line holds the bytes of ``json.dumps(record)``, written by a
+        fixed template (`_record_line`) rather than by a json call per
+        record: in paired crowd runs, a ``json.dumps`` per record made
+        `aggregate` slower in every pair."""
         log = self._log
-        with new_file(path, rename_over=True) as fh:
-            if log:
-                fh.write(log if log.endswith("\n") else log + "\n")
-            fh.writelines(map(_record_line, self.records[self.replayed:]))
+        if log and not log.endswith(b"\n"):
+            log += b"\n"
+        new = "".join(map(_record_line, self.records)).encode()
+        if isinstance(self._policy, MatchPolicy) and replaceable(path):
+            self._checkpoint(f"{path}.state", len(log) + len(new),
+                             zlib.crc32(new, zlib.crc32(log)))
+        with new_file(path, binary=True, rename_over=True) as fh:
+            fh.write(log)
+            fh.write(new)
 
-    @classmethod
-    def load(cls, path, policy: MatchPolicy) -> "SegmentStore":
-        """Rebuild deterministically by replaying the event log.
+    def _checkpoint(self, path, log_length: int, log_crc: int) -> None:
+        """Write the checkpoint of a log of `log_length` bytes with CRC-32
+        `log_crc`: a header line, then one JSON body line holding the log's
+        record count, `_next_id` and one row per anchor, in ascending id.
+        json writes each int, float and bool as it is, so the rows read
+        back as the states they were. The header holds the format version,
+        the policy, the log's length and CRC, and the body's CRC."""
+        body = json.dumps({
+            "records": self.replayed + len(self.records), "next_id": self._next_id,
+            "anchors": [[a.id, a.lat, a.lon, a.kind, a.contribution_count,
+                         st.value, st.weight_sum, st.last_update]
+                        for st in self.snapshot() for a in (st.anchor,)],
+        }).encode()
+        header = json.dumps({
+            "version": CHECKPOINT_VERSION, "radius": self._policy.radius,
+            "half_life": self._policy.half_life, "log_length": log_length,
+            "log_crc": log_crc, "body_crc": zlib.crc32(body)})
+        with new_file(path, binary=True) as fh:
+            fh.write(header.encode() + b"\n")
+            fh.write(body)
 
-        The log's text is read once and kept for `save`. Each line is read
-        by `json_objects`, checked, then folded through the matching and
-        fusion of `contribute`; its decoded record joins `records` as it is.
-        A line that cannot be replayed raises StoreError("line N: ...")."""
-        store = cls()
-        with open(path) as fh:
-            try:
-                store._log = fh.read()
-            except UnicodeDecodeError as e:
-                raise StoreError(f"not UTF-8 text: {e}") from e
-        records = store.records
+    def _resume(self, path, log: bytes, policy: MatchPolicy) -> bool:
+        """Take the states from the checkpoint at `path` if it is the one
+        `save` wrote for the log `log` under `policy`: the same version,
+        policy, log length and log CRC, and a body that matches its CRC.
+        False, with the store untouched, for a checkpoint that is missing,
+        unreadable, damaged or of another log or policy."""
+        try:
+            with open(path, "rb") as fh:
+                header, body = fh.read().split(b"\n", 1)
+            head = json.loads(header)
+            if (head["version"] != CHECKPOINT_VERSION or head["radius"] != policy.radius
+                    or head["half_life"] != policy.half_life
+                    or head["log_length"] != len(log) or head["body_crc"] != zlib.crc32(body)
+                    or head["log_crc"] != zlib.crc32(log)):
+                return False
+            saved = json.loads(body)
+            states = {aid: SegmentState(SegmentAnchor(aid, lat, lon, kind, count),
+                                        value, weight_sum, last_update)
+                      for aid, lat, lon, kind, count, value, weight_sum, last_update
+                      in saved["anchors"]}
+            self.replayed, self._next_id = saved["records"], saved["next_id"]
+        except (OSError, ValueError, TypeError, KeyError):
+            return False
+        self.states = states
+        return True
+
+    def _replay(self, log: bytes, policy: MatchPolicy) -> None:
+        """Fold every record of the log `log` through the matching and fusion
+        of `contribute`. Each line is read by `json_objects` and checked; a
+        line that cannot be replayed, or that the fold rejects, raises
+        StoreError("line N: ...")."""
+        try:
+            text = log.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise StoreError(f"not UTF-8 text: {e}") from e
+        if "\r" in text:  # read as a text file reads it: every line ends at \n
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+            self._log = text.encode()
+        n = 0
         # split("\n"), not splitlines(): lines end where file iteration ends them
-        for lineno, rec in json_objects(store._log.split("\n"), StoreError):
+        for lineno, rec in json_objects(text.split("\n"), StoreError):
             try:
                 lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
                 if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
@@ -351,14 +427,35 @@ class SegmentStore:
                 expect = rec["anchor_id"]
                 float(t), float(value)  # an int beyond float range raises OverflowError
                 # so can the difference of two int `t` within it, in `fuse`
-                aid = store._fold(_Spot(kind, lat, lon), t, value, policy)
+                aid = self._fold(_Spot(kind, lat, lon), t, value, policy)
             except (KeyError, ValueError, OverflowError) as e:
                 raise StoreError(f"line {lineno}: {e}") from e
+            if aid < 0:
+                raise StoreError(f"line {lineno}: the replay rejects the record "
+                                 f"(a non-finite value or a position off WGS84)")
             if aid != expect:
                 raise StoreError(f"line {lineno}: replay assigned anchor {aid}, "
                                  f"log says {expect} (policy mismatch?)")
-            records.append(rec)
-        store.replayed = len(records)
+            n += 1
+        self.replayed = n
+
+    @classmethod
+    def load(cls, path, policy: MatchPolicy) -> "SegmentStore":
+        """Reopen the store whose log is at `path`, under `policy`.
+
+        The log's bytes are read once and kept for `save`. When the
+        checkpoint at `<path>.state` matches them and `policy` (`_resume`),
+        the states are read from it and no log line is decoded
+        (`from_checkpoint`); otherwise the log is replayed (`_replay`).
+        Either way the states are the replay's, `replayed` counts the log's
+        records and `records` starts empty."""
+        store = cls()
+        store._policy = policy
+        with open(path, "rb") as fh:
+            store._log = fh.read()
+        store.from_checkpoint = store._resume(f"{path}.state", store._log, policy)
+        if not store.from_checkpoint:
+            store._replay(store._log, policy)
         return store
 
     def snapshot_geojson(self, path=None) -> dict:

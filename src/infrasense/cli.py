@@ -13,9 +13,21 @@ and the new one renamed to its name. So a failed run, a failed write
 included, leaves the old outputs as they were and no partial file, and no
 run waits for the filesystem to flush a file it renames over or truncates.
 Outputs get no ``fsync``. The store of ``aggregate`` alone is renamed over
-the old log (``SegmentStore.save``). Every JSON-lines input (a JSONL trace,
-the store, a scenario) is read by ``reports.json_objects``, so a bad line is
-reported as ``<input>: line N: <reason>``.
+the old log (``SegmentStore.save``).
+
+``aggregate`` reopens a store from the checkpoint beside it,
+``<store>.state``, when its format version, policy, log length and log CRC
+match and its rows match their CRC; otherwise it replays the log, with the
+same errors as with no checkpoint. It writes the ``--out`` snapshot, then
+the checkpoint, then the log, so any failed write exits 3 with the old log
+in place and the same call can be made again; a checkpoint of a log that
+never landed matches no log and costs one replay. No checkpoint is written
+for a store whose records were folded under more than one policy. The
+summary line says whether the store came ``from_checkpoint``.
+
+Every JSON-lines input (a JSONL trace, the store, a scenario) is read by
+``reports.json_objects``, so a bad line is reported as
+``<input>: line N: <reason>``.
 
 Only :mod:`infrasense.reports` and :mod:`infrasense.outputs` are imported
 here. Every other layer, the numpy ones and the crowd-side aggregation and
@@ -215,7 +227,6 @@ def cmd_aggregate(args) -> int:
             store = aggregation.SegmentStore()
     except (OSError, aggregation.StoreError) as e:
         return _fail(EXIT_INPUT, f"store: {e}")
-    rejected = store.rejected  # by the replay
     try:
         for path in args.indicators:
             for ind in indicators_from_geojson(path):
@@ -233,9 +244,9 @@ def cmd_aggregate(args) -> int:
         store.save(args.store)
     except OSError as e:
         return _fail(EXIT_INPUT, f"store: {e}")
-    print(json.dumps({"replayed": store.replayed,
-                      "contributed": len(store.records) - store.replayed,
-                      "rejected": store.rejected - rejected, "anchors": len(store)}))
+    print(json.dumps({"replayed": store.replayed, "contributed": len(store.records),
+                      "rejected": store.rejected, "anchors": len(store),
+                      "from_checkpoint": store.from_checkpoint}))
     return EXIT_OK
 
 

@@ -45,10 +45,10 @@ def put_in_place(src, dst) -> None:
 
 
 @contextlib.contextmanager
-def new_file(path, newline=None, *, rename_over=False):
-    """A text file open for writing that takes the place of `path` once the
-    block ends without an exception; otherwise `path` is left as it was and
-    the temporary file removed.
+def new_file(path, newline=None, *, binary=False, rename_over=False):
+    """A text file (with `binary`, a binary one) open for writing that takes
+    the place of `path` once the block ends without an exception; otherwise
+    `path` is left as it was and the temporary file removed.
 
     With `rename_over`, the temporary file is renamed over the old one
     instead of unlinking it first. ext4 then writes the new data before the
@@ -56,13 +56,14 @@ def new_file(path, newline=None, *, rename_over=False):
     empty one; that is worth its wait only for a file that cannot be
     rebuilt.
     """
+    mode = "wb" if binary else "w"
     if not replaceable(path):
-        with open(path, "w", newline=newline) as fh:
+        with open(path, mode, newline=newline) as fh:
             yield fh
         return
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         if rename_over:
             os.replace(tmp, path)

@@ -116,7 +116,7 @@ def parse_trace_rows(path, format: str = "csv"):
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # JSONDecodeError, or an int past the digit limit
                     raise SchemaError(f"line {lineno}: invalid JSON ({e})") from e
                 if not isinstance(obj, dict):
                     raise SchemaError(f"line {lineno}: not a JSON object")
@@ -382,6 +382,9 @@ def load_replay(path, policy) -> SegmentStore:
             except (KeyError, ValueError) as e:
                 raise StoreError(f"line {lineno}: {e}") from e
             aid = store.contribute(ind, policy)
+            if aid < 0:
+                raise StoreError(f"line {lineno}: the replay rejects the record "
+                                 f"(a non-finite value or a position off WGS84)")
             if aid != expect:
                 raise StoreError(
                     f"line {lineno}: replay assigned anchor {aid}, "

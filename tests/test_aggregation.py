@@ -2,6 +2,8 @@ import json
 import math
 import os
 import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,24 @@ class TestSegmentStore:
         assert len(store) == 0
         assert store.records == []
 
+    @pytest.mark.parametrize("field, bad", [
+        ("t", True), ("t", False), ("lat", True), ("lon", False), ("value", True),
+        ("t", 10 ** 400), ("value", -10 ** 400)],
+        ids=["t-true", "t-false", "lat-true", "lon-false", "value-true", "t-huge-int",
+             "value-huge-int"])
+    def test_contribute_rejects_what_the_log_cannot_replay(self, tmp_path, field, bad):
+        # `load` refuses a line with a bool or an int beyond float range, so
+        # the store must not log one
+        store = SegmentStore()
+        store.contribute(ind(), MatchPolicy())
+        fields = {"lat": 51.0, "lon": 7.0, "t": 1.0, "value": 2.0, field: bad}
+        assert store.contribute(ind(**fields), MatchPolicy()) == -1
+        assert store.rejected == 1 and len(store.records) == 1
+        store.save(tmp_path / "store.jsonl")
+        (tmp_path / "store.jsonl.state").unlink()
+        assert state_bits(SegmentStore.load(tmp_path / "store.jsonl", MatchPolicy())) == \
+            state_bits(store)
+
     def test_contribute_takes_the_wgs84_range_limits(self):
         store = SegmentStore()
         for lat, lon in [(90.0, 7.0), (-90.0, 7.0), (51.0, 180.0), (51.0, -180.0)]:
@@ -332,6 +352,13 @@ def add(store, n, start=0, policy=MatchPolicy()):
         store.contribute(ind(lat=lat, lon=lon, t=float(i) * DAY, value=i % 10), policy)
 
 
+def full_rewrite(n) -> bytes:
+    """The log of a store fed the first `n` contributions of `add` at once."""
+    store = SegmentStore()
+    add(store, n)
+    return rewrite(store)
+
+
 class TestStoreLog:
     """`save` leaves in the file, for a log this program wrote, the bytes a
     full rewrite writes, or, if the write fails, the log that was there
@@ -346,9 +373,10 @@ class TestStoreLog:
         add(store, 10, start=30)
         store.save(path)
         store.save(full)
-        assert path.read_bytes() == full.read_bytes() == rewrite(store)
+        assert path.read_bytes() == full.read_bytes() == full_rewrite(40)
         assert len(path.read_bytes().splitlines()) == 40
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["full.jsonl", "store.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "full.jsonl", "full.jsonl.state", "store.jsonl", "store.jsonl.state"]
 
     def test_log_in_another_layout_keeps_its_bytes(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -361,7 +389,7 @@ class TestStoreLog:
         add(store, 3, start=5)
         store.save(path)
         assert path.read_text() == foreign + "".join(
-            json.dumps(rec) + "\n" for rec in store.records[5:])
+            json.dumps(rec) + "\n" for rec in store.records)
         assert state_bits(SegmentStore.load(path, MatchPolicy())) == state_bits(store)
 
     def test_last_line_without_newline(self, tmp_path):
@@ -372,7 +400,18 @@ class TestStoreLog:
         store = SegmentStore.load(path, MatchPolicy())
         add(store, 2, start=4)
         store.save(path)
-        assert path.read_bytes() == rewrite(store)
+        assert path.read_bytes() == full_rewrite(6)
+
+    def test_carriage_returns_end_lines(self, tmp_path):
+        # as a text file reads them: \r\n and a lone \r end a line, saved as \n
+        path = tmp_path / "store.jsonl"
+        a, b, c, d = full_rewrite(4).decode().splitlines()
+        path.write_bytes(f"{a}\r\n{b}\r{c}\n{d}\r".encode())
+        store = SegmentStore.load(path, MatchPolicy())
+        assert store.replayed == 4
+        store.save(path)
+        assert path.read_bytes() == full_rewrite(4)
+        assert SegmentStore.load(path, MatchPolicy()).from_checkpoint
 
     def test_nothing_added(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -382,7 +421,7 @@ class TestStoreLog:
         store = SegmentStore.load(path, MatchPolicy())
         store.save(path)
         store.save(path)
-        assert path.read_bytes() == rewrite(store)
+        assert path.read_bytes() == full_rewrite(4)
 
     def test_fresh_store_and_other_path_write_every_record(self, tmp_path):
         path, other = tmp_path / "store.jsonl", tmp_path / "other.jsonl"
@@ -395,20 +434,20 @@ class TestStoreLog:
         reopened = SegmentStore.load(path, MatchPolicy())
         add(reopened, 2, start=6)
         reopened.save(other)
-        assert other.read_bytes() == rewrite(reopened)
+        assert other.read_bytes() == full_rewrite(8)
 
     def test_write_that_fails_part_way_leaves_the_old_log(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = SegmentStore()
         add(store, 20)
         store.save(path)
-        before = path.read_bytes()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         add(store, 5, start=20)
         store.records.insert(22, {"op": object()})  # not JSON: the write stops there
         with pytest.raises(TypeError):
             store.save(path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert sorted(before) == ["store.jsonl", "store.jsonl.state"]
 
     def test_rename_that_fails_leaves_no_temporary_file(self, tmp_path):
         path = tmp_path / "store"
@@ -418,6 +457,19 @@ class TestStoreLog:
         with pytest.raises(OSError):
             store.save(path)
         assert [p.name for p in tmp_path.iterdir()] == ["store"]
+
+    def test_pipe_gets_the_log_and_no_checkpoint(self, tmp_path):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        store = SegmentStore()
+        add(store, 3)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_bytes()), daemon=True)
+        reader.start()
+        store.save(path)
+        reader.join(timeout=10)
+        assert received == [full_rewrite(3)]
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
     @given(st.lists(st.tuples(st.integers(0, 6), st.booleans()), min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
@@ -432,7 +484,7 @@ class TestStoreLog:
                 added += n
                 store.save(path)
                 with open(path, "rb") as fh:
-                    assert fh.read() == rewrite(store)
+                    assert fh.read() == full_rewrite(added)
                 if reload:
                     store = SegmentStore.load(path, MatchPolicy())
 
@@ -445,24 +497,29 @@ def json_number(lo, hi, extra=()):
 
 
 @st.composite
+def contribution(draw, near):
+    """An indicator near one place (`near`: most then match an anchor) or
+    anywhere, of any kind, with an int or float position and value and any
+    `t`, a bool among them."""
+    if near:
+        lat = draw(st.sampled_from([51, 51.0, 51.00001, -0.0, 0]))
+        lon = draw(st.sampled_from([7, 7.0, 7.00001, 180, -180.0]))
+    else:
+        lat, lon = draw(json_number(-90, 90)), draw(json_number(-180, 180))
+    t = draw(st.one_of(st.floats(), st.integers(-10**6, 10**6), st.booleans(),
+                       st.sampled_from([math.inf, -math.inf, math.nan, 1e16, 1e22])))
+    value = draw(json_number(-1e6, 1e6, extra=(1e300, -1e-200)))
+    return Indicator(kind=draw(st.sampled_from(KINDS)), sub_kind="", lat=lat, lon=lon, t=t,
+                     severity=0, confidence=1.0, value=value)
+
+
+@st.composite
 def stores(draw):
-    """A store fed up to eight contributions near one place or anywhere, of
-    every kind, with int and float positions and values and any `t`, a
-    bool among them."""
+    """A store fed up to eight contributions (`contribution`)."""
     store = SegmentStore()
-    near = draw(st.booleans())  # most contributions then match an anchor
+    near = draw(st.booleans())
     for _ in range(draw(st.integers(0, 8))):
-        if near:
-            lat = draw(st.sampled_from([51, 51.0, 51.00001, -0.0, 0]))
-            lon = draw(st.sampled_from([7, 7.0, 7.00001, 180, -180.0]))
-        else:
-            lat, lon = draw(json_number(-90, 90)), draw(json_number(-180, 180))
-        t = draw(st.one_of(st.floats(), st.integers(-10**6, 10**6), st.booleans(),
-                           st.sampled_from([math.inf, -math.inf, math.nan, 1e16, 1e22])))
-        value = draw(json_number(-1e6, 1e6, extra=(1e300, -1e-200)))
-        store.contribute(Indicator(kind=draw(st.sampled_from(KINDS)), sub_kind="", lat=lat,
-                                   lon=lon, t=t, severity=0, confidence=1.0, value=value),
-                         MatchPolicy())
+        store.contribute(draw(contribution(near)), MatchPolicy())
     return store
 
 
@@ -601,6 +658,7 @@ class TestReplay:
         store = SegmentStore()
         add(store, 20)
         store.save(path)
+        os.unlink(f"{path}.state")  # so that the log is replayed
         calls = []
         real = Indicator.__post_init__
 
@@ -609,8 +667,8 @@ class TestReplay:
             real(self)
         monkeypatch.setattr(Indicator, "__post_init__", counted)
         loaded = SegmentStore.load(path, MatchPolicy())
-        assert calls == []
-        assert state_bits(loaded) == state_bits(store) and len(loaded.records) == 20
+        assert calls == [] and not loaded.from_checkpoint
+        assert state_bits(loaded) == state_bits(store) and loaded.replayed == 20
         add(loaded, 1, start=20)  # the count works: contribute takes an Indicator
         assert len(calls) == 1
 
@@ -829,3 +887,161 @@ class TestGreatCircleCalls:
         small = self.calls_per_contribution(1_000, monkeypatch)
         large = self.calls_per_contribution(10_000, monkeypatch)
         assert large <= 1.5 * small
+
+
+def sites(store, n, start=0, policy=MatchPolicy()):
+    """Contributions at five sites 1 km apart, so that any radius below
+    500 m matches them alike."""
+    for i in range(start, start + n):
+        lat, lon = offset(51.0, 1000.0 * (i % 5))
+        store.contribute(ind(lat=lat, lon=lon, t=float(i) * DAY, value=float(i % 10)), policy)
+
+
+def reopen(path, policy):
+    """What `load` makes of the log at `path`: its states, record count, next
+    id, new records and whether it took the checkpoint, or its error."""
+    try:
+        store = SegmentStore.load(path, policy)
+    except StoreError as e:
+        return "refused", str(e)
+    return (state_bits(store), store.replayed, store._next_id, store.records,
+            store.from_checkpoint)
+
+
+def without_checkpoint(path, policy):
+    """`reopen` of a copy of the log at `path` with no checkpoint beside it."""
+    copy = path.with_name("copy.jsonl")
+    copy.write_bytes(path.read_bytes())
+    try:
+        return reopen(copy, policy)
+    finally:
+        copy.unlink()
+
+
+def edit_checkpoint(path, edit):
+    """Rewrite the checkpoint at `path` with `edit(header, body)` applied to
+    its decoded header and body."""
+    header, body = path.read_bytes().split(b"\n", 1)
+    header, body = json.loads(header), json.loads(body)
+    edit(header, body)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + json.dumps(body).encode())
+
+
+def other_version(header, body):
+    header["version"] += 1
+
+
+def altered_row(header, body):  # the body's CRC left as it was
+    body["anchors"][2][5] += 1.0  # the value of anchor 2
+
+
+class TestCheckpoint:
+    """`save` writes `<store>.state` beside the log; `load` takes the states
+    from it when it matches the log and the policy, and replays otherwise.
+    Either way the store is the replay's."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reopening_from_the_checkpoint_is_the_replay(self, data):
+        policy = data.draw(st.sampled_from([MatchPolicy(), MatchPolicy(1e6, 3600.0)]))
+        near = data.draw(st.booleans())
+        batches = data.draw(st.lists(st.lists(contribution(near), max_size=5),
+                                     min_size=2, max_size=4))
+        with tempfile.TemporaryDirectory() as tmp:
+            sides = ("kept", "dropped")  # the checkpoint kept, or deleted before each load
+            paths = {side: os.path.join(tmp, f"{side}.jsonl") for side in sides}
+            stores = {side: SegmentStore() for side in sides}
+            for i, batch in enumerate(batches):
+                if i:
+                    if os.path.exists(paths["dropped"] + ".state"):
+                        os.unlink(paths["dropped"] + ".state")
+                    kept_state = os.path.exists(paths["kept"] + ".state")
+                    kept, dropped = (reopen(Path(paths[side]), policy) for side in sides)
+                    assert kept[:-1] == dropped[:-1]
+                    assert (kept[-1], dropped[-1]) == (kept_state, False)
+                    stores = {side: SegmentStore.load(paths[side], policy) for side in sides}
+                files = {}
+                for side, store in stores.items():
+                    for indicator in batch:
+                        store.contribute(indicator, policy)
+                    store.save(paths[side])
+                    store.snapshot_geojson(paths[side] + ".geojson")
+                    files[side] = []
+                    for suffix in ("", ".geojson", ".state"):
+                        if os.path.exists(paths[side] + suffix):
+                            with open(paths[side] + suffix, "rb") as fh:
+                                files[side].append((suffix, fh.read()))
+                assert files["kept"] == files["dropped"]
+                # a store that folded nothing has no policy to write
+                assert len(files["kept"]) == 3 or not stores["kept"].states
+
+    def test_a_matching_checkpoint_is_used(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = SegmentStore()
+        sites(store, 20)
+        store.save(path)
+        kept, dropped = reopen(path, MatchPolicy()), without_checkpoint(path, MatchPolicy())
+        assert kept[:-1] == dropped[:-1] == (state_bits(store), 20, 5, [])
+        assert (kept[-1], dropped[-1]) == (True, False)
+
+    @pytest.mark.parametrize("case", [
+        "radius", "half-life", "version", "log-byte", "valid-line", "invalid-line",
+        "state-truncated-in-header", "state-truncated-in-body", "state-row-altered",
+        "state-missing"])
+    def test_anything_else_replays(self, tmp_path, case):
+        path, state = tmp_path / "store.jsonl", tmp_path / "store.jsonl.state"
+        store = SegmentStore()
+        sites(store, 20)
+        store.save(path)
+        policy = MatchPolicy()
+        if case == "radius":
+            policy = MatchPolicy(radius=20.0)
+        elif case == "half-life":
+            policy = MatchPolicy(half_life=86400.0)
+        elif case == "version":
+            edit_checkpoint(state, other_version)
+        elif case == "log-byte":
+            text = path.read_text()
+            edited = text.replace('"value": 3.0', '"value": 4.0', 1)
+            assert edited != text and len(edited) == len(text)
+            path.write_text(edited)
+        elif case == "valid-line":
+            other = SegmentStore()
+            sites(other, 21)
+            with open(path, "ab") as fh:
+                fh.write(rewrite(other).splitlines(keepends=True)[-1])
+        elif case == "invalid-line":
+            with open(path, "a") as fh:
+                fh.write("{not json\n")
+        elif case.startswith("state-truncated"):
+            data = state.read_bytes()
+            state.write_bytes(data[:20 if case.endswith("header") else data.index(b"\n") + 40])
+        elif case == "state-row-altered":
+            edit_checkpoint(state, altered_row)
+        else:
+            state.unlink()
+        got = reopen(path, policy)
+        assert got == without_checkpoint(path, policy)  # so from_checkpoint is False
+        if case == "invalid-line":
+            assert got == ("refused", "line 21: invalid JSON (Expecting property name "
+                           "enclosed in double quotes: line 1 column 2 (char 1))")
+        elif case in ("half-life", "log-byte", "valid-line"):
+            assert got[0] != state_bits(store)  # what the checkpoint held
+
+    def test_records_folded_under_two_policies_write_no_checkpoint(self, tmp_path):
+        path, state = tmp_path / "store.jsonl", tmp_path / "store.jsonl.state"
+        store = SegmentStore()
+        sites(store, 10)
+        sites(store, 1, start=10, policy=MatchPolicy(radius=20.0))
+        store.save(path)
+        assert not state.exists()
+        store = SegmentStore()
+        sites(store, 10)
+        store.save(path)
+        before = state.read_bytes()
+        reopened = SegmentStore.load(path, MatchPolicy())
+        assert reopened.from_checkpoint
+        sites(reopened, 1, start=10, policy=MatchPolicy(radius=20.0))
+        reopened.save(path)
+        assert state.read_bytes() == before  # of the log before, so not used
+        assert not SegmentStore.load(path, MatchPolicy()).from_checkpoint

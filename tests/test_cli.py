@@ -567,22 +567,62 @@ class TestAggregateCommand:
                 for r in map(json.loads, new)] == [
             (2, 52.00001, 8.0, 5.0), (3, 53.0, 9.0, 6.0), (0, 51.0, 7.0, 7.0)]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "first.geojson", "second.geojson", "store.jsonl", "third.geojson"]
+            "first.geojson", "second.geojson", "store.jsonl", "store.jsonl.state",
+            "third.geojson"]
 
     def test_summary_line(self, tmp_path, capsys):
         geo = points_file(tmp_path / "in.geojson",
                           [(51.0, 7.0, 1.0), (51.00001, 7.0, 2.0), (95.0, 7.0, 3.0),
                            (52.0, 8.0, 4.0)])
         store = tmp_path / "store.jsonl"
-        for replayed in (0, 3):
+        for replayed, from_checkpoint in ((0, False), (3, True)):
             assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_OK
             out, err = capsys.readouterr()
             assert err == ""
             assert [json.loads(line) for line in out.splitlines()] == [
-                {"replayed": replayed, "contributed": 3, "rejected": 1, "anchors": 2}]
+                {"replayed": replayed, "contributed": 3, "rejected": 1, "anchors": 2,
+                 "from_checkpoint": from_checkpoint}]
         store.write_text("{broken\n")
         assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_INPUT
         assert capsys.readouterr().out == ""
+
+    def test_failed_checkpoint_write_keeps_the_old_log(self, tmp_path, capsys, monkeypatch):
+        """`aggregate` writes the snapshot, then the checkpoint, then the log:
+        a checkpoint that cannot be written exits 3 with the old log and the
+        old checkpoint, and the same call again ends in the store that one
+        clean call gives."""
+        first = points_file(tmp_path / "first.geojson", [(51.0, 7.0, 1.0), (52.0, 8.0, 2.0)])
+        second = points_file(tmp_path / "second.geojson",
+                             [(51.00001, 7.0, 3.0), (53.0, 9.0, 4.0)])
+        real_new_file = aggregation.new_file
+
+        def new_file(path, *args, **kwargs):
+            if str(path).endswith(".state"):
+                no_space()
+            return real_new_file(path, *args, **kwargs)
+
+        ends = {}
+        for name in ("clean", "retried"):
+            work = tmp_path / name
+            work.mkdir()
+            args = ["--store", str(work / "store.jsonl"), "--out", str(work / "snap.geojson")]
+            assert main(["aggregate", str(first), *args]) == EXIT_OK
+            capsys.readouterr()
+            if name == "retried":
+                before = {p.name: p.read_bytes() for p in work.iterdir()}
+                with monkeypatch.context() as m:
+                    m.setattr(aggregation, "new_file", new_file)
+                    assert main(["aggregate", str(second), *args]) == EXIT_INPUT
+                one_json_error(capsys, EXIT_INPUT)
+                after = {p.name: p.read_bytes() for p in work.iterdir()}
+                assert sorted(after) == ["snap.geojson", "store.jsonl", "store.jsonl.state"]
+                assert {k: after[k] for k in ("store.jsonl", "store.jsonl.state")} == {
+                    k: before[k] for k in ("store.jsonl", "store.jsonl.state")}
+            assert main(["aggregate", str(second), *args]) == EXIT_OK
+            ends[name] = capsys.readouterr().out, {p.name: p.read_bytes() for p in work.iterdir()}
+        assert ends["retried"] == ends["clean"]
+        assert json.loads(ends["clean"][0]) == {"replayed": 2, "contributed": 2, "rejected": 0,
+                                                "anchors": 3, "from_checkpoint": True}
 
     @pytest.mark.parametrize("line", [
         '{"op": "fuse", "anchor_id": 0, "t": 0.0, "value": 1%s, "lat": 51.0, "lon": 7.0, '
@@ -1048,18 +1088,27 @@ class TestMalformedCrowdInput:
         assert main(["encode", str(geo), "--lat", "51.0", "--lon", "7.0"]) == EXIT_INPUT
         one_json_error(capsys, EXIT_INPUT)
 
-    @pytest.mark.parametrize("line", [
-        "[1, 2]", '"fuse"',
-        json.dumps({"op": "fuse", "anchor_id": 0, "t": 0.0, "value": 2.0, "lat": "51.0",
-                    "lon": 7.0, "kind": "anomaly"}),
-    ], ids=["list", "string", "text-latitude"])
-    def test_aggregate_store_line(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, error", [
+        ("[1, 2]", "line 1: not a JSON object"),
+        ('"fuse"', "line 1: not a JSON object"),
+        (json.dumps({"op": "fuse", "anchor_id": 0, "t": 0.0, "value": 2.0, "lat": "51.0",
+                     "lon": 7.0, "kind": "anomaly"}),
+         "line 1: lat, lon, t and value must be JSON numbers"),
+        # the fold rejects it, as it would the indicator, and returns the -1 it logs
+        (json.dumps({"op": "fuse", "anchor_id": -1, "t": 1.0, "value": 2.0, "lat": 95.0,
+                     "lon": 7.0, "kind": "anomaly"}),
+         "line 1: the replay rejects the record (a non-finite value or a position off WGS84)"),
+    ], ids=["list", "string", "text-latitude", "rejected-by-the-replay"])
+    def test_aggregate_store_line(self, tmp_path, capsys, line, error):
         store = tmp_path / "store.jsonl"
         store.write_text(line + "\n")
         geo = one_indicator(tmp_path)
         assert main(["aggregate", str(geo), "--store", str(store)]) == EXIT_INPUT
-        one_json_error(capsys, EXIT_INPUT)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0]) == {"error": f"store: {error}",
+                                                         "exit": EXIT_INPUT}
         assert store.read_text() == line + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.geojson", "store.jsonl"]
 
 
 class TestEncodePositions:

@@ -80,7 +80,8 @@ class TestImportGraph:
         assert proc.returncode == 0, proc.stderr
         assert not [m for m in proc.stdout.split() if m.split(".")[0] == "numpy"]
 
-    @pytest.mark.parametrize("command", ["aggregate", "simulate", "encode", "decode"])
+    @pytest.mark.parametrize("command", ["aggregate", "aggregate-reopen", "simulate", "encode",
+                                         "decode"])
     def test_crowd_commands_load_no_numpy(self, tmp_path, command):
         geo = tmp_path / "in.geojson"
         geo.write_text('{"type": "FeatureCollection", "features": [{"type": "Feature", '
@@ -90,23 +91,28 @@ class TestImportGraph:
         scenario = tmp_path / "scenario.jsonl"
         scenario.write_text('{"id": "a", "waypoints": [[0.0, 51.0, 7.0]]}\n'
                             '{"id": "b", "waypoints": [[0.0, 51.0002, 7.0]]}\n')
-        argv = {
-            "aggregate": ["aggregate", str(geo), "--store", str(tmp_path / "s.jsonl"),
-                          "--out", str(tmp_path / "snap.geojson")],
-            "simulate": ["simulate", "--scenario", str(scenario),
-                         "--out", str(tmp_path / "d.csv")],
-            "encode": ["encode", str(geo), "--lat", "51.0", "--lon", "7.0"],
-            "decode": ["decode", SsidPacket(1, 0, 51_000_000, 7_000_000,
-                                            (PacketEntry(0, 0, 1, 9, 200),)).to_ssid()],
+        aggregate = ["aggregate", str(geo), "--store", str(tmp_path / "s.jsonl"),
+                     "--out", str(tmp_path / "snap.geojson")]
+        runs = {
+            "aggregate": [aggregate],
+            "aggregate-reopen": [aggregate, aggregate],  # the second from the checkpoint
+            "simulate": [["simulate", "--scenario", str(scenario),
+                          "--out", str(tmp_path / "d.csv")]],
+            "encode": [["encode", str(geo), "--lat", "51.0", "--lon", "7.0"]],
+            "decode": [["decode", SsidPacket(1, 0, 51_000_000, 7_000_000,
+                                             (PacketEntry(0, 0, 1, 9, 200),)).to_ssid()]],
         }[command]
         proc = run_fresh(
             "import sys\n"
             "from infrasense.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
             "print(*sys.modules, sep='\\n')\n"
         )
         assert proc.returncode == 0, proc.stderr
         assert not [m for m in proc.stdout.split() if m.split(".")[0] == "numpy"]
+        if command == "aggregate-reopen":
+            assert '"from_checkpoint": true' in proc.stdout
 
     def test_synth_and_analyze_load_no_scipy(self, tmp_path):
         spec = tmp_path / "spec.json"

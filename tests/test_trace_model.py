@@ -337,6 +337,16 @@ class TestParseTrace:
             parse_trace(path, "jsonl")
         assert_same_parse(path, "jsonl")
 
+    def test_jsonl_int_past_the_digit_limit_is_schema_error(self, tmp_path):
+        # json.loads raises a ValueError that is no JSONDecodeError for it
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"t": 0, "ax": 0, "ay": 0, "az": -9.81}\n'
+                        '{"t": 1%s, "ax": 0, "ay": 0, "az": -9.81}\n' % ("0" * 5000))
+        for parse in (parse_trace, parse_trace_rows):
+            with pytest.raises(SchemaError, match=r"^line 2: invalid JSON \(Exceeds the limit"):
+                parse(path, "jsonl")
+        assert_same_parse(path, "jsonl")
+
 
 JSON_TEXT = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
