@@ -3,7 +3,6 @@ import math
 import os
 import tempfile
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -897,15 +896,19 @@ def sites(store, n, start=0, policy=MatchPolicy()):
         store.contribute(ind(lat=lat, lon=lon, t=float(i) * DAY, value=float(i % 10)), policy)
 
 
-def reopen(path, policy):
-    """What `load` makes of the log at `path`: its states, record count, next
-    id, new records and whether it took the checkpoint, or its error."""
-    try:
-        store = SegmentStore.load(path, policy)
-    except StoreError as e:
-        return "refused", str(e)
+def outcome(store):
+    """A loaded store's states, record count, next id, new records and
+    whether it took the checkpoint."""
     return (state_bits(store), store.replayed, store._next_id, store.records,
             store.from_checkpoint)
+
+
+def reopen(path, policy):
+    """The `outcome` of `load` of the log at `path`, or its error."""
+    try:
+        return outcome(SegmentStore.load(path, policy))
+    except StoreError as e:
+        return "refused", str(e)
 
 
 def without_checkpoint(path, policy):
@@ -956,10 +959,10 @@ class TestCheckpoint:
                     if os.path.exists(paths["dropped"] + ".state"):
                         os.unlink(paths["dropped"] + ".state")
                     kept_state = os.path.exists(paths["kept"] + ".state")
-                    kept, dropped = (reopen(Path(paths[side]), policy) for side in sides)
+                    stores = {side: SegmentStore.load(paths[side], policy) for side in sides}
+                    kept, dropped = (outcome(stores[side]) for side in sides)
                     assert kept[:-1] == dropped[:-1]
                     assert (kept[-1], dropped[-1]) == (kept_state, False)
-                    stores = {side: SegmentStore.load(paths[side], policy) for side in sides}
                 files = {}
                 for side, store in stores.items():
                     for indicator in batch:
