@@ -240,6 +240,17 @@ class SegmentStore:
             grid = self._grids[kind] = GridIndex(radius)
         return grid
 
+    def _nearest(self, grid: GridIndex, lat: float, lon: float, radius: float) -> int | None:
+        """The id of the anchor in `grid` nearest to (`lat`, `lon`) within
+        `radius`, ties to the smaller id; None when there is none."""
+        best_id, best_d = None, None
+        for aid in grid.candidates(lat, lon):
+            anchor = self.states[aid].anchor
+            d = great_circle(anchor.lat, anchor.lon, lat, lon)
+            if d <= radius and (best_d is None or d < best_d):
+                best_id, best_d = aid, d
+        return best_id
+
     def match_segment(self, spot, policy: MatchPolicy) -> int:
         """Nearest anchor of `spot.kind` to (`spot.lat`, `spot.lon`) within the
         policy radius, or a new one; `spot` is an `Indicator` or any object
@@ -252,12 +263,7 @@ class SegmentStore:
         """
         kind, lat, lon = spot.kind, spot.lat, spot.lon
         grid = self._grid(kind, policy.radius)
-        best_id, best_d = None, None
-        for aid in grid.candidates(lat, lon):
-            anchor = self.states[aid].anchor
-            d = great_circle(anchor.lat, anchor.lon, lat, lon)
-            if d <= policy.radius and (best_d is None or d < best_d):
-                best_id, best_d = aid, d
+        best_id = self._nearest(grid, lat, lon, policy.radius)
         if best_id is None:
             aid = self._next_id
             self._next_id += 1
@@ -281,9 +287,13 @@ class SegmentStore:
 
     def _fold(self, spot, t, value, policy: MatchPolicy) -> int:
         """Match `spot` and fuse `value` at `t` into its anchor. Returns the
-        anchor id, or -1 (counted in `rejected`) for a non-finite value or a
-        position off WGS84."""
-        if not (math.isfinite(value) and abs(spot.lat) <= 90.0 and abs(spot.lon) <= 180.0):
+        anchor id, or -1 (counted in `rejected`) for a non-finite value, a
+        position off WGS84, or an int `t` whose difference from the int
+        `last_update` of the anchor it matches is beyond float range, on
+        which `fuse` would raise OverflowError. Nothing moves before that is
+        known."""
+        if not (math.isfinite(value) and abs(spot.lat) <= 90.0 and abs(spot.lon) <= 180.0
+                and (type(t) is not int or self._fusable(spot, t, policy))):
             self.rejected += 1
             return -1
         if policy is not self._policy:
@@ -292,13 +302,27 @@ class SegmentStore:
         self.states[aid] = fuse(self.states[aid], t, value, policy)
         return aid
 
+    def _fusable(self, spot, t: int, policy: MatchPolicy) -> bool:
+        """Whether `fuse` takes the int `t` into the anchor that `spot`
+        matches: an int `t` and `last_update` subtract exactly, and a
+        difference beyond float range fails the decay."""
+        aid = self._nearest(self._grid(spot.kind, policy.radius), spot.lat, spot.lon,
+                            policy.radius)
+        if aid is None:
+            return True
+        try:
+            float(t - self.states[aid].last_update)
+        except OverflowError:
+            return False
+        return True
+
     def contribute(self, indicator: Indicator, policy: MatchPolicy) -> int:
         """Match then fuse one indicator; logs the event. Returns anchor id, or
-        -1 (counted in `rejected`) for a non-finite value, a position off
-        WGS84, or a record that `load` would refuse: a position, `t` or value
-        that is no int or float (a bool, say), or an int `t` or value beyond
-        float range. So the log always replays, and the checkpoint `save`
-        writes is always the replay's."""
+        -1 (counted in `rejected`) for what `_fold` rejects, or a record that
+        `load` would refuse: a position, `t` or value that is no int or float
+        (a bool, say), or an int `t` or value beyond float range. So the log
+        always replays, and the checkpoint `save` writes is always the
+        replay's."""
         lat, lon, t, value = indicator.lat, indicator.lon, indicator.t, indicator.value
         try:
             if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
@@ -426,13 +450,13 @@ class SegmentStore:
                     raise ValueError(f"unknown indicator kind {kind!r}")
                 expect = rec["anchor_id"]
                 float(t), float(value)  # an int beyond float range raises OverflowError
-                # so can the difference of two int `t` within it, in `fuse`
                 aid = self._fold(_Spot(kind, lat, lon), t, value, policy)
             except (KeyError, ValueError, OverflowError) as e:
                 raise StoreError(f"line {lineno}: {e}") from e
             if aid < 0:
                 raise StoreError(f"line {lineno}: the replay rejects the record "
-                                 f"(a non-finite value or a position off WGS84)")
+                                 f"(a non-finite value, a position off WGS84 or an int t "
+                                 f"too far from its anchor's)")
             if aid != expect:
                 raise StoreError(f"line {lineno}: replay assigned anchor {aid}, "
                                  f"log says {expect} (policy mismatch?)")

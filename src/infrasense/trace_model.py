@@ -28,6 +28,7 @@ FORWARD_MIN_SPEED = 3.0  # m/s; faster samples are in forward motion for `reorie
 CSV_COLUMNS = ("t", "ax", "ay", "az", "gx", "gy", "gz", "lat", "lon", "speed", "acc")
 _REQUIRED = ("t", "ax", "ay", "az")
 _REQUIRED_KEYS = frozenset(_REQUIRED)
+_GEO = ("lat", "lon", "speed", "acc")
 
 
 class TraceError(Exception):
@@ -254,7 +255,7 @@ def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
         return np.logical_and.reduce([np.isfinite(v[k]) for k in names])
 
     required = finite(_REQUIRED)
-    has_fix = finite(("lat", "lon", "speed", "acc"))
+    has_fix = finite(_GEO)
     invalid_fix = required & has_fix & ~valid_fix(v["lat"], v["lon"], v["speed"], v["acc"])
     kept = np.flatnonzero(required & ~invalid_fix)
     if len(kept) < 2:
@@ -275,7 +276,7 @@ def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
     fix_rows = kept[has_fix[kept]]
     trace = Trace(t=take(t), accel=stack(("ax", "ay", "az")),
                   gyro=stack(("gx", "gy", "gz")) if has_gyro else None,
-                  fixes=Fixes(*(v[k][fix_rows] for k in ("t", "lat", "lon", "speed", "acc"))))
+                  fixes=Fixes(*(v[k][fix_rows] for k in ("t", *_GEO))))
     trace.rate  # measured here, so that a median interval of 0 fails the parse
     drops = {"required_nonfinite": n - int(np.count_nonzero(required)),
              "invalid_fix": int(np.count_nonzero(invalid_fix))}
@@ -289,26 +290,86 @@ def _columns_to_trace(cols: dict, n: int) -> tuple[Trace, ParseReport]:
 _ROW_BLOCK = 4096
 
 
-def _read_blocks(blocks) -> tuple[dict, int]:
-    """Join blocks of cells into float columns.
+def _floats(cells: dict, m: int) -> dict:
+    """Each column's cells in a block of m rows as floats (`_column`)."""
+    return {k: _column(column, m) for k, column in cells.items()}
 
-    `blocks` yields (cells, m): each column's cells in a block of m rows,
-    which `_column` converts block by block. Returns the joined columns and
-    the number of rows.
-    """
+
+def _read_blocks(blocks) -> tuple[dict, int]:
+    """Join blocks of float columns: `blocks` yields (columns, m) for each
+    block of m rows. Returns the joined columns and the number of rows."""
     parts, n = {}, 0
-    for cells, m in blocks:
-        for k, column in cells.items():
-            parts.setdefault(k, []).append(_column(column, m))
+    for columns, m in blocks:
+        for k, column in columns.items():
+            parts.setdefault(k, []).append(column)
         n += m
     return {k: np.concatenate(v) for k, v in parts.items()}, n
 
 
 def _row_blocks(rows, block_cells):
-    """`_ROW_BLOCK` rows at a time, as (cells, m) with `block_cells(rows)`
+    """`_ROW_BLOCK` rows at a time, as (columns, m) with `block_cells(rows)`
     mapping a list of rows to each column's cells in them."""
     while block := list(itertools.islice(rows, _ROW_BLOCK)):
-        yield block_cells(block), len(block)
+        yield _floats(block_cells(block), len(block)), len(block)
+
+
+# Bytes per geo cell in `_loadtxt_columns`. numpy cuts a longer cell short
+# without a word, so a block with a cell that fills the width is refused;
+# a float's repr takes at most 24.
+_GEO_WIDTH = 32
+
+
+def _row_dtype(width: int, index: dict) -> np.dtype:
+    """The row `_loadtxt_columns` reads: field f<j> for cell j, float64 for
+    the required and gyro columns, `_GEO_WIDTH` bytes for the geo ones and
+    one byte for a cell outside `index`, whose value is never used."""
+    kinds = ["S1"] * width
+    for name, j in index.items():
+        kinds[j] = f"S{_GEO_WIDTH}" if name in _GEO else "f8"
+    return np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+
+
+def _loadtxt_columns(lines, dtype: np.dtype, index: dict) -> dict | None:
+    """Each indexed column of a block of CSV lines as floats, read by
+    numpy's C text reader (`np.loadtxt`) into the fields of `dtype`
+    (`_row_dtype`); None for a block it cannot read exactly as `csv.reader`
+    and `_column` do.
+
+    The refusals are the split's (`_split_cells`): a quote, a line longer
+    than `csv.field_size_limit()`, a last line without a newline, or a row
+    of another width than the header's, for which `loadtxt` raises. Then
+    its own: text that is not ASCII, a `\r` or a NUL (a bytes field drops a
+    trailing one), a blank line (which `loadtxt` skips; one that holds only
+    whitespace is a row of one cell), a float cell that `loadtxt` cannot
+    read (an empty or junk one) and a geo cell that fills its field. The
+    geo cells that are not empty go through `_column`, so junk there reads
+    NaN.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\x00" in text or not text.isascii()
+            or not text.endswith("\n") or "\n" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    m = len(lines)
+    if len(table) != m:
+        return None
+    columns = {}
+    for name, j in index.items():
+        cells = table[f"f{j}"]
+        if name not in _GEO:
+            columns[name] = cells.copy()  # frees the table once the block is read
+            continue
+        present = cells != b""
+        given = cells[present].astype(str).tolist()
+        if given and max(map(len, given)) >= _GEO_WIDTH:
+            return None
+        columns[name] = np.full(m, math.nan)
+        columns[name][present] = _column(given, len(given))
+    return columns
 
 
 def _split_cells(lines, width: int, index: dict) -> dict | None:
@@ -332,9 +393,12 @@ def _split_cells(lines, width: int, index: dict) -> dict | None:
 
 
 def _csv_blocks(fh, width: int, index: dict):
-    """The cells of the CSV rows after the header, as `_row_blocks` yields
-    them: each block of lines by `_split_cells`, and from the first block
-    it cannot read on, every row by `csv.reader`."""
+    """The float columns of the CSV rows after the header, as `_row_blocks`
+    yields them. Each block of lines is read by the first reader that can
+    read it exactly: numpy's C reader (`_loadtxt_columns`), then one split
+    of its text (`_split_cells`); from the first block neither can read on,
+    every row is read by `csv.reader`."""
+    dtype = _row_dtype(width, index)
 
     def transpose(rows):
         # short rows padded with None; a column no row reaches is all None
@@ -343,12 +407,15 @@ def _csv_blocks(fh, width: int, index: dict):
                 for k, j in index.items()}
 
     while lines := list(itertools.islice(fh, _ROW_BLOCK)):
-        cells = _split_cells(lines, width, index)
-        if cells is None:
-            rows = filter(None, csv.reader(itertools.chain(lines, fh)))
-            yield from _row_blocks(rows, transpose)
-            return
-        yield cells, len(lines)
+        columns = _loadtxt_columns(lines, dtype, index)
+        if columns is None:
+            cells = _split_cells(lines, width, index)
+            if cells is None:
+                rows = filter(None, csv.reader(itertools.chain(lines, fh)))
+                yield from _row_blocks(rows, transpose)
+                return
+            columns = _floats(cells, len(lines))
+        yield columns, len(lines)
 
 
 def _jsonl_rows(fh):
@@ -371,9 +438,13 @@ def parse_trace(path, format: str = "csv") -> tuple[Trace, ParseReport]:
     blank lines are skipped, short rows padded with missing cells and the
     cells past the header ignored; a file `csv.reader` cannot read, such as
     one with a cell longer than `csv.field_size_limit()`, is a SchemaError.
-    Both formats are read `_ROW_BLOCK` rows at a time; CSV blocks of plain
-    rows are split as text (`_split_cells`), the rest go through
-    `csv.reader`.
+    Both formats are read `_ROW_BLOCK` rows at a time. Each CSV block goes
+    to the first of three readers that reads it exactly (`_csv_blocks`):
+    numpy's C text reader for plain numeric rows (`_loadtxt_columns`), one
+    split of its text for rows of the header's width with an empty or junk
+    required or gyro cell, other line ends or non-ASCII text
+    (`_split_cells`), and `csv.reader` from the first block with a quote,
+    a blank, short or long row, or an oversized line on.
     """
     path = str(path)
     if format == "csv":

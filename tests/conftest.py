@@ -7,6 +7,9 @@ import pytest
 
 from infrasense.trace_model import Fixes, Trace
 
+# the parse tests' module is collected through test_trace_model.py
+pytest.register_assert_rewrite("parse_cases")
+
 
 def straight_fixes(duration, speed, lat0=51.0, lon0=7.0, interval=1.0):
     """1 Hz fixes along a northbound straight line."""

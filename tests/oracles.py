@@ -384,7 +384,8 @@ def load_replay(path, policy) -> SegmentStore:
             aid = store.contribute(ind, policy)
             if aid < 0:
                 raise StoreError(f"line {lineno}: the replay rejects the record "
-                                 f"(a non-finite value or a position off WGS84)")
+                                 f"(a non-finite value, a position off WGS84 or an int t "
+                                 f"too far from its anchor's)")
             if aid != expect:
                 raise StoreError(
                     f"line {lineno}: replay assigned anchor {aid}, "

@@ -260,6 +260,22 @@ class TestSegmentStore:
         assert state_bits(SegmentStore.load(tmp_path / "store.jsonl", MatchPolicy())) == \
             state_bits(store)
 
+    def test_contribute_rejects_an_int_t_too_far_from_its_anchors(self, tmp_path):
+        # fuse's decay cannot take the int difference 2 * 10**308; the record
+        # is refused before the anchor moves or counts it
+        store = SegmentStore()
+        assert store.contribute(ind(t=10 ** 308), MatchPolicy()) == 0
+        before = state_bits(store)
+        assert store.contribute(ind(lat=51.00001, t=-10 ** 308), MatchPolicy()) == -1
+        assert store.rejected == 1 and len(store.records) == 1
+        assert state_bits(store) == before
+        # far from every anchor it starts one of its own
+        assert store.contribute(ind(lat=52.0, t=-10 ** 308), MatchPolicy()) == 1
+        store.save(tmp_path / "store.jsonl")
+        (tmp_path / "store.jsonl.state").unlink()
+        assert state_bits(SegmentStore.load(tmp_path / "store.jsonl", MatchPolicy())) == \
+            state_bits(store)
+
     def test_contribute_takes_the_wgs84_range_limits(self):
         store = SegmentStore()
         for lat, lon in [(90.0, 7.0), (-90.0, 7.0), (51.0, 180.0), (51.0, -180.0)]:
