@@ -287,13 +287,14 @@ class SegmentStore:
 
     def _fold(self, spot, t, value, policy: MatchPolicy) -> int:
         """Match `spot` and fuse `value` at `t` into its anchor. Returns the
-        anchor id, or -1 (counted in `rejected`) for a non-finite value, a
-        position off WGS84, or an int `t` whose difference from the int
-        `last_update` of the anchor it matches is beyond float range, on
-        which `fuse` would raise OverflowError. Nothing moves before that is
-        known."""
+        anchor id, or -1 (counted in `rejected`) for a non-finite value or
+        float `t` (an infinite `t` would fuse to NaN), a position off WGS84,
+        or an int `t` whose difference from the int `last_update` of the
+        anchor it matches is beyond float range, on which `fuse` would raise
+        OverflowError. Nothing moves before that is known."""
+        # an int t first: math.isfinite raises on one beyond float range
         if not (math.isfinite(value) and abs(spot.lat) <= 90.0 and abs(spot.lon) <= 180.0
-                and (type(t) is not int or self._fusable(spot, t, policy))):
+                and (self._fusable(spot, t, policy) if type(t) is int else math.isfinite(t))):
             self.rejected += 1
             return -1
         if policy is not self._policy:
@@ -455,8 +456,8 @@ class SegmentStore:
                 raise StoreError(f"line {lineno}: {e}") from e
             if aid < 0:
                 raise StoreError(f"line {lineno}: the replay rejects the record "
-                                 f"(a non-finite value, a position off WGS84 or an int t "
-                                 f"too far from its anchor's)")
+                                 f"(a non-finite value or t, a position off WGS84 or an int "
+                                 f"t too far from its anchor's)")
             if aid != expect:
                 raise StoreError(f"line {lineno}: replay assigned anchor {aid}, "
                                  f"log says {expect} (policy mismatch?)")

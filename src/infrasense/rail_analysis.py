@@ -7,7 +7,6 @@ path; curvature is yaw rate over speed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -209,6 +208,67 @@ def geometry_columns(profile: GeometryProfile,
     return columns
 
 
+# ASCII digits of 0..999, column i holding the three of i: the cells of
+# geometry.csv are made three digits at a time.
+_DIGITS = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + 48).astype(np.uint8)
+# Below this many units of the last place, |v| * 10**d is within 0.5 of the
+# integer whose digits ``"%.<d>f" % v`` prints, for v rounded to d places.
+_EXACT_UNITS = 2.0 ** 51
+
+
+def _fixed_point(values: np.ndarray, decimals: int) -> np.ndarray:
+    """The cells ``"%.<decimals>f" % v`` of `values`, already rounded to
+    `decimals` places, as ASCII bytes: row i of the result holds byte i of
+    every cell, right-aligned, and zero bytes pad the cells.
+
+    A cell holds the digits of k = rint(|v| * 10**decimals), a point before
+    the last `decimals` of them and a ``-`` where the sign bit is set (so
+    also on -0.0). A column that reaches `_EXACT_UNITS`, or holds NaN or
+    inf, is formatted with ``%`` instead.
+    """
+    units = np.abs(values) * 10.0 ** decimals
+    if not units.max() < _EXACT_UNITS:  # also NaN
+        cells = [f"%.{decimals}f" % v for v in values.tolist()]
+        return np.array(cells, dtype=bytes).view(np.uint8).reshape(len(cells), -1).T
+    k = np.rint(units).astype(np.int64)
+    digits = max(len(str(k.max())), decimals + 1)  # at least "0." before the decimals
+    groups = -(-digits // 3)
+    out = np.empty((3 * groups, len(k)), dtype=np.uint8)
+    high = k
+    for g in range(groups - 1, -1, -1):
+        rest = high // 1000
+        np.take(_DIGITS, high - rest * 1000, axis=1, out=out[3 * g:3 * g + 3], mode="clip")
+        high = rest
+    out = out[len(out) - digits:]
+    whole = digits - decimals
+    for i in range(whole - 1):  # blank the leading zeros of the whole part
+        out[i] *= k >= 10 ** (digits - 1 - i)
+    cells = np.empty((digits + 2, len(k)), dtype=np.uint8)
+    cells[0] = np.signbit(values) * ord("-")
+    cells[1:whole + 1] = out[:whole]
+    cells[whole + 1] = ord(".")
+    cells[whole + 2:] = out[whole:]
+    return cells
+
+
+def _csv_block(columns: list[tuple[np.ndarray, int]], m: int) -> str:
+    """m CSV rows of fixed-point cells (`_fixed_point`), each row ended by
+    CRLF. ``columns[j] = (values, decimals)`` gives the cells of column j on
+    the first len(values) rows; its cells on the rows past them are empty."""
+    parts = [_fixed_point(values, decimals) if len(values) else np.empty((0, 0), np.uint8)
+             for values, decimals in columns]
+    # byte i of every row in row i; the copy of its transpose is the text
+    block = np.zeros((sum(map(len, parts)) + len(parts) + 1, m), dtype=np.uint8)
+    at = 0
+    for cells in parts:
+        block[at:at + len(cells), :cells.shape[1]] = cells
+        block[at + len(cells)] = ord(",")
+        at += len(cells) + 1
+    block[at - 1:] = [[ord("\r")], [ord("\n")]]
+    block = block.T.copy()
+    return block[block != 0].tobytes().decode("ascii")
+
+
 def geometry_to_csv(profile: GeometryProfile, path,
                     twist_bases: tuple[float, ...] = (3.0, 5.0)) -> None:
     """Profile CSV: s, cant_mm, one twist column per base, curvature.
@@ -216,22 +276,16 @@ def geometry_to_csv(profile: GeometryProfile, path,
     Cells are the `geometry_columns`, written with their decimal places
     (``"%.3f"`` and so on), so each parses back to exactly the rounded
     value. Points without a full base ahead get an empty twist cell. Rows
-    are written in blocks (`write_rows`); a row with every cell is
-    formatted with one ``%``, the rows past a short twist column cell by
-    cell."""
+    are written in blocks (`write_rows`); the text of a block is made by
+    numpy array operations (`_csv_block`): the digits of each rounded value
+    times its power of ten, with the point and sign put in, give the same
+    bytes as ``%``."""
     columns = geometry_columns(profile, twist_bases)
-    formats = [f"%.{decimals}f" for _, _, decimals in columns]
-    row_format = ",".join(formats).__mod__
-    full = min(len(values) for _, values, _ in columns)  # rows with every cell
 
     def block_rows(start, stop):
-        cut = min(max(start, full), stop)
-        rows = map(row_format, zip(*(values[start:cut].tolist() for _, values, _ in columns)))
-        tail = []
-        for (_, values, _), fmt in zip(columns, formats):
-            cells = list(map(fmt.__mod__, values[cut:stop].tolist()))
-            tail.append(cells + [""] * (stop - cut - len(cells)))  # a short twist column
-        return itertools.chain(rows, map(",".join, zip(*tail)))
+        text = _csv_block([(values[start:stop], decimals) for _, values, decimals in columns],
+                          stop - start)
+        return (text[:-2],)  # `write_rows` ends the block's last row
 
     header = ",".join(name for name, _, _ in columns)
     with open(path, "w", newline="") as fh:

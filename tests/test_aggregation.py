@@ -276,6 +276,17 @@ class TestSegmentStore:
         assert state_bits(SegmentStore.load(tmp_path / "store.jsonl", MatchPolicy())) == \
             state_bits(store)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_contribute_rejects_a_non_finite_t(self, t):
+        # two inf reports at one spot would fuse the anchor's value to NaN
+        store = SegmentStore()
+        assert store.contribute(ind(t=1.0), MatchPolicy()) == 0
+        before = state_bits(store)
+        assert store.contribute(ind(t=t), MatchPolicy()) == -1
+        assert store.contribute(ind(t=t), MatchPolicy()) == -1
+        assert store.rejected == 2 and len(store.records) == 1
+        assert state_bits(store) == before
+
     def test_contribute_takes_the_wgs84_range_limits(self):
         store = SegmentStore()
         for lat, lon in [(90.0, 7.0), (-90.0, 7.0), (51.0, 180.0), (51.0, -180.0)]:
@@ -582,15 +593,17 @@ class TestStoreText:
 
     def test_non_finite_and_int_fields(self, tmp_path):
         store = SegmentStore()
-        for t in (math.nan, math.inf, 3):
-            store.contribute(ind(lat=51, lon=7, t=t, value=2), MatchPolicy())
+        # a non-finite t is rejected, so no NaN or Infinity reaches the log
+        assert [store.contribute(ind(lat=51, lon=7, t=t, value=2), MatchPolicy())
+                for t in (math.nan, math.inf, 3)] == [-1, -1, 0]
         store.states[7] = SegmentState(SegmentAnchor(7, -0.0, 1e-07, "twist"))
         store.save(tmp_path / "store.jsonl")
         store.snapshot_geojson(tmp_path / "snapshot.geojson")
         text = (tmp_path / "snapshot.geojson").read_text()
         assert (tmp_path / "store.jsonl").read_bytes() == rewrite(store)
         log = rewrite(store).decode()
-        assert '"t": NaN' in log and '"t": Infinity' in log and '"lat": 51,' in log
+        assert "NaN" not in log and "Infinity" not in log
+        assert '"t": 3,' in log and '"lat": 51,' in log
         assert '"last_update": -Infinity' in text and '"coordinates": [1e-07, -0.0]' in text
         collection = store.snapshot_geojson()
         assert text == json.dumps(collection)

@@ -1097,9 +1097,14 @@ class TestMalformedCrowdInput:
         # the fold rejects it, as it would the indicator, and returns the -1 it logs
         (json.dumps({"op": "fuse", "anchor_id": -1, "t": 1.0, "value": 2.0, "lat": 95.0,
                      "lon": 7.0, "kind": "anomaly"}),
-         "line 1: the replay rejects the record (a non-finite value, a position off WGS84 "
-         "or an int t too far from its anchor's)"),
-    ], ids=["list", "string", "text-latitude", "rejected-by-the-replay"])
+         "line 1: the replay rejects the record (a non-finite value or t, a position off "
+         "WGS84 or an int t too far from its anchor's)"),
+        # 1e999 reads as inf: fused twice at one anchor it would make the value NaN
+        ('{"op": "fuse", "anchor_id": 0, "t": 1e999, "value": 2.0, "lat": 51.0, '
+         '"lon": 7.0, "kind": "anomaly"}',
+         "line 1: the replay rejects the record (a non-finite value or t, a position off "
+         "WGS84 or an int t too far from its anchor's)"),
+    ], ids=["list", "string", "text-latitude", "rejected-by-the-replay", "infinite-t"])
     def test_aggregate_store_line(self, tmp_path, capsys, line, error):
         store = tmp_path / "store.jsonl"
         store.write_text(line + "\n")

@@ -12,12 +12,19 @@ from conftest import make_trace, perfbench_module
 from infrasense import trace_model
 from infrasense.cli import EXIT_OK, main
 from infrasense.rail_analysis import (
+    CANT_DECIMALS,
+    CURVATURE_DECIMALS,
+    S_DECIMALS,
+    TWIST_DECIMALS,
+    _EXACT_UNITS,
     GeometryProfile,
     RailAnalysisError,
+    _csv_block,
     cant_angle,
     cant_from_roll,
     classify_curves,
     curve_runs,
+    geometry_columns,
     geometry_to_csv,
     twist,
 )
@@ -427,6 +434,51 @@ class TestGeometryCsv:
         assert peak < 12e6
 
 
+GEOMETRY_DECIMALS = (S_DECIMALS, CANT_DECIMALS, TWIST_DECIMALS, CURVATURE_DECIMALS)
+
+
+def unrounded_cells(decimals):
+    """Floats for a column of `decimals` places: magnitudes from 1e-20 up to
+    past the `%` fallback's bound, values just under and over that bound,
+    zeros of both signs, negatives that round to -0.0, NaN and inf."""
+    bound = _EXACT_UNITS / 10.0 ** decimals
+    magnitude = st.one_of(
+        st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+                  st.floats(1.0, 10.0), st.integers(-20, 15 - decimals)),
+        st.floats(0.999, 1.001).map(lambda f: f * bound),
+        st.sampled_from([0.0, 0.4 / 10.0 ** decimals, math.inf, math.nan]),
+    )
+    return st.builds(math.copysign, magnitude, st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def csv_blocks(draw):
+    """(columns, m): a block of m rows of 1 to 4 columns (values rounded to
+    their places, decimals), each holding the first 0 to m cells."""
+    m = draw(st.integers(0, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        decimals = draw(st.sampled_from(GEOMETRY_DECIMALS))
+        cells = draw(st.lists(unrounded_cells(decimals), max_size=m))
+        columns.append((np.round(np.array(cells, dtype=float), decimals), decimals))
+    return columns, m
+
+
+class TestFixedPointCells:
+    @settings(max_examples=400, deadline=None)
+    @example(([(np.empty(0), 3)], 0))
+    @example(([(np.array([-0.0]), 4), (np.empty(0), 7)], 1))
+    @example(([(np.round(np.array([(2.0 ** 51 - 1) / 1e8, 2.0 ** 51 / 1e8]), 8), 8)], 2))
+    @example(([(np.array([math.nan, -math.inf]), 3), (np.array([1.5]), 7)], 2))
+    @given(csv_blocks())
+    def test_cells_match_format(self, block):
+        columns, m = block
+        cells = [[format(v, f".{decimals}f") for v in values.tolist()] + [""] * (m - len(values))
+                 for values, decimals in columns]
+        want = "".join(",".join(row) + "\r\n" for row in zip(*cells))
+        assert _csv_block(columns, m) == want
+
+
 BENCH_SEED, BENCH_DURATION = 5, 240.0
 
 
@@ -454,6 +506,25 @@ class TestBenchmarkRailRide:
         assert checks.check_cant_irregularity(header, values, ride.truth) == []
         curve_length = 2 * inputs.TRANSITION + inputs.ARC
         assert checks.check_curves(collection, ride.truth, curve_length) == []
+
+    @pytest.mark.parametrize("block", ["cli", 8, "twist3"])
+    def test_geometry_bytes_match_the_csv_writer(self, bench_rail, tmp_path, monkeypatch, block):
+        # the CLI writes the ride's 24 000 rows in blocks of 4096; in blocks of
+        # 8 its short twist columns end inside a block, and in blocks the
+        # length of the twist3 column that column ends on a block edge
+        _, _, _, work = bench_rail
+        trace, _ = trace_model.parse_trace(work / "ride.csv")
+        profile, _ = cant_from_roll(trace_model.reorient(trace).trace)
+        geometry_to_csv_writer(profile, tmp_path / "oracle.csv")
+        got = work / "out" / "geometry.csv"
+        if block != "cli":
+            lengths = [len(values) for _, values, _ in geometry_columns(profile, (3.0, 5.0))]
+            size = 8 if block == 8 else lengths[2]
+            assert len(profile) > size and any(length % size for length in lengths[2:4])
+            monkeypatch.setattr(trace_model, "_ROW_BLOCK", size)
+            got = tmp_path / "geometry.csv"
+            geometry_to_csv(profile, got)
+        assert got.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     def test_cells_hold_the_profile_to_their_resolution(self, bench_rail):
         _, _, _, work = bench_rail
