@@ -24,7 +24,7 @@ from .reports import (EARTH_RADIUS, JSON_NUMBER, KINDS, Indicator, json_objects,
 
 _SLACK = 1e-6  # relative widening of the index bounds, far above float rounding
 _SLACK_M = 1e-6  # m, the same for radii so small that rounding is not relative
-CHECKPOINT_VERSION = 1  # of the `<store>.state` layout that `save` writes
+CHECKPOINT_VERSION = 2  # of the `<store>.state` layout that `save` writes
 _MIXED = "mixed"  # `SegmentStore._policy` once records were folded under two policies
 
 
@@ -174,30 +174,33 @@ def fuse(state: SegmentState, t: float, value: float, policy: MatchPolicy) -> Se
 _STRING_JSON = {k: json.dumps(k) for k in ("fuse", *KINDS)}
 
 
-def _num(x) -> str:
-    """json.dumps(x) for a number: a finite float by float.__repr__ and an int
-    by int.__repr__, as json writes them; anything else (NaN, +-inf, bools,
-    subclasses) by json itself."""
-    if type(x) is float and x - x == 0.0:
-        return float.__repr__(x)
-    return int.__repr__(x) if type(x) is int else json.dumps(x)
-
-
 def _str(x) -> str:
     """json.dumps(x) for a record's string, from a table for the usual ones."""
     return _STRING_JSON.get(x) or json.dumps(x)
 
 
 def _record_line(rec: dict) -> str:
-    """json.dumps(rec) + "\n" for a record of `SegmentStore.contribute`."""
-    return (f'{{"op": {_str(rec["op"])}, "anchor_id": {_num(rec["anchor_id"])}, '
-            f'"t": {_num(rec["t"])}, "value": {_num(rec["value"])}, '
-            f'"lat": {_num(rec["lat"])}, "lon": {_num(rec["lon"])}, '
-            f'"kind": {_str(rec["kind"])}}}\n')
+    """json.dumps(rec) + "\n" for a record of `SegmentStore.contribute`: its
+    four numbers are finite floats and its anchor id an int, which json
+    writes by their repr."""
+    return (f'{{"op": {_str(rec["op"])}, "anchor_id": {rec["anchor_id"]!r}, '
+            f'"t": {rec["t"]!r}, "value": {rec["value"]!r}, '
+            f'"lat": {rec["lat"]!r}, "lon": {rec["lon"]!r}, "kind": {_str(rec["kind"])}}}\n')
+
+
+def _floats(lat, lon, t, value) -> tuple[float, float, float, float]:
+    """A record's position, `t` and value as floats: the one conversion at
+    the store's edge, for `contribute` and the replay alike. Raises
+    ValueError for one that is no int or float (a bool, say) and
+    OverflowError for an int beyond float range."""
+    if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
+            and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
+        raise ValueError("lat, lon, t and value must be JSON numbers")
+    return float(lat), float(lon), float(t), float(value)
 
 
 class _Spot(NamedTuple):
-    """Where a replayed log record lies, as `SegmentStore.match_segment` reads it."""
+    """Where a record lies, in floats, as `SegmentStore.match_segment` reads it."""
 
     kind: str
     lat: float
@@ -240,17 +243,6 @@ class SegmentStore:
             grid = self._grids[kind] = GridIndex(radius)
         return grid
 
-    def _nearest(self, grid: GridIndex, lat: float, lon: float, radius: float) -> int | None:
-        """The id of the anchor in `grid` nearest to (`lat`, `lon`) within
-        `radius`, ties to the smaller id; None when there is none."""
-        best_id, best_d = None, None
-        for aid in grid.candidates(lat, lon):
-            anchor = self.states[aid].anchor
-            d = great_circle(anchor.lat, anchor.lon, lat, lon)
-            if d <= radius and (best_d is None or d < best_d):
-                best_id, best_d = aid, d
-        return best_id
-
     def match_segment(self, spot, policy: MatchPolicy) -> int:
         """Nearest anchor of `spot.kind` to (`spot.lat`, `spot.lon`) within the
         policy radius, or a new one; `spot` is an `Indicator` or any object
@@ -263,7 +255,12 @@ class SegmentStore:
         """
         kind, lat, lon = spot.kind, spot.lat, spot.lon
         grid = self._grid(kind, policy.radius)
-        best_id = self._nearest(grid, lat, lon, policy.radius)
+        best_id, best_d = None, None
+        for aid in grid.candidates(lat, lon):
+            anchor = self.states[aid].anchor
+            d = great_circle(anchor.lat, anchor.lon, lat, lon)
+            if d <= policy.radius and (best_d is None or d < best_d):
+                best_id, best_d = aid, d
         if best_id is None:
             aid = self._next_id
             self._next_id += 1
@@ -285,16 +282,13 @@ class SegmentStore:
         grid.move(best_id, anchor.lat, anchor.lon)
         return best_id
 
-    def _fold(self, spot, t, value, policy: MatchPolicy) -> int:
-        """Match `spot` and fuse `value` at `t` into its anchor. Returns the
-        anchor id, or -1 (counted in `rejected`) for a non-finite value or
-        float `t` (an infinite `t` would fuse to NaN), a position off WGS84,
-        or an int `t` whose difference from the int `last_update` of the
-        anchor it matches is beyond float range, on which `fuse` would raise
-        OverflowError. Nothing moves before that is known."""
-        # an int t first: math.isfinite raises on one beyond float range
-        if not (math.isfinite(value) and abs(spot.lat) <= 90.0 and abs(spot.lon) <= 180.0
-                and (self._fusable(spot, t, policy) if type(t) is int else math.isfinite(t))):
+    def _fold(self, spot: _Spot, t: float, value: float, policy: MatchPolicy) -> int:
+        """Match `spot` and fuse `value` at `t` into its anchor, all floats.
+        Returns the anchor id, or -1 (counted in `rejected`) for a `t` or
+        value that is not finite (an infinite `t` would fuse to NaN) or a
+        position off WGS84. Nothing moves before that is known."""
+        if not (math.isfinite(t) and math.isfinite(value)
+                and abs(spot.lat) <= 90.0 and abs(spot.lon) <= 180.0):
             self.rejected += 1
             return -1
         if policy is not self._policy:
@@ -303,37 +297,21 @@ class SegmentStore:
         self.states[aid] = fuse(self.states[aid], t, value, policy)
         return aid
 
-    def _fusable(self, spot, t: int, policy: MatchPolicy) -> bool:
-        """Whether `fuse` takes the int `t` into the anchor that `spot`
-        matches: an int `t` and `last_update` subtract exactly, and a
-        difference beyond float range fails the decay."""
-        aid = self._nearest(self._grid(spot.kind, policy.radius), spot.lat, spot.lon,
-                            policy.radius)
-        if aid is None:
-            return True
-        try:
-            float(t - self.states[aid].last_update)
-        except OverflowError:
-            return False
-        return True
-
     def contribute(self, indicator: Indicator, policy: MatchPolicy) -> int:
-        """Match then fuse one indicator; logs the event. Returns anchor id, or
-        -1 (counted in `rejected`) for what `_fold` rejects, or a record that
-        `load` would refuse: a position, `t` or value that is no int or float
-        (a bool, say), or an int `t` or value beyond float range. So the log
-        always replays, and the checkpoint `save` writes is always the
-        replay's."""
-        lat, lon, t, value = indicator.lat, indicator.lon, indicator.t, indicator.value
+        """Match then fuse one indicator; logs the event with its position,
+        `t` and value as floats (`_floats`). Returns anchor id, or -1
+        (counted in `rejected`) for what `_fold` rejects, or for a position,
+        `t` or value that is no int or float (a bool, say) or an int beyond
+        float range. So the log always replays, and the checkpoint `save`
+        writes is always the replay's. An int beyond 2**53 is rounded to the
+        nearest float."""
         try:
-            if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
-                    and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
-                raise ValueError
-            float(t), float(value)  # an int beyond float range raises OverflowError
+            lat, lon, t, value = _floats(indicator.lat, indicator.lon, indicator.t,
+                                         indicator.value)
         except (ValueError, OverflowError):
             self.rejected += 1
             return -1
-        aid = self._fold(indicator, t, value, policy)
+        aid = self._fold(_Spot(indicator.kind, lat, lon), t, value, policy)
         if aid >= 0:
             self.records.append({"op": "fuse", "anchor_id": aid, "t": t, "value": value,
                                  "lat": lat, "lon": lon, "kind": indicator.kind})
@@ -367,7 +345,8 @@ class SegmentStore:
         new line holds the bytes of ``json.dumps(record)``, written by a
         fixed template (`_record_line`) rather than by a json call per
         record: in paired crowd runs, a ``json.dumps`` per record made
-        `aggregate` slower in every pair."""
+        `aggregate` slower in every pair. The template writes each number
+        by its repr, which is json's text for a finite float."""
         log = self._log
         if log and not log.endswith(b"\n"):
             log += b"\n"
@@ -427,10 +406,10 @@ class SegmentStore:
         return True
 
     def _replay(self, log: bytes, policy: MatchPolicy) -> None:
-        """Fold every record of the log `log` through the matching and fusion
-        of `contribute`. Each line is read by `json_objects` and checked; a
-        line that cannot be replayed, or that the fold rejects, raises
-        StoreError("line N: ...")."""
+        """Fold every record of the log `log` through the conversion
+        (`_floats`), matching and fusion of `contribute`. Each line is read
+        by `json_objects` and checked; a line that cannot be replayed, or
+        that the fold rejects, raises StoreError("line N: ...")."""
         try:
             text = log.decode("utf-8")
         except UnicodeDecodeError as e:
@@ -442,22 +421,17 @@ class SegmentStore:
         # split("\n"), not splitlines(): lines end where file iteration ends them
         for lineno, rec in json_objects(text.split("\n"), StoreError):
             try:
-                lat, lon, t, value = rec["lat"], rec["lon"], rec["t"], rec["value"]
-                if not (type(lat) in JSON_NUMBER and type(lon) in JSON_NUMBER
-                        and type(t) in JSON_NUMBER and type(value) in JSON_NUMBER):
-                    raise ValueError("lat, lon, t and value must be JSON numbers")
+                lat, lon, t, value = _floats(rec["lat"], rec["lon"], rec["t"], rec["value"])
                 kind = rec["kind"]
                 if kind not in KINDS:  # as `Indicator` checks it
                     raise ValueError(f"unknown indicator kind {kind!r}")
                 expect = rec["anchor_id"]
-                float(t), float(value)  # an int beyond float range raises OverflowError
                 aid = self._fold(_Spot(kind, lat, lon), t, value, policy)
             except (KeyError, ValueError, OverflowError) as e:
                 raise StoreError(f"line {lineno}: {e}") from e
             if aid < 0:
                 raise StoreError(f"line {lineno}: the replay rejects the record "
-                                 f"(a non-finite value or t, a position off WGS84 or an int "
-                                 f"t too far from its anchor's)")
+                                 f"(a non-finite value or t, or a position off WGS84)")
             if aid != expect:
                 raise StoreError(f"line {lineno}: replay assigned anchor {aid}, "
                                  f"log says {expect} (policy mismatch?)")

@@ -384,8 +384,7 @@ def load_replay(path, policy) -> SegmentStore:
             aid = store.contribute(ind, policy)
             if aid < 0:
                 raise StoreError(f"line {lineno}: the replay rejects the record "
-                                 f"(a non-finite value or t, a position off WGS84 or an int "
-                                 f"t too far from its anchor's)")
+                                 f"(a non-finite value or t, or a position off WGS84)")
             if aid != expect:
                 raise StoreError(
                     f"line {lineno}: replay assigned anchor {aid}, "

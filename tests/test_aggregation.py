@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -260,21 +261,26 @@ class TestSegmentStore:
         assert state_bits(SegmentStore.load(tmp_path / "store.jsonl", MatchPolicy())) == \
             state_bits(store)
 
-    def test_contribute_rejects_an_int_t_too_far_from_its_anchors(self, tmp_path):
-        # fuse's decay cannot take the int difference 2 * 10**308; the record
-        # is refused before the anchor moves or counts it
+    def test_contribute_fuses_a_t_far_from_its_anchors_with_no_decay(self, tmp_path):
+        # the ints +-10**308 become floats 2e308 apart: the decay 2**-inf is 0,
+        # so the old evidence drops out and the anchor's value stays finite
         store = SegmentStore()
-        assert store.contribute(ind(t=10 ** 308), MatchPolicy()) == 0
-        before = state_bits(store)
-        assert store.contribute(ind(lat=51.00001, t=-10 ** 308), MatchPolicy()) == -1
-        assert store.rejected == 1 and len(store.records) == 1
-        assert state_bits(store) == before
-        # far from every anchor it starts one of its own
-        assert store.contribute(ind(lat=52.0, t=-10 ** 308), MatchPolicy()) == 1
+        assert store.contribute(ind(t=10 ** 308, value=1), MatchPolicy()) == 0
+        assert store.contribute(ind(lat=51.00001, t=-10 ** 308, value=3), MatchPolicy()) == 0
+        state = store.states[0]
+        assert (state.value, state.weight_sum, state.last_update) == (3.0, 1.0, 1e308)
+        assert store.rejected == 0 and [r["t"] for r in store.records] == [1e308, -1e308]
         store.save(tmp_path / "store.jsonl")
         (tmp_path / "store.jsonl.state").unlink()
         assert state_bits(SegmentStore.load(tmp_path / "store.jsonl", MatchPolicy())) == \
             state_bits(store)
+
+    def test_contribute_rounds_an_int_t_to_a_float(self, tmp_path):
+        # the one loss of the float domain: an int past 2**53 is rounded
+        store = SegmentStore()
+        assert store.contribute(ind(t=2 ** 53 + 1), MatchPolicy()) == 0
+        store.save(tmp_path / "store.jsonl")
+        assert '"t": 9007199254740992.0,' in (tmp_path / "store.jsonl").read_text()
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_contribute_rejects_a_non_finite_t(self, t):
@@ -581,6 +587,16 @@ class TestStoreText:
         assert text == json.dumps(expect)
         assert repr(json.loads(text)) == repr(expect)
 
+    @given(stores())
+    @settings(max_examples=200, deadline=None)
+    def test_every_number_is_a_float(self, store):
+        # ints (and bools, which are refused) are drawn: all that is kept is float
+        for rec in store.records:
+            assert [type(rec[k]) for k in ("t", "value", "lat", "lon")] == [float] * 4
+        for st_ in store.states.values():
+            assert [type(x) for x in (st_.anchor.lat, st_.anchor.lon, st_.value,
+                                      st_.last_update)] == [float] * 4
+
     def test_empty_store(self, tmp_path):
         store = SegmentStore()
         store.save(tmp_path / "store.jsonl")
@@ -603,7 +619,8 @@ class TestStoreText:
         assert (tmp_path / "store.jsonl").read_bytes() == rewrite(store)
         log = rewrite(store).decode()
         assert "NaN" not in log and "Infinity" not in log
-        assert '"t": 3,' in log and '"lat": 51,' in log
+        # the int t, value and position are logged as the floats they became
+        assert '"t": 3.0, "value": 2.0, "lat": 51.0, "lon": 7.0,' in log
         assert '"last_update": -Infinity' in text and '"coordinates": [1e-07, -0.0]' in text
         collection = store.snapshot_geojson()
         assert text == json.dumps(collection)
@@ -1059,6 +1076,29 @@ class TestCheckpoint:
                            "enclosed in double quotes: line 1 column 2 (char 1))")
         elif case in ("half-life", "log-byte", "valid-line"):
             assert got[0] != state_bits(store)  # what the checkpoint held
+
+    def test_a_version_1_checkpoint_costs_a_replay(self, tmp_path):
+        # version 1 kept the ints of a log line; the replay now makes floats
+        line = ('{"op": "fuse", "anchor_id": 0, "t": 5, "value": 2, "lat": 51, "lon": 7, '
+                '"kind": "anomaly"}\n').encode()
+        body = json.dumps({"records": 1, "next_id": 1,
+                           "anchors": [[0, 51, 7, "anomaly", 1, 2, 1.0, 5]]}).encode()
+        policy = MatchPolicy()
+        header = json.dumps({"version": 1, "radius": policy.radius,
+                             "half_life": policy.half_life, "log_length": len(line),
+                             "log_crc": zlib.crc32(line), "body_crc": zlib.crc32(body)})
+        snapshots = []
+        for name, checkpoint in (("old", True), ("none", False)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_bytes(line)
+            if checkpoint:
+                (tmp_path / f"{name}.jsonl.state").write_bytes(header.encode() + b"\n" + body)
+            store = SegmentStore.load(path, policy)
+            assert not store.from_checkpoint
+            store.snapshot_geojson(tmp_path / f"{name}.geojson")
+            snapshots.append((tmp_path / f"{name}.geojson").read_bytes())
+        assert snapshots[0] == snapshots[1]
+        assert b'"coordinates": [7.0, 51.0]' in snapshots[0]
 
     def test_records_folded_under_two_policies_write_no_checkpoint(self, tmp_path):
         path, state = tmp_path / "store.jsonl", tmp_path / "store.jsonl.state"

@@ -643,20 +643,50 @@ class TestAggregateCommand:
         assert store.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.geojson", "store.jsonl"]
 
-    def test_int_t_difference_beyond_float_range_is_input_error(self, tmp_path, capsys):
-        # each t is within float range, the difference that `fuse` decays by is not
-        lines = ['{"op": "fuse", "anchor_id": 0, "t": %s1%s, "value": 2.0, "lat": 51.0, '
-                 '"lon": 7.0, "kind": "anomaly"}' % (sign, "0" * 308) for sign in ("", "-")]
-        store = tmp_path / "store.jsonl"
+    def test_t_difference_beyond_float_range_replays(self, tmp_path, capsys):
+        # the ints +-10**308 read as floats 2e308 apart; the decay across that
+        # gap, and across the 1e308 s to the new indicator's t, is 0, so each
+        # value replaces the one before and the anchor stays finite
+        lines = ['{"op": "fuse", "anchor_id": 0, "t": %s1%s, "value": %s, "lat": 51.0, '
+                 '"lon": 7.0, "kind": "anomaly"}' % (sign, "0" * 308, value)
+                 for sign, value in (("", "2.0"), ("-", "5.0"))]
+        store, snap = tmp_path / "store.jsonl", tmp_path / "snap.geojson"
         store.write_text("\n".join(lines) + "\n")
         before = store.read_bytes()
         assert main(["aggregate", str(one_indicator(tmp_path)), "--store", str(store),
-                     "--out", str(tmp_path / "snap.geojson")]) == EXIT_INPUT
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and json.loads(err[0])["exit"] == EXIT_INPUT
-        assert json.loads(err[0])["error"].startswith("store: line 2: ")
-        assert store.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.geojson", "store.jsonl"]
+                     "--out", str(snap)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["replayed"] == 2
+        assert store.read_bytes().startswith(before)
+        anchor = json.loads(snap.read_text())["features"][0]["properties"]
+        assert (anchor["value"], anchor["last_update"]) == (2.0, 1e308)
+
+    def test_int_numbers_are_kept_as_floats(self, tmp_path, capsys):
+        """An indicator GeoJSON of JSON ints: the store logs its position, t
+        and value as floats, and a reopen from the checkpoint and a replay of
+        the log give the same snapshot bytes."""
+        geo = tmp_path / "in.geojson"
+        geo.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "geometry": {"type": "Point", "coordinates": [7, 51]},
+            "properties": {"kind": "anomaly", "sub_kind": "", "t": 3, "severity": 9,
+                           "confidence": 1, "value": 2}}]}))
+        store, snap = tmp_path / "store.jsonl", tmp_path / "snap.geojson"
+        assert main(["aggregate", str(geo), "--store", str(store), "--out", str(snap)]) == EXIT_OK
+        assert store.read_text() == ('{"op": "fuse", "anchor_id": 0, "t": 3.0, "value": 2.0, '
+                                     '"lat": 51.0, "lon": 7.0, "kind": "anomaly"}\n')
+        assert '"coordinates": [7.0, 51.0]' in snap.read_text()
+        empty = tmp_path / "empty.geojson"
+        empty.write_text('{"type": "FeatureCollection", "features": []}')
+        snapshots, summaries = [], []
+        for name in ("from-checkpoint", "replayed"):
+            if name == "replayed":
+                (tmp_path / "store.jsonl.state").unlink()
+            out = tmp_path / f"{name}.geojson"
+            assert main(["aggregate", str(empty), "--store", str(store),
+                         "--out", str(out)]) == EXIT_OK
+            summaries.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
+            snapshots.append(out.read_bytes())
+        assert [s["from_checkpoint"] for s in summaries] == [True, False]
+        assert snapshots[0] == snapshots[1] == snap.read_bytes()
 
     def test_store_not_utf8_is_input_error(self, tmp_path, capsys):
         store = tmp_path / "store.jsonl"
@@ -1097,13 +1127,13 @@ class TestMalformedCrowdInput:
         # the fold rejects it, as it would the indicator, and returns the -1 it logs
         (json.dumps({"op": "fuse", "anchor_id": -1, "t": 1.0, "value": 2.0, "lat": 95.0,
                      "lon": 7.0, "kind": "anomaly"}),
-         "line 1: the replay rejects the record (a non-finite value or t, a position off "
-         "WGS84 or an int t too far from its anchor's)"),
+         "line 1: the replay rejects the record (a non-finite value or t, or a position "
+         "off WGS84)"),
         # 1e999 reads as inf: fused twice at one anchor it would make the value NaN
         ('{"op": "fuse", "anchor_id": 0, "t": 1e999, "value": 2.0, "lat": 51.0, '
          '"lon": 7.0, "kind": "anomaly"}',
-         "line 1: the replay rejects the record (a non-finite value or t, a position off "
-         "WGS84 or an int t too far from its anchor's)"),
+         "line 1: the replay rejects the record (a non-finite value or t, or a position "
+         "off WGS84)"),
     ], ids=["list", "string", "text-latitude", "rejected-by-the-replay", "infinite-t"])
     def test_aggregate_store_line(self, tmp_path, capsys, line, error):
         store = tmp_path / "store.jsonl"

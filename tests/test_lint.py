@@ -56,6 +56,16 @@ def defined_names(source: str) -> dict[str, int]:
     return names
 
 
+def defined_methods(source: str) -> dict[str, int]:
+    """Names of the methods the module's classes define, at any depth, save
+    dunder methods (which Python calls by itself), with their line numbers."""
+    return {item.name: item.lineno
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
 def read_names(source: str) -> set[str]:
     """Names a module reads: loaded names, attribute names, imported names,
     and each dotted part of a string constant (the tracer names what it
@@ -80,11 +90,23 @@ def test_unread_names_detected():
     assert unread == {"B", "E", "K"}
 
 
+def test_unread_methods_detected():
+    source = ("class K:\n    def __init__(self): self._a()\n    def _a(self): pass\n"
+              "    def _b(self): pass\n    def c(self): pass\n"
+              "    class Inner:\n        def _d(self): pass\n"
+              "def f(k): return k.c, getattr(k, '_d')\n")
+    assert defined_methods(source) == {"_a": 3, "_b": 4, "c": 5, "_d": 7}
+    assert set(defined_methods(source)) - read_names(source) == {"_b"}
+
+
 def test_no_unread_module_names():
     read = set()
     for folder in READERS:
         for path in folder.rglob("*.py"):
             read |= read_names(path.read_text())
-    found = {str(path.relative_to(PACKAGE)): sorted(set(defined_names(path.read_text())) - read)
-             for path in sorted(PACKAGE.rglob("*.py"))}
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        source = path.read_text()
+        found[str(path.relative_to(PACKAGE))] = sorted(
+            set(defined_names(source)) - read) + sorted(set(defined_methods(source)) - read)
     assert {k: v for k, v in found.items() if v} == {}
